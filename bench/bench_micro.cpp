@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 
 #include "bench_export.h"
 #include "compiler/passes.h"
@@ -158,9 +159,20 @@ void BM_EndToEndSystemLeg(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSystemLeg)->Unit(benchmark::kMillisecond);
 
+/// Per-leg replay: one FFW+BBR leg at 400mV as a one-lane replayBatch.
+SystemResult replayLeg(const Module& bbrModule, const TraceCache& traces,
+                       std::uint64_t seed) {
+    BatchLane lane;
+    lane.config.scheme = SchemeKind::FfwBbr;
+    lane.config.op = DvfsTable::at(400_mV);
+    lane.config.faultMapSeed = seed;
+    replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
+    return lane.result;
+}
+
 // Trace-driven twin of BM_EndToEndSystemLeg: identical leg configuration,
-// evaluated through replaySystem() from pre-recorded traces. The ratio of
-// the two is the per-leg speedup of the record-once / replay-many engine.
+// evaluated as a one-lane replayBatch() from pre-recorded traces. The ratio
+// of the two is the per-leg speedup of the record-once / replay-many engine.
 void BM_ReplayLegs(benchmark::State& state) {
     const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
     Module bbrModule = module;
@@ -172,13 +184,7 @@ void BM_ReplayLegs(benchmark::State& state) {
     traces.plain = recordReplaySource(module, record, 0, ignored);
     traces.bbr = recordReplaySource(bbrModule, record, 0, ignored);
     std::uint64_t seed = 1;
-    for (auto _ : state) {
-        SystemConfig config;
-        config.scheme = SchemeKind::FfwBbr;
-        config.op = DvfsTable::at(400_mV);
-        config.faultMapSeed = seed++;
-        benchmark::DoNotOptimize(replaySystem(&bbrModule, config, traces));
-    }
+    for (auto _ : state) benchmark::DoNotOptimize(replayLeg(bbrModule, traces, seed++));
 }
 BENCHMARK(BM_ReplayLegs)->Unit(benchmark::kMillisecond);
 
@@ -410,21 +416,6 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         }
     }
 
-    // The same serial sweep with batching disabled (`--no-batch`): the
-    // per-leg replay path the batched engine is measured against.
-    {
-        SweepConfig config = tinySweepConfig(1);
-        config.useBatch = false;
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            rate.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("sweep.nobatch_legs_per_sec/threads1", rate));
-    }
-
     // The same serial sweep execution-driven (`--no-replay`): the PR 3
     // baseline the replay speedup is measured against.
     {
@@ -459,8 +450,9 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         metrics.push_back(metricOf("sweep.exec_legs_per_sec/telemetry_off", rate));
     }
 
-    // Raw replaySystem() legs per second (FFW+BBR at 400mV — the most
-    // expensive replayed leg: per-trial verified link + live predictor).
+    // Raw per-leg replay (one-lane replayBatch) legs per second (FFW+BBR at
+    // 400mV — the most expensive replayed leg: per-trial verified link +
+    // live predictor).
     {
         const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
         Module bbrModule = module;
@@ -477,11 +469,7 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         for (int rep = 0; rep < kPerfReps; ++rep) {
             const auto start = Clock::now();
             for (int i = 0; i < kLegsPerRep; ++i) {
-                SystemConfig config;
-                config.scheme = SchemeKind::FfwBbr;
-                config.op = DvfsTable::at(400_mV);
-                config.faultMapSeed = seed++;
-                benchmark::DoNotOptimize(replaySystem(&bbrModule, config, traces));
+                benchmark::DoNotOptimize(replayLeg(bbrModule, traces, seed++));
             }
             rate.add(kLegsPerRep / secondsSince(start));
         }

@@ -234,6 +234,7 @@ private:
         JsonValue out;
         out.kind = JsonValue::Kind::Number;
         out.number = value;
+        out.string = token;
         return out;
     }
 

@@ -28,7 +28,7 @@ struct JsonValue {
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
-    std::string string;
+    std::string string;  ///< Kind::String; Kind::Number: the source token
     std::vector<JsonValue> items;                           ///< Kind::Array
     std::vector<std::pair<std::string, JsonValue>> members; ///< Kind::Object
 

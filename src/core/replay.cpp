@@ -18,8 +18,8 @@ namespace {
 
 constexpr std::uint32_t kUnmappedWord = 0xFFFFFFFFU;
 
-/// Recording-layout -> trial-layout address mapping shared by both replay
-/// drivers. A null table is the identity (non-BBR legs run the recorded
+/// Recording-layout -> trial-layout address mapping of one BBR lane's
+/// TapeDriver. A null table is the identity (non-BBR legs run the recorded
 /// layout itself).
 struct AddressTranslator {
     const std::uint32_t* table = nullptr;
@@ -45,132 +45,6 @@ struct AddressTranslator {
         VC_CHECK(trialAddr != kUnmappedWord);
         return trialAddr;
     }
-};
-
-/// Trace-driven Driver for timing::runPipeline: walks the recording image's
-/// decoded instructions, pops recorded control-flow/data facts, and carries
-/// no architectural state at all. With a translation table (BBR trials) the
-/// presented pc/addresses are the trial layout's; with a live predictor the
-/// recorded verdicts are ignored and the predictor runs on trial addresses.
-class ReplayDriver {
-public:
-    ReplayDriver(const Image& recording, const ArchTrace& trace,
-                 const AddressTranslator& xlate, BranchPredictor* predictor)
-        : code_(recording.decodedInstructions()),
-          cursor_(trace),
-          xlate_(xlate),
-          base_(recording.baseAddr()),
-          predictor_(predictor) {
-        recPc_ = recording.entryAddr();
-        trialPc_ = translate(recPc_);
-        ip_ = code_ + (recPc_ - base_) / 4;
-        end_ = trace.instructions();
-    }
-
-    [[nodiscard]] bool atEnd() const { return issued_ == end_; }
-    // Recorded streams only ever visit instruction words, so the driver
-    // walks the dense decoded array directly — no per-access fetch checks.
-    [[nodiscard]] const Instruction& inst() { return *(inst_ = ip_); }
-    [[nodiscard]] std::uint32_t pc() const { return trialPc_; }
-
-    [[nodiscard]] std::uint32_t loadAddr() { return translateData(cursor_.nextDataAddr()); }
-    [[nodiscard]] std::uint32_t literalAddr() {
-        return translate(recPc_ + static_cast<std::uint32_t>(inst_->imm) * 4);
-    }
-    [[nodiscard]] std::uint32_t storeAddr() { return translateData(cursor_.nextDataAddr()); }
-
-    [[nodiscard]] bool condTaken() {
-        cf_ = cursor_.nextCf();
-        return cf_.taken;
-    }
-    [[nodiscard]] std::uint32_t directTarget() {
-        recTarget_ = recPc_ + static_cast<std::uint32_t>(inst_->imm) * 4;
-        return translate(recTarget_);
-    }
-    [[nodiscard]] std::uint32_t jalrTarget() {
-        cf_ = cursor_.nextCf();
-        recTarget_ = cursor_.nextJalrTarget();
-        return translate(recTarget_);
-    }
-
-    [[nodiscard]] bool resolveJump(std::uint32_t pc, std::uint32_t target) {
-        const CfRecord rec = cursor_.nextCf(); // keep streams in sync either way
-        if (predictor_ == nullptr) return rec.correct;
-        const auto prediction = predictor_->predictJump(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/false);
-    }
-    [[nodiscard]] bool resolveReturn(std::uint32_t pc, std::uint32_t target) {
-        if (predictor_ == nullptr) return cf_.correct;
-        const auto prediction = predictor_->predictReturn(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/true);
-    }
-    [[nodiscard]] bool resolveBranch(std::uint32_t pc, bool taken, std::uint32_t target) {
-        if (predictor_ == nullptr) return cf_.correct;
-        const auto prediction = predictor_->predictBranch(pc);
-        return predictor_->resolve(prediction, pc, taken, target,
-                                   /*chargeMispredict=*/true);
-    }
-    void pushReturnAddress(std::uint32_t addr) {
-        if (predictor_ != nullptr) predictor_->pushReturnAddress(addr);
-    }
-
-    // Architectural side effects: replay has no values to carry.
-    void writeLui() {}
-    void writeAlu() {}
-    void writeLink() {}
-    void writeLoad(std::uint32_t /*addr*/) {}
-    void doStore(std::uint32_t /*addr*/) {}
-    void notifyControlFlow(bool /*taken*/, std::uint32_t /*nextPc*/, bool /*correct*/) {}
-    void notifyIssue() { ++issued_; }
-
-    void stepFallthrough() {
-        // Sequential flow never leaves a placed section (BBR-shaped blocks
-        // end in control flow), so both layouts advance by one word.
-        recPc_ += 4;
-        trialPc_ += 4;
-        ++ip_;
-    }
-    void stepBranch(bool taken, std::uint32_t target) {
-        recPc_ = taken ? recTarget_ : recPc_ + 4;
-        trialPc_ = taken ? target : trialPc_ + 4;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-    void stepJump(std::uint32_t target) {
-        recPc_ = recTarget_;
-        trialPc_ = target;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-    void stepJalr(std::uint32_t target) {
-        recPc_ = recTarget_;
-        trialPc_ = target;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-
-    [[nodiscard]] bool fullyConsumed() const noexcept { return cursor_.fullyConsumed(); }
-
-private:
-    [[nodiscard]] std::uint32_t translate(std::uint32_t recAddr) const {
-        return xlate_.translate(recAddr);
-    }
-    [[nodiscard]] std::uint32_t translateData(std::uint32_t recAddr) const {
-        return xlate_.translateData(recAddr);
-    }
-
-    const Instruction* code_;
-    const Instruction* ip_ = nullptr;
-    ArchTrace::Cursor cursor_;
-    AddressTranslator xlate_;
-    std::uint32_t base_;
-    BranchPredictor* predictor_;
-    const Instruction* inst_ = nullptr;
-    std::uint32_t recPc_ = 0;
-    std::uint32_t trialPc_ = 0;
-    std::uint32_t recTarget_ = 0;
-    CfRecord cf_;
-    std::uint64_t issued_ = 0;
-    std::uint64_t end_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,14 +95,16 @@ struct TapeOp {
     std::uint8_t cross = 0;   ///< recording-layout fetch-block boundary
 };
 
-/// Tape chunk size in instructions. 2K ops keep the ~40KB tape hot in L2
-/// while a batch's lanes take turns replaying it; larger chunks amortize
-/// the per-lane state reload slightly better but start evicting the lanes'
-/// tag arrays.
+/// Tape chunk size in instructions. 256 ops of 20 bytes make a 5KB tape
+/// that stays hot in the host's L1 while a batch's lanes take turns
+/// replaying it; larger chunks amortize the per-lane state reload slightly
+/// better but start evicting the lanes' tag arrays.
 constexpr std::uint32_t kTapeChunkOps = 256;
+static_assert(sizeof(TapeOp) == 20);
 
-/// Decodes the recorded stream chunk-by-chunk, replicating ReplayDriver's
-/// position walk and cursor pops exactly once per batch.
+/// Decodes the recorded stream chunk-by-chunk: walks the recording image
+/// from its entry point and pops the trace cursor's recorded facts, once
+/// per batch for all of its lanes.
 class TapeBuilder {
 public:
     TapeBuilder(const Image& recording, const ArchTrace& trace)
@@ -332,7 +208,7 @@ private:
 /// a flat load from the pre-lowered tape; plain lanes (`kBbr == false`,
 /// identity layout, replayed predictor verdicts) compile the translation
 /// and the predictor away entirely, while BBR lanes carry their per-trial
-/// translated pc and live predictor exactly like ReplayDriver.
+/// translated pc and run a live predictor over the trial layout.
 template <bool kBbr>
 class TapeDriver {
 public:
@@ -454,10 +330,10 @@ private:
 
 // ---------------------------------------------------------------------------
 // Op-major plain-lane kernel: the TrialBatch inner loop. The lane-major
-// path above walks each lane through a whole chunk before switching lanes,
-// so every data-dependent branch of the timing kernel (the execute switch,
-// the stall checks, hit/miss paths) re-trains the host branch predictor on
-// each lane's pass. Here the loops are inverted — for each tape op, a tight
+// TapeDriver path above walks each lane through a whole chunk before
+// switching lanes, so every data-dependent branch of the timing kernel (the
+// execute switch, the stall checks, hit/miss paths) re-trains the host
+// branch predictor on each lane's pass. Here the loops are inverted — for each tape op, a tight
 // loop advances every lane — which makes all of those branches
 // lane-coherent: the switch resolves once per op, and each in-loop branch
 // sees the same op (and usually the same outcome) B times in a row.
@@ -471,7 +347,7 @@ private:
 //
 // This mirrors timing_kernel.h's runPipelineChunk case for a TapeDriver
 // with no predictor and identity translation; that function remains the
-// normative copy of the timing semantics, and the batched-vs-unbatched
+// normative copy of the timing semantics, and the replay-vs-execution
 // byte-identity tests (tests/test_sweep_determinism.cpp, tests/test_replay.cpp,
 // and the golden sweep JSON) enforce that the two never drift.
 // ---------------------------------------------------------------------------
@@ -853,77 +729,6 @@ std::vector<std::uint32_t> buildAddressTranslation(const Image& recording,
     return table;
 }
 
-SystemResult replaySystem(const Module* bbrModule, const SystemConfig& config,
-                          const TraceCache& cache, const detail::LegFaultMaps* chipMaps) {
-    const obs::Span span("replay");
-    const bool needsBbr = schemeNeedsBbrLinking(config.scheme);
-    const ReplaySource* source = needsBbr ? cache.bbr.get() : cache.plain.get();
-    VC_EXPECTS(source != nullptr);
-    VC_EXPECTS(source->trace.finalized() && !source->trace.overflowed());
-    VC_EXPECTS(source->trace.maxInstructions() == config.maxInstructions);
-    VC_EXPECTS(source->trace.entryAddr() == source->link.image.entryAddr());
-    VC_EXPECTS(source->trace.imageWords() == source->link.image.sizeWords());
-    VC_EXPECTS(config.observers.empty());
-
-    SystemResult result;
-    std::optional<detail::LegFaultMaps> local;
-    if (chipMaps == nullptr || detail::schemeIsDefectFree(config.scheme)) {
-        local.emplace(detail::generateLegFaultMaps(config));
-    }
-    const detail::LegFaultMaps& maps = local.has_value() ? *local : *chipMaps;
-
-    L2Cache::Config l2Config;
-    l2Config.dramLatencyCycles = dramLatencyCycles(config.dramLatencyNs, config.op.frequency);
-    L2Cache l2(l2Config);
-
-    SchemePair pair = makeSchemes(config.scheme, config.l1Org, maps.dcache, maps.icache, l2);
-    VC_CHECK(pair.needsBbrLinking == needsBbr);
-
-    std::vector<std::uint32_t> table;
-    std::optional<BranchPredictor> predictor;
-    std::optional<LinkOutput> trialLink;
-    if (needsBbr) {
-        VC_EXPECTS(bbrModule != nullptr);
-        LinkOptions options;
-        options.bbrPlacement = true;
-        options.icacheFaultMap = &maps.icache;
-        try {
-            trialLink = analysis::linkVerified(*bbrModule, options);
-        } catch (const LinkError& e) {
-            // Same yield-loss accounting as the execution-driven path.
-            result.linkFailed = true;
-            result.forensics.failCause = e.cause();
-            detail::publishLegMetrics(config, result);
-            return result;
-        }
-        result.linkStats = trialLink->stats;
-        table = buildAddressTranslation(source->link.image, trialLink->image);
-        predictor.emplace(config.pipeline.predictor);
-    } else {
-        result.linkStats = source->link.stats;
-    }
-
-    PipelineConfig pipeline = config.pipeline;
-    pipeline.maxInstructions = config.maxInstructions;
-    AddressTranslator xlate;
-    xlate.table = table.empty() ? nullptr : table.data();
-    xlate.tableWords = static_cast<std::uint32_t>(table.size());
-    xlate.base = source->link.image.baseAddr();
-    ReplayDriver driver(source->link.image, source->trace, xlate,
-                        predictor.has_value() ? &*predictor : nullptr);
-
-    result.run = timing::runPipeline(driver, *pair.icache, *pair.dcache, pipeline);
-
-    // The replayed run must retrace the recording exactly.
-    VC_CHECK(result.run.instructions == source->trace.instructions());
-    VC_CHECK(result.run.halted == source->trace.halted());
-    VC_CHECK(driver.fullyConsumed());
-    result.checksum = source->trace.checksum();
-
-    detail::finalizeLegResult(config, pair, maps, result);
-    return result;
-}
-
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes) {
     if (lanes.empty()) return;
@@ -936,9 +741,9 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
     VC_EXPECTS(source->trace.imageWords() == source->link.image.sizeWords());
 
     // --- Per-lane setup: maps, L2, schemes, (BBR) link + translation. ---
-    // Identical, per lane, to replaySystem's preamble; a lane whose BBR link
-    // fails is finished here with the same yield-loss accounting and sits
-    // out the replay.
+    // Identical, per lane, to simulateSystem's preamble; a lane whose BBR
+    // link fails is finished here with the same yield-loss accounting and
+    // sits out the replay.
     std::vector<LaneRuntime> rts(lanes.size());
     std::vector<timing::PipelineState> states(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -1073,7 +878,8 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
     }
     VC_CHECK(builder.fullyConsumed());
 
-    // --- Per-lane finish: same checks and finalization as replaySystem. ---
+    // --- Per-lane finish: the replayed run must retrace the recording
+    // exactly, then shares simulateSystem's finalization. ---
     for (LaneRuntime& rt : rts) {
         if (!rt.alive) continue;
         SystemResult& result = rt.lane->result;

@@ -35,7 +35,7 @@ namespace voltcache {
 /// in the trace refers to; replay fetches decoded instructions from it.
 ///
 /// The compact delta/varint ArchTrace is deliberately the form replay walks
-/// per leg: a Tiny-scale trace is a few tens of KB and stays resident in
+/// per batch: a Tiny-scale trace is a few tens of KB and stays resident in
 /// the host's L1/L2 next to the simulated tag arrays. A pre-decoded flat
 /// record stream (12 B/instruction) was measured slower end-to-end — the
 /// decode ALU it saves is hidden by the host's out-of-order core, while its
@@ -75,20 +75,11 @@ struct TraceCache {
 [[nodiscard]] std::vector<std::uint32_t> buildAddressTranslation(const Image& recording,
                                                                  const Image& trial);
 
-/// Evaluate one leg from the recorded trace — the drop-in fast path for
-/// simulateSystem. `bbrModule` is linked per trial when the scheme needs
-/// BBR placement (LinkError folds into linkFailed yield loss, as in
-/// execution); `cache.canReplay(config.scheme)` must hold and
-/// `config.observers` must be empty (observers see no replayed run).
-/// `chipMaps` has simulateSystem's sharing semantics (core/system.h).
-[[nodiscard]] SystemResult replaySystem(const Module* bbrModule, const SystemConfig& config,
-                                        const TraceCache& cache,
-                                        const detail::LegFaultMaps* chipMaps = nullptr);
-
 /// One lane of a TrialBatch: the per-trial inputs of one sweep leg and, on
-/// return from replayBatch, its result. `config` and `chipMaps` have
-/// replaySystem's exact semantics; `result` per lane is byte-identical to
-/// `replaySystem(bbrModule, config, cache, chipMaps)`.
+/// return from replayBatch, its result. `chipMaps` has simulateSystem's
+/// sharing semantics (core/system.h); `result` is byte-identical to
+/// `simulateSystem(module, bbrModule, config, chipMaps)` for the recorded
+/// module. A one-lane batch is the per-leg replay engine.
 struct BatchLane {
     SystemConfig config;
     const detail::LegFaultMaps* chipMaps = nullptr;
@@ -102,10 +93,12 @@ struct BatchLane {
 /// decoded, so the decode cost is amortized across the batch and the tape
 /// stays cache-hot. All lanes must share the benchmark (the trace) and
 /// layout kind: every `config.scheme` either needs BBR linking (each lane
-/// then links/translates/predicts per trial) or none does. Per-lane results
-/// are byte-identical to per-trial replaySystem calls — the timing
-/// semantics are the same runPipelineChunk template, fed by a tape-walking
-/// driver instead of a cursor-walking one.
+/// then links/translates/predicts per trial; LinkError folds into
+/// linkFailed yield loss, as in execution) or none does. `cache` must hold
+/// that layout's recording, and every `config.observers` must be empty
+/// (observers see no replayed run). Per-lane results are byte-identical to
+/// simulateSystem — the timing semantics are the same runPipelineChunk
+/// template, fed by a tape-walking driver instead of the simulator.
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes);
 

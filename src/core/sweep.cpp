@@ -1,6 +1,7 @@
 #include "core/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -119,6 +120,10 @@ void runIndexed(std::size_t jobCount, unsigned threads,
     for (auto& worker : workers) worker.join();
 }
 
+/// How a leg got its result: simulated execution-driven, replayed from the
+/// benchmark's recorded trace (in a TrialBatch), or served from the store.
+enum class LegPath : std::uint8_t { Executed, Replayed, Cached };
+
 /// Per-worker-thread (scheme, voltage) leg counters through the handle API:
 /// the handles resolve to the calling thread's shard, so the hot loop never
 /// touches the registry lock or another thread's cells.
@@ -126,24 +131,15 @@ class LegCounters {
 public:
     LegCounters()
         : legs_(obs::MetricsRegistry::global().counter("sweep.legs")),
-          replayed_(obs::MetricsRegistry::global().counter("sweep.legs_replayed")),
-          executed_(obs::MetricsRegistry::global().counter("sweep.legs_executed")),
-          cached_(obs::MetricsRegistry::global().counter("sweep.legs_cached")),
+          byPath_{obs::MetricsRegistry::global().counter("sweep.legs_executed"),
+                  obs::MetricsRegistry::global().counter("sweep.legs_replayed"),
+                  obs::MetricsRegistry::global().counter("sweep.legs_cached")},
           batches_(obs::MetricsRegistry::global().counter("sweep.batches")),
           batchLanes_(obs::MetricsRegistry::global().counter("sweep.batch_lanes")) {}
 
-    void legDone(bool replayed) {
+    void legDone(LegPath path) {
         legs_.add();
-        if (replayed) {
-            replayed_.add();
-        } else {
-            executed_.add();
-        }
-    }
-
-    void legDoneCached() {
-        legs_.add();
-        cached_.add();
+        byPath_[static_cast<std::size_t>(path)].add();
     }
 
     void batchDone(std::uint64_t lanes) {
@@ -176,9 +172,7 @@ private:
         obs::Counter linkFailures;
     };
     obs::Counter legs_;
-    obs::Counter replayed_;
-    obs::Counter executed_;
-    obs::Counter cached_;
+    std::array<obs::Counter, 3> byPath_; ///< indexed by LegPath
     obs::Counter batches_;
     obs::Counter batchLanes_;
     std::map<std::pair<SchemeKind, int>, Handles> handles_;
@@ -431,33 +425,23 @@ SweepResult runSweep(const SweepConfig& config) {
                 }
             }
 
-            ctx.defectFree.reserve(points.size());
-            if (ctx.traces.plain != nullptr && config.useBatch) {
+            std::vector<BatchLane> lanes(points.size());
+            for (std::size_t p = 0; p < points.size(); ++p) {
+                lanes[p].config = ref;
+                lanes[p].config.scheme = SchemeKind::DefectFree;
+                lanes[p].config.op = points[p];
+            }
+            if (ctx.traces.plain != nullptr) {
                 // One batch over the operating points: the defect-free runs
-                // share the plain trace, so its tape decodes once for all of
-                // them. Per-lane results match replaySystem byte for byte.
-                std::vector<BatchLane> lanes(points.size());
-                for (std::size_t p = 0; p < points.size(); ++p) {
-                    SystemConfig defectFree = ref;
-                    defectFree.scheme = SchemeKind::DefectFree;
-                    defectFree.op = points[p];
-                    lanes[p].config = defectFree;
-                }
+                // share the plain trace, so its tape decodes once for all.
                 replayBatch(nullptr, ctx.traces, lanes);
-                for (BatchLane& lane : lanes) {
-                    ctx.defectFree.push_back(std::move(lane.result));
-                }
             } else {
-                for (const auto& point : points) {
-                    SystemConfig defectFree = ref;
-                    defectFree.scheme = SchemeKind::DefectFree;
-                    defectFree.op = point;
-                    ctx.defectFree.push_back(
-                        ctx.traces.plain != nullptr
-                            ? replaySystem(nullptr, defectFree, ctx.traces)
-                            : simulateSystem(ctx.module, nullptr, defectFree));
+                for (BatchLane& lane : lanes) {
+                    lane.result = simulateSystem(ctx.module, nullptr, lane.config);
                 }
             }
+            ctx.defectFree.reserve(points.size());
+            for (BatchLane& lane : lanes) ctx.defectFree.push_back(std::move(lane.result));
         } catch (...) {
             contextErrors[b] = std::current_exception();
         }
@@ -479,34 +463,25 @@ SweepResult runSweep(const SweepConfig& config) {
         reg.gauge("trace.resident_bytes_peak").setMax(static_cast<double>(residentBytes));
     }
 
-    // --- Phase 2b: group legs into work units. ---
-    // One unit is a single leg (execution-driven, or batching off), a
-    // TrialBatch — consecutive replayable legs of one (benchmark, point,
-    // layout) group, capped at batchLanes, that stream the decoded tape
-    // together — or a cached group: store-served legs of one (benchmark,
-    // point) window, whose "execution" just replays bookkeeping. Unit
-    // composition only affects scheduling — every leg still writes its own
-    // canonical slot, so the reduction (and the JSON) is byte-identical to
-    // the unbatched, uncached engine.
-    struct WorkUnit {
-        std::vector<std::size_t> legIdx;
-        bool batched = false;
-        bool cached = false;
-    };
+    // --- Phase 2b: give every leg its path and group legs into work units. ---
+    // A unit is a single execution-driven leg, a TrialBatch — consecutive
+    // replayable legs of one (benchmark, point, layout) group, capped at
+    // batchLanes, that stream the decoded tape together — or a cached group:
+    // store-served legs of one (benchmark, point) window, whose slots are
+    // already filled. Unit composition only affects scheduling — every leg
+    // still writes its own canonical slot, so the reduction (and the JSON) is
+    // byte-identical to the execution-driven, uncached engine.
     constexpr std::uint32_t kDefaultBatchLanes = 32;
     const std::uint32_t laneCap =
         config.batchLanes == 0 ? kDefaultBatchLanes : config.batchLanes;
-    const bool batching = replayEnabled && config.useBatch;
-    std::vector<WorkUnit> units;
+    std::vector<LegPath> paths(legs.size(), LegPath::Executed);
+    std::vector<std::vector<std::size_t>> units;
     {
         const auto pushChunked = [&](const std::vector<std::size_t>& group) {
             for (std::size_t start = 0; start < group.size(); start += laneCap) {
-                const std::size_t count = std::min<std::size_t>(laneCap, group.size() - start);
-                WorkUnit unit;
-                unit.batched = true;
-                unit.legIdx.assign(group.begin() + static_cast<std::ptrdiff_t>(start),
-                                   group.begin() + static_cast<std::ptrdiff_t>(start + count));
-                units.push_back(std::move(unit));
+                const std::size_t end = std::min<std::size_t>(start + laneCap, group.size());
+                units.emplace_back(group.begin() + static_cast<std::ptrdiff_t>(start),
+                                   group.begin() + static_cast<std::ptrdiff_t>(end));
             }
         };
         std::size_t i = 0;
@@ -518,20 +493,18 @@ SweepResult runSweep(const SweepConfig& config) {
             for (; j < legs.size() && legs[j].benchmark == legs[i].benchmark &&
                    legs[j].point == legs[i].point;
                  ++j) {
-                if (fromStore[j] != 0) {
-                    cachedGroup.push_back(j);
-                    continue;
-                }
                 const SchemeKind kind = schemes[legs[j].scheme];
-                if (batching && contexts[legs[j].benchmark].traces.canReplay(kind)) {
+                if (fromStore[j] != 0) {
+                    paths[j] = LegPath::Cached;
+                    cachedGroup.push_back(j);
+                } else if (contexts[legs[j].benchmark].traces.canReplay(kind)) {
+                    paths[j] = LegPath::Replayed;
                     (schemeNeedsBbrLinking(kind) ? bbrGroup : plainGroup).push_back(j);
                 } else {
-                    units.push_back(WorkUnit{{j}, false, false});
+                    units.push_back({j});
                 }
             }
-            if (!cachedGroup.empty()) {
-                units.push_back(WorkUnit{std::move(cachedGroup), false, true});
-            }
+            if (!cachedGroup.empty()) units.push_back(std::move(cachedGroup));
             pushChunked(plainGroup);
             pushChunked(bbrGroup);
             i = j;
@@ -547,15 +520,30 @@ SweepResult runSweep(const SweepConfig& config) {
     // when that job is collecting. None of it touches slots, scheduling
     // decisions, or the reduction — the sweep JSON stays byte-identical.
     const bool traced = config.trace.valid();
-    const auto stampTrace = [&](SweepLegEvent& event) {
-        if (!traced) return;
-        event.traceHi = config.trace.traceHi;
-        event.traceLo = config.trace.traceLo;
-        event.spanId = obs::childSpanId(config.trace, event.leg);
+    const bool hooked = static_cast<bool>(config.onLegEvent);
+    const auto legEvent = [&](std::size_t index, SweepLegEvent::Phase phase,
+                              unsigned workerId) {
+        const Leg& leg = legs[index];
+        SweepLegEvent event;
+        event.phase = phase;
+        event.leg = index;
+        event.worker = workerId;
+        event.benchmark = contexts[leg.benchmark].name;
+        event.scheme = schemes[leg.scheme];
+        event.voltageMv = mv(points[leg.point].voltage);
+        event.trial = leg.trial;
+        event.replayed = paths[index] == LegPath::Replayed;
+        event.cached = paths[index] == LegPath::Cached;
+        if (traced) {
+            event.traceHi = config.trace.traceHi;
+            event.traceLo = config.trace.traceLo;
+            event.spanId = obs::childSpanId(config.trace, index);
+        }
+        return event;
     };
     const auto recordLegSpan = [&](std::size_t index, unsigned workerId,
                                    std::uint64_t startNs, std::uint64_t durationNs,
-                                   bool replayed, bool cached, bool linkFailed) {
+                                   bool linkFailed) {
         if (!traced || !obs::JobTraceStore::collecting()) return;
         const Leg& leg = legs[index];
         obs::JobSpan span;
@@ -570,33 +558,21 @@ SweepResult runSweep(const SweepConfig& config) {
         span.scheme = std::string(schemeName(schemes[leg.scheme]));
         span.voltageMv = mv(points[leg.point].voltage);
         span.trial = leg.trial;
-        span.replayed = replayed;
-        span.cached = cached;
+        span.replayed = paths[index] == LegPath::Replayed;
+        span.cached = paths[index] == LegPath::Cached;
         span.linkFailed = linkFailed;
         obs::JobTraceStore::global().record(config.trace, std::move(span));
     };
 
     // Leg lifecycle: every leg is announced once, in canonical order, from
     // the coordinating thread before any worker starts.
-    if (config.onLegEvent) {
+    if (hooked) {
         for (std::size_t i = 0; i < legs.size(); ++i) {
-            const Leg& leg = legs[i];
-            SweepLegEvent event;
-            event.phase = SweepLegEvent::Phase::Enqueued;
-            event.leg = i;
-            event.worker = 0;
-            event.benchmark = contexts[leg.benchmark].name;
-            event.scheme = schemes[leg.scheme];
-            event.voltageMv = mv(points[leg.point].voltage);
-            event.trial = leg.trial;
-            event.replayed = contexts[leg.benchmark].traces.canReplay(schemes[leg.scheme]);
-            event.cached = fromStore[i] != 0;
-            stampTrace(event);
-            config.onLegEvent(event);
+            config.onLegEvent(legEvent(i, SweepLegEvent::Phase::Enqueued, 0));
         }
     }
 
-    // --- Phase 3: workers pull legs and fill pre-sized slots (cached slots
+    // --- Phase 3: workers pull units and fill pre-sized slots (cached slots
     // were already filled by the phase-2a probe). ---
     std::vector<std::exception_ptr> legErrors(legs.size());
     std::vector<std::atomic<std::size_t>> pendingPerBenchmark(benchmarks.size());
@@ -604,9 +580,10 @@ SweepResult runSweep(const SweepConfig& config) {
         pendingPerBenchmark[leg.benchmark].fetch_add(1, std::memory_order_relaxed);
     }
     std::atomic<std::size_t> legsCompleted{0};
-    std::atomic<std::size_t> legsReplayed{0};
-    std::atomic<std::size_t> legsExecuted{0};
-    std::atomic<std::size_t> legsCached{0};
+    std::array<std::atomic<std::size_t>, 3> legsByPath{}; ///< indexed by LegPath
+    const auto legsOn = [&legsByPath](LegPath path) {
+        return legsByPath[static_cast<std::size_t>(path)].load(std::memory_order_relaxed);
+    };
     std::size_t benchmarksCompleted = 0;
     std::mutex progressMutex;
 
@@ -627,8 +604,8 @@ SweepResult runSweep(const SweepConfig& config) {
         return &slot.maps[trial];
     };
 
-    // Deterministic per-leg metric harvest, shared by the single-leg and
-    // batched paths (the computation is per lane either way).
+    // Deterministic per-leg metric harvest (the computation is per lane
+    // whichever engine produced the result).
     const auto harvestLeg = [&](const Leg& leg, const SystemResult& res) {
         const BenchmarkContext& ctx = contexts[leg.benchmark];
         LegResult metrics;
@@ -655,29 +632,32 @@ SweepResult runSweep(const SweepConfig& config) {
         return metrics;
     };
 
+    // Progress ticks are serialized under progressMutex (callers hold it).
+    const auto progressTick = [&](bool boundary, const std::string& benchmark) {
+        SweepProgress tick;
+        tick.benchmarksCompleted = benchmarksCompleted;
+        tick.benchmarksTotal = benchmarks.size();
+        tick.benchmark = benchmark;
+        tick.boundary = boundary;
+        tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
+        tick.legsTotal = legs.size();
+        tick.legsExecuted = legsOn(LegPath::Executed);
+        tick.legsReplayed = legsOn(LegPath::Replayed);
+        tick.legsCached = legsOn(LegPath::Cached);
+        tick.workers = workers;
+        config.onProgress(tick);
+    };
     const auto finishBenchmark = [&](std::uint32_t b) {
         const std::scoped_lock lock(progressMutex);
         ++benchmarksCompleted;
-        if (config.onProgress) {
-            SweepProgress tick;
-            tick.completed = benchmarksCompleted;
-            tick.total = benchmarks.size();
-            tick.benchmark = contexts[b].name;
-            tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
-            tick.legsTotal = legs.size();
-            tick.legsReplayed = legsReplayed.load(std::memory_order_relaxed);
-            tick.legsExecuted = legsExecuted.load(std::memory_order_relaxed);
-            tick.legsCached = legsCached.load(std::memory_order_relaxed);
-            tick.workers = workers;
-            config.onProgress(tick);
-        }
+        if (config.onProgress) progressTick(/*boundary=*/true, contexts[b].name);
     };
 
     // Leg-granular progress: completion-driven ticks, throttled so at most
     // one fires per kLegTickPeriodNs across all workers (CAS claims the
     // window). Pure observation — the sweep JSON stays byte-identical.
     std::atomic<std::uint64_t> lastLegTickNs{steadyNowNs()};
-    const auto legTick = [&](unsigned workerCount) {
+    const auto legTick = [&] {
         if (!config.onProgress) return;
         const std::uint64_t now = steadyNowNs();
         std::uint64_t last = lastLegTickNs.load(std::memory_order_relaxed);
@@ -687,258 +667,115 @@ SweepResult runSweep(const SweepConfig& config) {
             return;
         }
         const std::scoped_lock lock(progressMutex);
-        SweepProgress tick;
-        tick.boundary = false;
-        tick.completed = benchmarksCompleted;
-        tick.total = benchmarks.size();
-        tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
-        tick.legsTotal = legs.size();
-        tick.legsReplayed = legsReplayed.load(std::memory_order_relaxed);
-        tick.legsExecuted = legsExecuted.load(std::memory_order_relaxed);
-        tick.legsCached = legsCached.load(std::memory_order_relaxed);
-        tick.workers = workerCount;
-        config.onProgress(tick);
+        progressTick(/*boundary=*/false, std::string());
     };
 
-    std::atomic<std::uint64_t> activeWorkers{0};
-
-    const auto runLeg = [&](std::size_t index, unsigned workerId, LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
+    // The one per-leg finishing routine, whatever path the leg took: harvest
+    // `res` into the leg's slot and the store (cached slots arrived filled;
+    // a null `res` means the leg's unit failed before producing results),
+    // then count the leg, report it (Finished event, trace span), and
+    // advance progress.
+    const auto finishLeg = [&](std::size_t index, const SystemResult* res,
+                               unsigned workerId, LegCounters& counters,
+                               std::uint64_t startNs, std::uint64_t durationNs) {
         const Leg& leg = legs[index];
-        const BenchmarkContext& ctx = contexts[leg.benchmark];
-        const OperatingPoint& point = points[leg.point];
-        const SchemeKind scheme = schemes[leg.scheme];
-        const bool replayed = ctx.traces.canReplay(scheme);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        SweepLegEvent event;
-        std::uint64_t startedNs = 0;
-        if (hooked || traced) startedNs = steadyNowNs();
-        if (hooked) {
-            event.leg = index;
-            event.worker = workerId;
-            event.benchmark = ctx.name;
-            event.scheme = scheme;
-            event.voltageMv = mv(point.voltage);
-            event.trial = leg.trial;
-            event.replayed = replayed;
-            stampTrace(event);
-            event.phase = SweepLegEvent::Phase::Started;
-            config.onLegEvent(event);
-        }
-        LegResult metrics; // hoisted so the Finished event can report the outcome
-        try {
-            // ci.sh negative control: trip a contract at the requested
-            // canonical leg (1-based) to exercise the flight recorder's
-            // contract-hook dump path end to end.
-            VC_CHECK(config.failAtLeg == 0 ||
-                     index + 1 != static_cast<std::size_t>(config.failAtLeg));
-            SystemConfig sys = baseTemplate;
-            sys.scheme = scheme;
-            sys.op = point;
-            sys.faultMapSeed = chipSeed(config.baseSeed, mv(point.voltage), leg.trial);
-
-            const detail::LegFaultMaps* chipMaps = nullptr;
-            if (!detail::schemeIsDefectFree(scheme)) {
-                chipMaps = chipMapsFor(leg.point, leg.trial, sys);
+        const LegPath path = paths[index];
+        bool filled = path == LegPath::Cached;
+        if (res != nullptr) {
+            try {
+                slots[index] = harvestLeg(leg, *res);
+                filled = true;
+                if (cacheEnabled) config.resultSource->store(legKeys[index], slots[index]);
+            } catch (...) {
+                legErrors[index] = std::current_exception();
             }
-
-            const SystemResult res =
-                replayed ? replaySystem(&ctx.bbrModule, sys, ctx.traces, chipMaps)
-                         : simulateSystem(ctx.module, &ctx.bbrModule, sys, chipMaps);
-
-            metrics = harvestLeg(leg, res);
-            slots[index] = metrics;
-            counters.record(scheme, mv(point.voltage), metrics.linkFailed);
-            if (cacheEnabled) config.resultSource->store(legKeys[index], metrics);
-        } catch (...) {
-            legErrors[index] = std::current_exception();
         }
-        counters.legDone(replayed);
+        const LegResult& metrics = slots[index];
+        if (filled) {
+            counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
+                            metrics.linkFailed);
+        }
+        counters.legDone(path);
         legsCompleted.fetch_add(1, std::memory_order_relaxed);
-        (replayed ? legsReplayed : legsExecuted).fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t legNs = (hooked || traced) ? steadyNowNs() - startedNs : 0;
+        legsByPath[static_cast<std::size_t>(path)].fetch_add(1, std::memory_order_relaxed);
         if (hooked) {
-            event.phase = SweepLegEvent::Phase::Finished;
-            event.durationNs = legNs;
+            SweepLegEvent event = legEvent(index, SweepLegEvent::Phase::Finished, workerId);
+            event.durationNs = durationNs;
             event.linkFailed = metrics.linkFailed;
             event.failCause = metrics.forensics.failCause;
             config.onLegEvent(event);
         }
-        recordLegSpan(index, workerId, startedNs, legNs, replayed,
-                      /*cached=*/false, metrics.linkFailed);
+        recordLegSpan(index, workerId, startNs, durationNs, metrics.linkFailed);
         if (pendingPerBenchmark[leg.benchmark].fetch_sub(1, std::memory_order_acq_rel) ==
             1) {
             finishBenchmark(leg.benchmark);
         } else {
-            legTick(workers);
+            legTick();
         }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
     };
 
-    // One TrialBatch: stream the group's shared tape through every lane,
-    // then run the same per-leg bookkeeping runLeg does, in canonical order
-    // within the unit. A failure inside replayBatch itself (before lanes
-    // have results) is charged to the unit's first leg — first-error-wins
-    // reduction surfaces it deterministically.
-    const auto runBatch = [&](const WorkUnit& unit, unsigned workerId,
-                              LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        const std::uint64_t startedNs = steadyNowNs();
-        const auto fillEvent = [&](SweepLegEvent& event, std::size_t index) {
-            const Leg& leg = legs[index];
-            event.leg = index;
-            event.worker = workerId;
-            event.benchmark = contexts[leg.benchmark].name;
-            event.scheme = schemes[leg.scheme];
-            event.voltageMv = mv(points[leg.point].voltage);
-            event.trial = leg.trial;
-            event.replayed = true;
-            stampTrace(event);
-        };
-        if (hooked) {
-            for (const std::size_t index : unit.legIdx) {
-                SweepLegEvent event;
-                fillEvent(event, index);
-                event.phase = SweepLegEvent::Phase::Started;
-                config.onLegEvent(event);
-            }
-        }
-        std::vector<BatchLane> lanes(unit.legIdx.size());
-        bool ran = false;
-        try {
-            for (std::size_t i = 0; i < unit.legIdx.size(); ++i) {
-                const Leg& leg = legs[unit.legIdx[i]];
-                // Same negative-control contract as runLeg — a batched leg
-                // must still be able to trip the flight recorder.
-                VC_CHECK(config.failAtLeg == 0 ||
-                         unit.legIdx[i] + 1 !=
-                             static_cast<std::size_t>(config.failAtLeg));
-                SystemConfig sys = baseTemplate;
-                sys.scheme = schemes[leg.scheme];
-                sys.op = points[leg.point];
-                sys.faultMapSeed =
-                    chipSeed(config.baseSeed, mv(points[leg.point].voltage), leg.trial);
-                lanes[i].config = sys;
-                if (!detail::schemeIsDefectFree(sys.scheme)) {
-                    lanes[i].chipMaps = chipMapsFor(leg.point, leg.trial, sys);
-                }
-            }
-            const BenchmarkContext& ctx = contexts[legs[unit.legIdx.front()].benchmark];
-            replayBatch(&ctx.bbrModule, ctx.traces, lanes);
-            ran = true;
-        } catch (...) {
-            legErrors[unit.legIdx.front()] = std::current_exception();
-        }
-        counters.batchDone(unit.legIdx.size());
-        const std::uint64_t laneNs =
-            (steadyNowNs() - startedNs) / unit.legIdx.size();
-        for (std::size_t i = 0; i < unit.legIdx.size(); ++i) {
-            const std::size_t index = unit.legIdx[i];
-            const Leg& leg = legs[index];
-            LegResult metrics;
-            if (ran) {
-                try {
-                    metrics = harvestLeg(leg, lanes[i].result);
-                    slots[index] = metrics;
-                    counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
-                                    metrics.linkFailed);
-                    if (cacheEnabled) config.resultSource->store(legKeys[index], metrics);
-                } catch (...) {
-                    legErrors[index] = std::current_exception();
-                }
-            }
-            counters.legDone(/*replayed=*/true);
-            legsCompleted.fetch_add(1, std::memory_order_relaxed);
-            legsReplayed.fetch_add(1, std::memory_order_relaxed);
-            if (hooked) {
-                SweepLegEvent event;
-                fillEvent(event, index);
-                event.phase = SweepLegEvent::Phase::Finished;
-                // Wall time attributed evenly: the lanes ran interleaved
-                // through the shared tape, not sequentially.
-                event.durationNs = laneNs;
-                event.linkFailed = metrics.linkFailed;
-                event.failCause = metrics.forensics.failCause;
-                config.onLegEvent(event);
-            }
-            // Same even attribution on the trace timeline: the lanes tile
-            // the batch's wall window sequentially.
-            recordLegSpan(index, workerId, startedNs + i * laneNs, laneNs,
-                          /*replayed=*/true, /*cached=*/false, metrics.linkFailed);
-            if (pendingPerBenchmark[leg.benchmark].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                finishBenchmark(leg.benchmark);
-            } else {
-                legTick(workers);
-            }
-        }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
-    };
+    std::atomic<std::uint64_t> activeWorkers{0};
 
-    // One cached group: the legs' slots are already filled from the store —
-    // only the bookkeeping a simulated leg would have done remains (events,
-    // counters, progress), in canonical order within the unit.
-    const auto runCached = [&](const WorkUnit& unit, unsigned workerId,
-                               LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        for (const std::size_t index : unit.legIdx) {
-            const Leg& leg = legs[index];
-            SweepLegEvent event;
-            std::uint64_t startedNs = 0;
-            if (hooked || traced) startedNs = steadyNowNs();
-            if (hooked) {
-                event.leg = index;
-                event.worker = workerId;
-                event.benchmark = contexts[leg.benchmark].name;
-                event.scheme = schemes[leg.scheme];
-                event.voltageMv = mv(points[leg.point].voltage);
-                event.trial = leg.trial;
-                event.cached = true;
-                stampTrace(event);
-                event.phase = SweepLegEvent::Phase::Started;
-                config.onLegEvent(event);
-            }
-            counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
-                            slots[index].linkFailed);
-            counters.legDoneCached();
-            legsCompleted.fetch_add(1, std::memory_order_relaxed);
-            legsCached.fetch_add(1, std::memory_order_relaxed);
-            const std::uint64_t legNs =
-                (hooked || traced) ? steadyNowNs() - startedNs : 0;
-            if (hooked) {
-                event.phase = SweepLegEvent::Phase::Finished;
-                event.durationNs = legNs;
-                event.linkFailed = slots[index].linkFailed;
-                event.failCause = slots[index].forensics.failCause;
-                config.onLegEvent(event);
-            }
-            // Store hits render as zero-cost spans; legNs (the lookup/
-            // bookkeeping wall time) survives as the span's wallNs arg.
-            recordLegSpan(index, workerId, startedNs, legNs,
-                          /*replayed=*/false, /*cached=*/true,
-                          slots[index].linkFailed);
-            if (pendingPerBenchmark[leg.benchmark].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                finishBenchmark(leg.benchmark);
-            } else {
-                legTick(workers);
-            }
-        }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
-    };
-
+    // One unit: announce its legs, produce their results on the unit's path
+    // (execute the one leg, replay the batch, or nothing for store hits),
+    // then finish every leg in canonical order. A failure before results
+    // exist is charged to the unit's first leg — first-error-wins reduction
+    // surfaces it deterministically.
     const auto runUnit = [&](std::size_t unitIndex, unsigned workerId,
                              LegCounters& counters) {
-        const WorkUnit& unit = units[unitIndex];
-        if (unit.cached) {
-            runCached(unit, workerId, counters);
-        } else if (unit.batched) {
-            runBatch(unit, workerId, counters);
-        } else {
-            runLeg(unit.legIdx.front(), workerId, counters);
+        activeWorkers.fetch_add(1, std::memory_order_relaxed);
+        const std::vector<std::size_t>& unit = units[unitIndex];
+        const LegPath path = paths[unit.front()];
+        const std::uint64_t startedNs = steadyNowNs();
+        if (hooked) {
+            for (const std::size_t index : unit) {
+                config.onLegEvent(legEvent(index, SweepLegEvent::Phase::Started, workerId));
+            }
         }
+        std::vector<BatchLane> lanes;
+        bool ran = false;
+        if (path != LegPath::Cached) {
+            try {
+                lanes.resize(unit.size());
+                for (std::size_t i = 0; i < unit.size(); ++i) {
+                    // ci.sh negative control: trip a contract at the
+                    // requested canonical leg (1-based) to exercise the
+                    // flight recorder's contract-hook dump path end to end.
+                    VC_CHECK(config.failAtLeg == 0 ||
+                             unit[i] + 1 != static_cast<std::size_t>(config.failAtLeg));
+                    const Leg& leg = legs[unit[i]];
+                    SystemConfig& sys = lanes[i].config;
+                    sys = baseTemplate;
+                    sys.scheme = schemes[leg.scheme];
+                    sys.op = points[leg.point];
+                    sys.faultMapSeed =
+                        chipSeed(config.baseSeed, mv(points[leg.point].voltage), leg.trial);
+                    if (!detail::schemeIsDefectFree(sys.scheme)) {
+                        lanes[i].chipMaps = chipMapsFor(leg.point, leg.trial, sys);
+                    }
+                }
+                const BenchmarkContext& ctx = contexts[legs[unit.front()].benchmark];
+                if (path == LegPath::Replayed) {
+                    replayBatch(&ctx.bbrModule, ctx.traces, lanes);
+                } else {
+                    lanes[0].result = simulateSystem(ctx.module, &ctx.bbrModule,
+                                                     lanes[0].config, lanes[0].chipMaps);
+                }
+                ran = true;
+            } catch (...) {
+                legErrors[unit.front()] = std::current_exception();
+            }
+        }
+        if (path == LegPath::Replayed) counters.batchDone(unit.size());
+        // Wall time is attributed evenly (batched lanes run interleaved
+        // through the shared tape); on the trace timeline the legs tile the
+        // unit's wall window.
+        const std::uint64_t legNs = (steadyNowNs() - startedNs) / unit.size();
+        for (std::size_t i = 0; i < unit.size(); ++i) {
+            finishLeg(unit[i], ran ? &lanes[i].result : nullptr, workerId, counters,
+                      startedNs + i * legNs, legNs);
+        }
+        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
     };
 
     // Worker-utilization / queue-depth sampler, attached only when someone is

@@ -27,29 +27,15 @@
 #include "common/hash.h"
 #include "common/stats.h"
 #include "core/system.h"
+#include "obs/progress.h"
 #include "obs/trace_context.h"
 #include "workload/workload.h"
 
 namespace voltcache {
 
-/// One progress tick of runSweep. Boundary ticks fire when a benchmark's
-/// legs all finished (the original granularity); non-boundary ticks fire on
-/// leg completion, throttled to ~5 Hz, so even a single-benchmark sweep
-/// reports while it runs. Ticks fire in completion order
-/// (scheduling-dependent); the sweep result itself is deterministic
-/// regardless.
-struct SweepProgress {
-    std::size_t completed = 0;     ///< benchmarks finished so far
-    std::size_t total = 0;         ///< benchmarks in this sweep
-    std::string benchmark;         ///< boundary ticks: the one that just finished
-    bool boundary = true;          ///< false = time-throttled leg tick
-    std::size_t legsCompleted = 0; ///< legs finished so far, sweep-wide
-    std::size_t legsTotal = 0;     ///< legs in this sweep
-    std::size_t legsReplayed = 0;  ///< legs served by the trace-replay fast path
-    std::size_t legsExecuted = 0;  ///< legs that ran execution-driven
-    std::size_t legsCached = 0;    ///< legs served from the result store (no sim)
-    unsigned workers = 0;          ///< worker threads executing legs
-};
+/// One progress tick of runSweep (defined in obs/progress.h so observers
+/// below core can consume it as is).
+using SweepProgress = obs::SweepProgress;
 
 /// One leg lifecycle transition, delivered to SweepConfig::onLegEvent.
 /// Enqueued events fire from the coordinating thread after the grid is
@@ -148,15 +134,11 @@ struct SweepConfig {
     /// Per-trace payload cap in bytes; an overflowing benchmark logs once
     /// and runs execution-driven instead of holding an unbounded trace.
     std::uint64_t traceByteCap = 256ull << 20;
-    /// Batched multi-map replay: the replayable legs of one (benchmark,
-    /// point, layout) group stream one decoded tape through many trials at
-    /// once (core/replay.h replayBatch), instead of re-decoding the trace
-    /// per leg. Results are byte-identical either way; `--no-batch` / false
-    /// keeps the per-leg replaySystem path (the escape hatch, and the
-    /// baseline for before/after measurements). Execution-driven legs are
-    /// never batched.
-    bool useBatch = true;
     /// Cap on lanes (trials) per batch; 0 picks the engine default (32).
+    /// The replayable legs of one (benchmark, point, layout) group stream
+    /// one decoded tape through up to this many trials at once
+    /// (core/replay.h replayBatch); results are byte-identical for every
+    /// cap, 1 included. Execution-driven legs are never batched.
     /// Smaller batches trade decode amortization for scheduling grains and
     /// a smaller resident state footprint (~200KB per lane: two tag
     /// arrays, scheme state, L2 counters, pipeline scoreboard).

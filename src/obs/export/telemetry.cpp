@@ -23,7 +23,7 @@ std::uint64_t nowNs() {
 
 ProgressBoard::ProgressBoard() : startNs_(nowNs()), lastTickNs_(startNs_) {}
 
-void ProgressBoard::update(const Tick& tick) {
+void ProgressBoard::update(const SweepProgress& tick) {
     const std::uint64_t now = nowNs();
     const std::lock_guard<std::mutex> lock(mutex_);
     // EWMA of the instantaneous legs/s between ticks: robust to the bursty
@@ -51,7 +51,7 @@ void ProgressBoard::beginJob(const std::string& job) {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = job;
     done_ = false;
-    latest_ = Tick{};
+    latest_ = SweepProgress{};
     ewmaLegsPerSec_ = 0.0;
     lastTickNs_ = now;
     lastTickLegs_ = 0;

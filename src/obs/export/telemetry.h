@@ -13,7 +13,7 @@
 //                      chrome://tracing / Perfetto, or render with
 //                      `voltcache trace`)
 //
-// ProgressBoard is the core-type-free mirror of the sweep's progress ticks:
+// ProgressBoard keeps the latest sweep progress tick (obs/progress.h):
 // runSweep's onProgress hook feeds update(), /progress (and `voltcache top`)
 // read toJson(). The board owns the EWMA legs/s estimate and the delta
 // snapshot that turns cumulative counters into rates, so every scraper sees
@@ -33,33 +33,19 @@
 
 #include "obs/export/http_server.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 
 namespace voltcache::obs {
 
 /// Latest-tick store + EWMA throughput/ETA, rendered as /progress JSON.
 class ProgressBoard {
 public:
-    /// One progress tick, mirroring core's SweepProgress without depending
-    /// on it (obs must not include core headers).
-    struct Tick {
-        std::size_t benchmarksCompleted = 0;
-        std::size_t benchmarksTotal = 0;
-        std::string benchmark;        ///< boundary ticks: the finished benchmark
-        bool boundary = false;        ///< benchmark boundary vs throttled leg tick
-        std::size_t legsCompleted = 0;
-        std::size_t legsTotal = 0;
-        std::size_t legsReplayed = 0;
-        std::size_t legsExecuted = 0;
-        std::size_t legsCached = 0;   ///< legs served from a result store
-        unsigned workers = 0;
-    };
-
     ProgressBoard();
 
     /// Thread-safe; called from the sweep's progress hook (already
     /// serialized under the sweep's progress lock, but the board takes its
     /// own mutex so scrapers may race it safely).
-    void update(const Tick& tick);
+    void update(const SweepProgress& tick);
 
     /// Mark the sweep finished (the final /progress documents report done).
     void finish();
@@ -80,7 +66,7 @@ public:
 
 private:
     mutable std::mutex mutex_;
-    Tick latest_;
+    SweepProgress latest_;
     std::string job_;
     bool done_ = false;
     std::uint64_t startNs_ = 0;

@@ -295,7 +295,7 @@ void FlightRecorder::noteLegEvent(const JournalEvent& event) noexcept {
     slot.timestampNs = nowNs > impl_->epochNs ? nowNs - impl_->epochNs : 0;
 }
 
-void FlightRecorder::noteProgress(const FlightProgress& progress) noexcept {
+void FlightRecorder::noteProgress(const SweepProgress& progress) noexcept {
     impl_->benchmarksCompleted.store(progress.benchmarksCompleted, std::memory_order_relaxed);
     impl_->benchmarksTotal.store(progress.benchmarksTotal, std::memory_order_relaxed);
     impl_->legsCompleted.store(progress.legsCompleted, std::memory_order_relaxed);

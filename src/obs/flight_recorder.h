@@ -27,22 +27,10 @@
 #include <string_view>
 
 #include "obs/export/journal.h"
+#include "obs/progress.h"
 #include "obs/trace_context.h"
 
 namespace voltcache::obs {
-
-/// Latest sweep-wide progress counters (a core-type-free mirror of
-/// SweepProgress, like ProgressBoard::Tick).
-struct FlightProgress {
-    std::uint64_t benchmarksCompleted = 0;
-    std::uint64_t benchmarksTotal = 0;
-    std::uint64_t legsCompleted = 0;
-    std::uint64_t legsTotal = 0;
-    std::uint64_t legsReplayed = 0;
-    std::uint64_t legsExecuted = 0;
-    std::uint64_t legsCached = 0;
-    std::uint32_t workers = 0;
-};
 
 class FlightRecorder {
 public:
@@ -63,7 +51,8 @@ public:
 
     /// Normal-path feeds (thread-safe, allocation-free, never block).
     void noteLegEvent(const JournalEvent& event) noexcept;
-    void noteProgress(const FlightProgress& progress) noexcept;
+    /// Copies the tick's counters (not its benchmark name) into atomics.
+    void noteProgress(const SweepProgress& progress) noexcept;
     void noteJob(std::string_view label, const TraceContext& context) noexcept;
 
     /// Refresh the bounded metrics mirror from the global registry. NOT

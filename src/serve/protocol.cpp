@@ -1,9 +1,36 @@
 #include "serve/protocol.h"
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
+
 #include "common/json.h"
 #include "common/json_parse.h"
 
 namespace voltcache::serve {
+
+namespace {
+
+/// Integer member `key`, exact to the last digit: its source token must be
+/// a plain non-negative integer no larger than `max`. Going through double
+/// would round seeds above 2^53 onto another chip, and a negative,
+/// fractional, or huge value has no defined conversion at all.
+std::uint64_t integerMember(const JsonValue& doc, std::string_view key,
+                            std::uint64_t fallback, std::uint64_t max) {
+    const JsonValue* value = doc.find(key);
+    if (value == nullptr) return fallback;
+    const std::string& token = value->string;
+    std::uint64_t out = 0;
+    const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), out);
+    if (value->kind != JsonValue::Kind::Number || error != std::errc{} ||
+        end != token.data() + token.size() || out > max) {
+        throw JsonParseError("'" + std::string(key) + "' must be an integer in [0, " +
+                             std::to_string(max) + "]");
+    }
+    return out;
+}
+
+} // namespace
 
 Request parseRequest(std::string_view line) {
     Request request;
@@ -31,30 +58,26 @@ Request parseRequest(std::string_view line) {
         request.error = "unknown op '" + op + "' (sweep|run|verify|ping|stats)";
         return request;
     }
+    JobRequest& job = request.job;
+    job.op = op;
+    if (op == "run") job.trials = 1;
+    job.id = doc.stringOr("id", "");
     try {
-        JobRequest job;
-        job.op = op;
-        if (op == "run") job.trials = 1;
-        job.id = doc.stringOr("id", "");
         job.benchmarks = doc.stringOr("benchmarks", "");
         job.schemes = doc.stringOr("schemes", "");
         job.scale = doc.stringOr("scale", job.scale);
         job.mv = doc.stringOr("mv", "");
         job.trials = static_cast<std::uint32_t>(
-            doc.numberOr("trials", static_cast<double>(job.trials)));
-        job.threads = static_cast<unsigned>(doc.numberOr("threads", 0.0));
-        job.seed = static_cast<std::uint64_t>(
-            doc.numberOr("seed", static_cast<double>(job.seed)));
-        job.maxInstructions =
-            static_cast<std::uint64_t>(doc.numberOr("maxInstructions", 0.0));
+            integerMember(doc, "trials", job.trials, UINT32_MAX));
+        job.threads = static_cast<unsigned>(integerMember(doc, "threads", 0, UINT_MAX));
+        job.seed = integerMember(doc, "seed", job.seed, UINT64_MAX);
+        job.maxInstructions = integerMember(doc, "maxInstructions", 0, UINT64_MAX);
         if (const JsonValue* progress = doc.find("progress")) {
             job.progress = progress->asBool();
         }
         job.trace = doc.stringOr("trace", "");
         request.kind = Request::Kind::Job;
-        request.job = std::move(job);
     } catch (const JsonParseError& e) {
-        request.kind = Request::Kind::Invalid;
         request.error = e.what();
     }
     return request;
@@ -114,8 +137,8 @@ std::string progressEvent(const std::string& id, const SweepProgress& p) {
     json.beginObject();
     json.member("ev", "progress");
     json.member("id", id);
-    json.member("benchmarksCompleted", static_cast<std::uint64_t>(p.completed));
-    json.member("benchmarksTotal", static_cast<std::uint64_t>(p.total));
+    json.member("benchmarksCompleted", static_cast<std::uint64_t>(p.benchmarksCompleted));
+    json.member("benchmarksTotal", static_cast<std::uint64_t>(p.benchmarksTotal));
     json.member("legsCompleted", static_cast<std::uint64_t>(p.legsCompleted));
     json.member("legsTotal", static_cast<std::uint64_t>(p.legsTotal));
     json.member("legsReplayed", static_cast<std::uint64_t>(p.legsReplayed));

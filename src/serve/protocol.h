@@ -7,6 +7,9 @@
 //   {"op":"sweep"|"run"|"verify", "id":"...", "trials":N,
 //    "benchmarks":"csv", "schemes":"csv", "scale":"small", "mv":"csv",
 //    "threads":N, "seed":N, "maxInstructions":N, "progress":true}
+// Every N is a plain non-negative integer, read exactly up to its field's
+// range (a 64-bit seed keeps every digit); any other value is rejected
+// with an error event carrying the job's id.
 //
 // `run` is a degenerate sweep (defaults trials=1) for one-off legs; `verify`
 // runs the sweep under the analytic cross-check gate and reports pass/fail.
@@ -70,7 +73,7 @@ struct JobRequest {
 struct Request {
     enum class Kind : std::uint8_t { Ping, Stats, Job, Invalid };
     Kind kind = Kind::Invalid;
-    JobRequest job;     ///< Kind::Job only
+    JobRequest job;     ///< Kind::Job (a rejected job request keeps its id)
     std::string error;  ///< Kind::Invalid only
 };
 

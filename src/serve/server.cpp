@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +8,7 @@
 #include "common/version.h"
 #include "core/analytic_gate.h"
 #include "core/report.h"
+#include "core/sweep_telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -81,36 +81,6 @@ SweepConfig configFromJob(const JobRequest& request) {
     return config;
 }
 
-obs::JournalEvent journalEventFrom(const SweepLegEvent& event) {
-    obs::JournalEvent line;
-    switch (event.phase) {
-        case SweepLegEvent::Phase::Enqueued:
-            line.phase = obs::JournalEvent::Phase::Enqueued;
-            break;
-        case SweepLegEvent::Phase::Started:
-            line.phase = obs::JournalEvent::Phase::Started;
-            break;
-        case SweepLegEvent::Phase::Finished:
-            line.phase = obs::JournalEvent::Phase::Finished;
-            break;
-    }
-    line.leg = static_cast<std::uint32_t>(event.leg);
-    line.worker = event.worker;
-    line.setBenchmark(event.benchmark);
-    line.setScheme(schemeName(event.scheme));
-    line.voltageMv = event.voltageMv;
-    line.trial = event.trial;
-    line.replayed = event.replayed;
-    line.cached = event.cached;
-    line.linkFailed = event.linkFailed;
-    line.durationNs = event.durationNs;
-    line.setFailCause(linkFailCauseName(event.failCause));
-    line.traceHi = event.traceHi;
-    line.traceLo = event.traceLo;
-    line.spanId = event.spanId;
-    return line;
-}
-
 } // namespace
 
 Server::Server(const ServeOptions& options)
@@ -118,11 +88,7 @@ Server::Server(const ServeOptions& options)
       listener_(options.port),
       store_({options.storeBudgetBytes, options.storeDirectory}) {
     if (!options_.journalPath.empty()) {
-        unsigned maxWorkers = options_.threads != 0
-                                  ? options_.threads
-                                  : std::thread::hardware_concurrency();
-        if (maxWorkers == 0) maxWorkers = 4;
-        journal_.emplace(options_.journalPath, maxWorkers + 1,
+        journal_.emplace(options_.journalPath, sweepJournalProducers(options_.threads),
                          /*ringCapacity=*/4096, /*autoDrain=*/true,
                          options_.journalMaxBytes);
     }
@@ -266,7 +232,7 @@ void Server::sessionLoop(const std::shared_ptr<Session>& session) {
                 writeLine(*session, statsEvent());
                 break;
             case Request::Kind::Invalid:
-                writeLine(*session, errorEvent("", request.error));
+                writeLine(*session, errorEvent(request.job.id, request.error));
                 break;
             case Request::Kind::Job: {
                 if (stopping()) {
@@ -369,53 +335,14 @@ void Server::runJob(Session& session, const JobRequest& request) {
         if (flight != nullptr) flight->noteJob(jobLabel, trace);
         // The last boundary tick carries the final sweep-wide counters.
         SweepProgress last;
-        config.onProgress = [this, &session, &request, &last,
-                             flight](const SweepProgress& progress) {
+        config.onProgress = [this, &session, &request, &last](const SweepProgress& progress) {
             last = progress;
-            if (options_.board != nullptr) {
-                obs::ProgressBoard::Tick tick;
-                tick.benchmarksCompleted = progress.completed;
-                tick.benchmarksTotal = progress.total;
-                tick.benchmark = progress.benchmark;
-                tick.boundary = progress.boundary;
-                tick.legsCompleted = progress.legsCompleted;
-                tick.legsTotal = progress.legsTotal;
-                tick.legsReplayed = progress.legsReplayed;
-                tick.legsExecuted = progress.legsExecuted;
-                tick.legsCached = progress.legsCached;
-                tick.workers = progress.workers;
-                options_.board->update(tick);
-            }
-            if (flight != nullptr) {
-                obs::FlightProgress fp;
-                fp.benchmarksCompleted = progress.completed;
-                fp.benchmarksTotal = progress.total;
-                fp.legsCompleted = progress.legsCompleted;
-                fp.legsTotal = progress.legsTotal;
-                fp.legsReplayed = progress.legsReplayed;
-                fp.legsExecuted = progress.legsExecuted;
-                fp.legsCached = progress.legsCached;
-                fp.workers = progress.workers;
-                flight->noteProgress(fp);
-                flight->noteMetrics();
-            }
             if (request.progress) {
                 writeLine(session, progressEvent(request.id, progress));
             }
         };
-        if (journal_.has_value() || flight != nullptr) {
-            config.onLegEvent = [this, flight](const SweepLegEvent& event) {
-                const obs::JournalEvent line = journalEventFrom(event);
-                if (flight != nullptr) flight->noteLegEvent(line);
-                if (!journal_.has_value()) return;
-                const std::size_t producer =
-                    event.phase == SweepLegEvent::Phase::Enqueued
-                        ? 0
-                        : std::min<std::size_t>(event.worker + 1,
-                                                journal_->producers() - 1);
-                journal_->emit(producer, line);
-            };
-        }
+        attachTelemetry(config, {options_.board, journal_.has_value() ? &*journal_ : nullptr,
+                                 flight});
 
         SweepResult result;
         {

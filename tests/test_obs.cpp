@@ -416,8 +416,8 @@ TEST(Sweep, ProgressCallbackFiresPerBenchmark) {
     config.onProgress = [&ticks](const SweepProgress& tick) { ticks.push_back(tick); };
     (void)runSweep(config);
     ASSERT_EQ(ticks.size(), 1u);
-    EXPECT_EQ(ticks[0].completed, 1u);
-    EXPECT_EQ(ticks[0].total, 1u);
+    EXPECT_EQ(ticks[0].benchmarksCompleted, 1u);
+    EXPECT_EQ(ticks[0].benchmarksTotal, 1u);
     EXPECT_EQ(ticks[0].benchmark, "crc32");
 }
 

@@ -2,11 +2,12 @@
 //   * trace encoding round-trips (zigzag, varints, chunk boundaries, the
 //     trailing partial control-flow byte, byte-cap overflow),
 //   * the headline equivalence property — for every scheme x voltage x seed,
-//     replaySystem() equals simulateSystem() field-for-field, and
+//     a one-lane replayBatch() equals simulateSystem() field-for-field, and
 //   * sweep-level integration: the exported JSON is byte-identical with
 //     replay on vs off (any thread count), the byte cap falls back to
 //     execution-driven legs without changing results, and the progress
 //     ticks account every leg as replayed or executed.
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,14 @@ struct Fixture {
     Module module;
     Module bbrModule;
     TraceCache traces;
+
+    /// Per-leg replay: a one-lane TrialBatch.
+    [[nodiscard]] SystemResult replay(const SystemConfig& config) const {
+        BatchLane lane;
+        lane.config = config;
+        replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
+        return lane.result;
+    }
 };
 
 Fixture makeFixture(const std::string& benchmark) {
@@ -201,8 +210,7 @@ TEST(ReplayEquivalence, AllSchemesVoltagesSeeds) {
                 config.faultMapSeed = seed;
                 const SystemResult exec =
                     simulateSystem(fx.module, &fx.bbrModule, config);
-                const SystemResult replayed =
-                    replaySystem(&fx.bbrModule, config, fx.traces);
+                const SystemResult replayed = fx.replay(config);
                 const std::string where = std::string(schemeName(scheme)) + " @" +
                                           std::to_string(mv) + "mV seed " +
                                           std::to_string(seed);
@@ -223,7 +231,7 @@ TEST(ReplayEquivalence, SecondBenchmarkSpotCheck) {
             config.op = DvfsTable::at(400_mV);
             config.faultMapSeed = seed;
             const SystemResult exec = simulateSystem(fx.module, &fx.bbrModule, config);
-            const SystemResult replayed = replaySystem(&fx.bbrModule, config, fx.traces);
+            const SystemResult replayed = fx.replay(config);
             const std::string where = std::string(schemeName(scheme)) + " crc32 seed " +
                                       std::to_string(seed);
             expectSameResult(exec, replayed, where);
@@ -270,21 +278,21 @@ TEST(ReplaySweep, JsonByteIdenticalReplayVsExecution) {
     }
 }
 
-// --no-batch is the escape hatch when the batched engine is suspected: it
-// must stay anchored to execution-driven simulation, not to the batched
-// path, so the three modes form one byte-identical equivalence class.
-TEST(ReplaySweep, NoBatchJsonByteIdenticalToExecution) {
+// One-lane batches are per-leg replay: anchored to execution-driven
+// simulation directly, not to wider batches, so every batch size stays in
+// one byte-identical equivalence class with the ground truth.
+TEST(ReplaySweep, OneLaneBatchJsonByteIdenticalToExecution) {
     SweepConfig exec = sweepConfig();
     exec.useReplay = false;
     const std::string execJson = exportJson(runSweep(exec), exec);
 
     for (const unsigned threads : {1u, 2u, 8u}) {
         SweepConfig replay = sweepConfig();
-        replay.useBatch = false;
+        replay.batchLanes = 1;
         replay.threads = threads;
         const std::string replayJson = exportJson(runSweep(replay), replay);
         EXPECT_EQ(execJson, replayJson)
-            << "--no-batch replay diverges from execution at --threads " << threads;
+            << "--batch 1 replay diverges from execution at --threads " << threads;
     }
 }
 
@@ -294,7 +302,7 @@ TEST(ReplaySweep, ProgressAccountsEveryLeg) {
     config.onProgress = [&last](const SweepProgress& p) { last = p; };
 
     (void)runSweep(config);
-    EXPECT_EQ(last.completed, last.total);
+    EXPECT_EQ(last.benchmarksCompleted, last.benchmarksTotal);
     EXPECT_GT(last.legsTotal, 0U);
     EXPECT_EQ(last.legsCompleted, last.legsTotal);
     EXPECT_EQ(last.legsReplayed + last.legsExecuted, last.legsTotal);

@@ -20,6 +20,7 @@
 #include "common/hash.h"
 #include "common/json_parse.h"
 #include "common/socket.h"
+#include "common/version.h"
 #include "core/report.h"
 #include "core/sweep.h"
 #include "cpu/simulator.h"
@@ -401,6 +402,29 @@ TEST(Protocol, JobJsonRoundTrips) {
     EXPECT_TRUE(parsed.job.progress);
 }
 
+// Integer fields are read from their source token, never through double:
+// a 64-bit seed keeps every digit, and anything that is not a plain
+// non-negative integer in the field's range is rejected with the job's id.
+TEST(Protocol, IntegerFieldsAreExactOrRejected) {
+    const serve::Request big = serve::parseRequest(
+        R"({"op":"sweep","seed":9007199254740993,"maxInstructions":18446744073709551615})");
+    ASSERT_EQ(big.kind, serve::Request::Kind::Job);
+    EXPECT_EQ(big.job.seed, 9007199254740993ull); // 2^53 + 1, not rounded
+    EXPECT_EQ(big.job.maxInstructions, 18446744073709551615ull);
+
+    for (const char* bad :
+         {R"({"op":"sweep","id":"b","seed":-1})", R"({"op":"sweep","id":"b","seed":1.5})",
+          R"({"op":"sweep","id":"b","seed":1e30})",
+          R"({"op":"sweep","id":"b","seed":18446744073709551616})",
+          R"({"op":"sweep","id":"b","trials":4294967296})",
+          R"({"op":"sweep","id":"b","threads":"2"})"}) {
+        const serve::Request request = serve::parseRequest(bad);
+        EXPECT_EQ(request.kind, serve::Request::Kind::Invalid) << bad;
+        EXPECT_EQ(request.job.id, "b") << bad;
+        EXPECT_NE(request.error.find("integer"), std::string::npos) << bad;
+    }
+}
+
 TEST(Protocol, LineReaderSplitsAndBounds) {
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -522,6 +546,45 @@ TEST(Server, AnswersPingRejectsGarbageAndBoundsRequests) {
 
     server.requestStop();
     runner.join();
+}
+
+// Malformed integers draw an error event for that job and leave the daemon
+// serving: the next valid job — at seed 2^53 + 1, which a double would have
+// rounded onto 2^53's chips — matches a direct sweep at that exact seed.
+TEST(Server, RejectsNonIntegerFieldsThenServesTheExactSeed) {
+    serve::ServeOptions options;
+    options.port = 0;
+    options.threads = 2;
+    serve::Server server(options);
+    std::thread runner([&server] { server.run(); });
+    for (const char* value : {"-1", "1.5", "1e30"}) {
+        const EventLog log = submitJob(
+            server.port(), std::string(R"({"op":"sweep","id":"bad","seed":)") + value + "}");
+        ASSERT_EQ(log.events.size(), 1u) << value;
+        EXPECT_EQ(log.events.front().stringOr("ev", ""), "error") << value;
+        EXPECT_EQ(log.events.front().stringOr("id", ""), "bad") << value;
+    }
+    const EventLog served = submitJob(
+        server.port(), R"({"op":"sweep","id":"ok","benchmarks":"crc32","scale":"tiny",)"
+                       R"("mv":"400","trials":2,"seed":9007199254740993})");
+    server.requestStop();
+    runner.join();
+
+    SweepConfig direct;
+    direct.benchmarks = {"crc32"};
+    direct.points = {DvfsTable::at(400_mV)};
+    direct.trials = 2;
+    direct.scale = WorkloadScale::Tiny;
+    direct.baseSeed = 9007199254740993ull;
+    SweepExportMeta meta;
+    meta.version = std::string(buildVersion());
+    meta.seed = direct.baseSeed;
+    meta.trials = direct.trials;
+    meta.scale = "tiny";
+    meta.benchmarks = direct.benchmarks;
+    ASSERT_NE(lastResult(served), nullptr);
+    EXPECT_EQ(served.document, sweepResultToJson(runSweep(direct), meta));
+    EXPECT_EQ(server.totals().jobsCompleted, 1u);
 }
 
 TEST(Server, BadJobFieldsReportAnErrorEvent) {

@@ -5,8 +5,11 @@
 //   * geometric gap-skipping generation produces exactly the map the coupled
 //     per-word Bernoulli reference does, over a (seed, voltage) grid.
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,13 +57,13 @@ TEST(SweepDeterminism, JsonBitIdenticalAcrossThreadCounts) {
 }
 
 // The batched replay engine must be a pure scheduling change: streaming one
-// trace through B fault maps at once has to export the very bytes the
-// one-lane-at-a-time path exports, at every thread count and for batch sizes
-// below, at, and above the trial count (1 lane degenerates to the unbatched
-// shape, 7 splits a 9-trial group unevenly, 9 is exactly one batch, 64
-// clamps to the trial group, 0 asks for the engine default).
+// trace through B fault maps at once has to export the very bytes
+// execution-driven simulation exports, at every thread count and for batch
+// sizes below, at, and above the trial count (1 lane is per-leg replay, 7
+// splits a 9-trial group unevenly, 9 is exactly one batch, 64 clamps to the
+// trial group, 0 asks for the engine default).
 TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
-    const auto batchConfig = [](unsigned threads, bool useBatch, unsigned batchLanes) {
+    const auto batchConfig = [](unsigned threads, bool useReplay, unsigned batchLanes) {
         SweepConfig config;
         config.benchmarks = {"crc32"};
         config.schemes = {SchemeKind::Robust8T, SchemeKind::SimpleWordDisable,
@@ -69,7 +72,7 @@ TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
         config.trials = 9;
         config.scale = WorkloadScale::Tiny;
         config.threads = threads;
-        config.useBatch = useBatch;
+        config.useReplay = useReplay;
         config.batchLanes = batchLanes;
         return config;
     };
@@ -79,9 +82,88 @@ TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
         for (const unsigned lanes : {1u, 7u, 9u, 64u, 0u}) {
             const SweepConfig config = batchConfig(threads, true, lanes);
             EXPECT_EQ(refJson, exportJson(runSweep(config), config))
-                << "batched sweep JSON diverges from unbatched at --threads "
+                << "batched sweep JSON diverges from execution at --threads "
                 << threads << " --batch " << lanes;
         }
+    }
+}
+
+/// In-memory result source: enough of `voltcache serve`'s store to serve
+/// a primed grid.
+class MapResultSource : public LegResultSource {
+public:
+    bool lookup(const Digest256& key, LegResult& out) override {
+        const std::scoped_lock lock(mutex_);
+        const auto it = results_.find(key);
+        if (it == results_.end()) return false;
+        out = it->second;
+        return true;
+    }
+    void store(const Digest256& key, const LegResult& value) override {
+        const std::scoped_lock lock(mutex_);
+        results_[key] = value;
+    }
+
+private:
+    std::mutex mutex_;
+    std::map<Digest256, LegResult> results_;
+};
+
+// Every unit path ends in the same per-leg finishing: executed, batched,
+// and store-served runs of one grid each report exactly one Started and
+// one Finished event per leg, agree per leg on the outcome, and account
+// every leg in the last progress tick.
+TEST(SweepDeterminism, EveryLegPathFinishesEachLegOnce) {
+    struct LegLog {
+        std::vector<int> started;
+        std::vector<int> finished;
+        std::vector<std::pair<bool, LinkFailCause>> outcome;
+        SweepProgress last;
+    };
+    const auto run = [](bool useReplay, LegResultSource* source) {
+        SweepConfig config = smallConfig(2);
+        config.useReplay = useReplay;
+        config.resultSource = source;
+        LegLog log;
+        std::mutex mutex;
+        config.onLegEvent = [&](const SweepLegEvent& event) {
+            const std::scoped_lock lock(mutex);
+            if (event.leg >= log.started.size()) {
+                log.started.resize(event.leg + 1);
+                log.finished.resize(event.leg + 1);
+                log.outcome.resize(event.leg + 1);
+            }
+            if (event.phase == SweepLegEvent::Phase::Started) ++log.started[event.leg];
+            if (event.phase == SweepLegEvent::Phase::Finished) {
+                ++log.finished[event.leg];
+                log.outcome[event.leg] = {event.linkFailed, event.failCause};
+            }
+        };
+        config.onProgress = [&](const SweepProgress& tick) { log.last = tick; };
+        (void)runSweep(config);
+        return log;
+    };
+    MapResultSource store;
+    (void)run(true, &store); // prime every leg's slot
+    const auto executed = run(false, nullptr);
+    const auto batched = run(true, nullptr);
+    const auto cached = run(true, &store);
+
+    ASSERT_GT(executed.last.legsTotal, 0u);
+    EXPECT_EQ(executed.last.legsExecuted, executed.last.legsTotal);
+    EXPECT_EQ(batched.last.legsReplayed, batched.last.legsTotal);
+    EXPECT_EQ(cached.last.legsCached, cached.last.legsTotal);
+    for (const LegLog* log : {&executed, &batched, &cached}) {
+        const SweepProgress& last = log->last;
+        EXPECT_EQ(last.legsTotal, executed.last.legsTotal);
+        EXPECT_EQ(last.legsCompleted, last.legsTotal);
+        EXPECT_EQ(last.legsReplayed + last.legsExecuted + last.legsCached, last.legsTotal);
+        ASSERT_EQ(log->started.size(), last.legsTotal);
+        for (std::size_t leg = 0; leg < last.legsTotal; ++leg) {
+            EXPECT_EQ(log->started[leg], 1) << "leg " << leg;
+            EXPECT_EQ(log->finished[leg], 1) << "leg " << leg;
+        }
+        EXPECT_EQ(log->outcome, executed.outcome);
     }
 }
 

@@ -17,6 +17,7 @@
 #include "common/socket.h"
 #include "core/report.h"
 #include "core/sweep.h"
+#include "core/sweep_telemetry.h"
 #include "obs/export/http_server.h"
 #include "obs/export/journal.h"
 #include "obs/export/prometheus.h"
@@ -526,51 +527,19 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
     obs::JobTraceStore::global().clear();
     obs::JobTraceStore::global().beginJob("live-test", instrumented.trace);
     instrumented.onLegEvent = [&](const SweepLegEvent& event) {
-        obs::JournalEvent line;
         switch (event.phase) {
         case SweepLegEvent::Phase::Enqueued:
-            line.phase = obs::JournalEvent::Phase::Enqueued;
             enqueued.fetch_add(1, std::memory_order_relaxed);
             break;
         case SweepLegEvent::Phase::Started:
-            line.phase = obs::JournalEvent::Phase::Started;
             started.fetch_add(1, std::memory_order_relaxed);
             break;
         case SweepLegEvent::Phase::Finished:
-            line.phase = obs::JournalEvent::Phase::Finished;
             finished.fetch_add(1, std::memory_order_relaxed);
             break;
         }
-        line.leg = static_cast<std::uint32_t>(event.leg);
-        line.worker = event.worker;
-        line.setBenchmark(event.benchmark);
-        line.setScheme(schemeName(event.scheme));
-        line.voltageMv = event.voltageMv;
-        line.trial = event.trial;
-        line.replayed = event.replayed;
-        line.linkFailed = event.linkFailed;
-        line.durationNs = event.durationNs;
-        line.cached = event.cached;
-        line.traceHi = event.traceHi;
-        line.traceLo = event.traceLo;
-        line.spanId = event.spanId;
-        flight.noteLegEvent(line);
-        journal.emit(event.phase == SweepLegEvent::Phase::Enqueued ? 0
-                                                                   : event.worker + 1,
-                     line);
     };
-    instrumented.onProgress = [&](const SweepProgress& progress) {
-        obs::ProgressBoard::Tick tick;
-        tick.benchmarksCompleted = progress.completed;
-        tick.benchmarksTotal = progress.total;
-        tick.benchmark = progress.benchmark;
-        tick.boundary = progress.boundary;
-        tick.legsCompleted = progress.legsCompleted;
-        tick.legsTotal = progress.legsTotal;
-        tick.legsReplayed = progress.legsReplayed;
-        tick.legsExecuted = progress.legsExecuted;
-        tick.workers = progress.workers;
-        board.update(tick);
+    instrumented.onProgress = [&](const SweepProgress&) {
         // Scrape from inside the sweep — this is a genuinely mid-run scrape,
         // serialized under the progress lock so it happens exactly once.
         if (!scraped) {
@@ -579,6 +548,9 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
             progressBody = net::httpGet("127.0.0.1", server.port(), "/progress");
         }
     };
+    // The sinks run ahead of the hooks above: the board holds the tick
+    // before the scrape reads it.
+    attachTelemetry(instrumented, {&board, &journal, &flight});
 
     const SweepResult result = runSweep(instrumented);
     obs::JobTraceStore::global().endJob(instrumented.trace);

@@ -6,6 +6,7 @@
 // async-signal-safe dump path including the VC_CHECK contract hook — plus
 // the headline guarantee that a fully traced sweep exports byte-identical
 // JSON.
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -18,6 +19,7 @@
 #include "common/json_parse.h"
 #include "core/report.h"
 #include "core/sweep.h"
+#include "core/sweep_telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace_context.h"
 #include "power/dvfs.h"
@@ -243,8 +245,9 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     store.clear();
     SweepConfig traced = plain;
     traced.trace = obs::makeRootContext("sweep-test");
-    std::size_t finishedLegs = 0;
-    std::uint64_t wrongSpanIds = 0;
+    // Workers fire leg events concurrently.
+    std::atomic<std::size_t> finishedLegs{0};
+    std::atomic<std::uint64_t> wrongSpanIds{0};
     traced.onLegEvent = [&](const SweepLegEvent& event) {
         if (event.phase != SweepLegEvent::Phase::Finished) return;
         ++finishedLegs;
@@ -259,10 +262,10 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     const SweepResult result = runSweep(traced);
     store.endJob(traced.trace);
 
-    EXPECT_GT(finishedLegs, 0u);
-    EXPECT_EQ(wrongSpanIds, 0u);
+    EXPECT_GT(finishedLegs.load(), 0u);
+    EXPECT_EQ(wrongSpanIds.load(), 0u);
     const JsonValue doc = parseJson(store.toChromeJson("sweep-test"));
-    EXPECT_GE(doc.numberOr("spanCount", 0.0), static_cast<double>(finishedLegs));
+    EXPECT_GE(doc.numberOr("spanCount", 0.0), static_cast<double>(finishedLegs.load()));
 
     // Tracing observed every leg yet the export did not move a byte.
     EXPECT_EQ(sweepResultToJson(result, meta), referenceJson);
@@ -282,7 +285,7 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
 
     const obs::TraceContext context = obs::makeRootContext("flight-job");
     recorder.noteJob("flight-job", context);
-    obs::FlightProgress progress;
+    obs::SweepProgress progress;
     progress.legsCompleted = 3;
     progress.legsTotal = 12;
     progress.workers = 2;
@@ -368,12 +371,7 @@ TEST(FlightRecorder, InducedLegFailureLeavesADumpAndFailsTheSweep) {
     config.scale = WorkloadScale::Tiny;
     config.threads = 1;
     config.failAtLeg = 2; // 1-based: the second leg trips VC_CHECK
-    config.onLegEvent = [&recorder](const SweepLegEvent& event) {
-        obs::JournalEvent line;
-        line.leg = static_cast<std::uint32_t>(event.leg);
-        line.setBenchmark(event.benchmark);
-        recorder.noteLegEvent(line);
-    };
+    attachTelemetry(config, {.flight = &recorder});
 
     EXPECT_THROW((void)runSweep(config), ContractViolation);
 

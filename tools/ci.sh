@@ -141,24 +141,19 @@ if ! cmp -s "$det_base" "$noreplay_json"; then
     exit 1
 fi
 
-echo "== batch smoke: sweep JSON identical with --no-batch and odd --batch sizes =="
-# Batched multi-map replay is a pure scheduling change: the one-lane-at-a-time
-# path (--no-batch) and awkward batch sizes (1 lane; 7 lanes, which splits a
-# trial group unevenly) must reproduce the default export byte for byte.
+echo "== batch smoke: sweep JSON identical at odd --batch sizes =="
+# Batched multi-map replay is a pure scheduling change: awkward batch sizes
+# (1 lane, which is per-leg replay; 7 lanes, which splits a trial group
+# unevenly) must reproduce the default export byte for byte.
 # det_base above is the default (batched) --threads 1 export; this runs under
 # whatever sanitizers this leg configured, so lane-state aliasing bugs surface
 # here before the timing gates ever see them.
-for mode in no-batch 1 7; do
-    batch_json="$build_dir/ci_batch_$mode.json"
-    case "$mode" in
-        no-batch) batch_flag="--no-batch" ;;
-        *) batch_flag="--batch $mode" ;;
-    esac
-    # shellcheck disable=SC2086 # batch_flag is intentionally word-split
+for lanes in 1 7; do
+    batch_json="$build_dir/ci_batch_$lanes.json"
     "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
-        --scale tiny --threads 2 $batch_flag --json "$batch_json" > /dev/null
+        --scale tiny --threads 2 --batch "$lanes" --json "$batch_json" > /dev/null
     if ! cmp -s "$det_base" "$batch_json"; then
-        echo "ci: FAIL — sweep JSON differs between default batching and $batch_flag" >&2
+        echo "ci: FAIL — sweep JSON differs between default batching and --batch $lanes" >&2
         exit 1
     fi
 done

@@ -15,7 +15,7 @@
 //   voltcache sweep [--trials N] [--benchmarks a,b,...] [--scale S]
 //             [--threads N] [--mv V1,V2,...] [--json FILE] [--trace FILE]
 //             [--profile FILE] [--progress] [--no-replay] [--analytic-check]
-//             [--check-z Z] [--corrupt-mapgen SCALE] [--batch N] [--no-batch]
+//             [--check-z Z] [--corrupt-mapgen SCALE] [--batch N]
 //       the Fig. 10/11/12 sweep, printed as one table; --json exports the
 //       full result (with CI half-widths and the forensics block), --trace
 //       a Chrome trace of the most recent events (open in Perfetto),
@@ -65,6 +65,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,6 +78,7 @@
 #include "common/version.h"
 #include "core/report.h"
 #include "core/sweep.h"
+#include "core/sweep_telemetry.h"
 #include "cpu/trace_sink_observer.h"
 #include "faults/fault_map_io.h"
 #include "faults/yield.h"
@@ -115,11 +117,15 @@ Args parseArgs(int argc, char** argv, int first) {
         if (token.rfind("--", 0) == 0 || token == "-o") {
             const std::string key = token == "-o" ? "out" : token.substr(2);
             if (key == "bbr" || key == "progress" || key == "no-replay" ||
-                key == "no-batch" || key == "analytic-check" || key == "once") { // boolean flags
+                key == "analytic-check" || key == "once") { // boolean flags
                 args.flags[key] = "1";
                 continue;
             }
-            if (i + 1 >= argc) throw std::runtime_error("flag " + token + " needs a value");
+            // A value never starts with "--": that is the next flag, so an
+            // unknown boolean flag cannot silently swallow it.
+            if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--")) {
+                throw std::runtime_error("flag " + token + " needs a value");
+            }
             args.flags[key] = argv[++i];
         } else if (args.positional.empty()) {
             args.positional = token;
@@ -377,7 +383,6 @@ int cmdSweep(const Args& args) {
     // control (any value != 1 must make --analytic-check fail).
     config.systemTemplate.faultRateScale = std::stod(args.get("corrupt-mapgen", "1"));
     config.useReplay = !args.flags.contains("no-replay");
-    config.useBatch = !args.flags.contains("no-batch");
     config.batchLanes = static_cast<std::uint32_t>(std::stoul(args.get("batch", "0")));
     // --fail-at-leg: deliberately fail a VC_CHECK inside the Nth leg (1-based)
     // — the flight recorder's negative control (ci.sh asserts the dump).
@@ -437,7 +442,7 @@ int cmdSweep(const Args& args) {
                 std::fprintf(stderr,
                              "[%zu/%zu] %s done (%zu/%zu legs: %zu replayed, "
                              "%zu executed, %u workers, ETA %s)\n",
-                             progress.completed, progress.total,
+                             progress.benchmarksCompleted, progress.benchmarksTotal,
                              progress.benchmark.c_str(), progress.legsCompleted,
                              progress.legsTotal, progress.legsReplayed,
                              progress.legsExecuted, progress.workers, eta);
@@ -446,7 +451,7 @@ int cmdSweep(const Args& args) {
                 std::fprintf(stderr,
                              "[%zu/%zu] %zu/%zu legs (%zu replayed, %zu executed, "
                              "%u workers, ETA %s)\n",
-                             progress.completed, progress.total,
+                             progress.benchmarksCompleted, progress.benchmarksTotal,
                              progress.legsCompleted, progress.legsTotal,
                              progress.legsReplayed, progress.legsExecuted,
                              progress.workers, eta);
@@ -468,99 +473,17 @@ int cmdSweep(const Args& args) {
         std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
                      static_cast<unsigned>(telemetry->port()));
     }
-    if (board.has_value()) {
-        // Feed every tick to the board, then to the stderr printer (if any).
-        auto chained = std::move(config.onProgress);
-        config.onProgress = [&boardRef = *board,
-                             chained](const SweepProgress& progress) {
-            obs::ProgressBoard::Tick tick;
-            tick.benchmarksCompleted = progress.completed;
-            tick.benchmarksTotal = progress.total;
-            tick.benchmark = progress.benchmark;
-            tick.boundary = progress.boundary;
-            tick.legsCompleted = progress.legsCompleted;
-            tick.legsTotal = progress.legsTotal;
-            tick.legsReplayed = progress.legsReplayed;
-            tick.legsExecuted = progress.legsExecuted;
-            tick.legsCached = progress.legsCached;
-            tick.workers = progress.workers;
-            boardRef.update(tick);
-            if (chained) chained(progress);
-        };
-    }
-
-    // --journal: bounded NDJSON leg lifecycle journal. Rings are sized
-    // before runSweep computes its worker count, so mirror its sizing rule
-    // (runSweep may clamp down to the leg count, never up).
-    // --journal-max-bytes caps the file; at the cap it rotates to <path>.1.
-    // The same leg-event stream also feeds the flight recorder's ring.
+    // --journal: bounded NDJSON leg lifecycle journal (--journal-max-bytes
+    // caps the file; at the cap it rotates to <path>.1). The board, the
+    // journal, and the flight recorder all see the same tick/event stream.
     std::optional<obs::LegJournal> journal;
     if (args.flags.contains("journal")) {
-        unsigned maxWorkers = config.threads != 0 ? config.threads
-                                                  : std::thread::hardware_concurrency();
-        if (maxWorkers == 0) maxWorkers = 4;
-        journal.emplace(args.get("journal", ""), maxWorkers + 1,
+        journal.emplace(args.get("journal", ""), sweepJournalProducers(config.threads),
                         /*ringCapacity=*/4096, /*autoDrain=*/true,
                         std::stoull(args.get("journal-max-bytes", "0")));
     }
-    if (journal.has_value() || flight != nullptr) {
-        obs::LegJournal* journalPtr = journal.has_value() ? &*journal : nullptr;
-        config.onLegEvent = [journalPtr, flight](const SweepLegEvent& event) {
-            obs::JournalEvent line;
-            switch (event.phase) {
-                case SweepLegEvent::Phase::Enqueued:
-                    line.phase = obs::JournalEvent::Phase::Enqueued;
-                    break;
-                case SweepLegEvent::Phase::Started:
-                    line.phase = obs::JournalEvent::Phase::Started;
-                    break;
-                case SweepLegEvent::Phase::Finished:
-                    line.phase = obs::JournalEvent::Phase::Finished;
-                    break;
-            }
-            line.leg = static_cast<std::uint32_t>(event.leg);
-            line.worker = event.worker;
-            line.setBenchmark(event.benchmark);
-            line.setScheme(schemeName(event.scheme));
-            line.voltageMv = event.voltageMv;
-            line.trial = event.trial;
-            line.replayed = event.replayed;
-            line.cached = event.cached;
-            line.linkFailed = event.linkFailed;
-            line.durationNs = event.durationNs;
-            line.setFailCause(linkFailCauseName(event.failCause));
-            line.traceHi = event.traceHi;
-            line.traceLo = event.traceLo;
-            line.spanId = event.spanId;
-            if (flight != nullptr) flight->noteLegEvent(line);
-            if (journalPtr != nullptr) {
-                // Producer 0 is the coordinator (Enqueued); worker w uses 1+w.
-                const std::size_t producer =
-                    event.phase == SweepLegEvent::Phase::Enqueued ? 0
-                                                                  : event.worker + 1;
-                journalPtr->emit(producer, line);
-            }
-        };
-    }
-    if (flight != nullptr) {
-        // Mirror progress ticks (and a bounded metrics snapshot) into the
-        // black box so a crash dump shows how far the sweep got.
-        auto chained = std::move(config.onProgress);
-        config.onProgress = [flight, chained](const SweepProgress& progress) {
-            obs::FlightProgress snap;
-            snap.benchmarksCompleted = progress.completed;
-            snap.benchmarksTotal = progress.total;
-            snap.legsCompleted = progress.legsCompleted;
-            snap.legsTotal = progress.legsTotal;
-            snap.legsReplayed = progress.legsReplayed;
-            snap.legsExecuted = progress.legsExecuted;
-            snap.legsCached = progress.legsCached;
-            snap.workers = progress.workers;
-            flight->noteProgress(snap);
-            flight->noteMetrics();
-            if (chained) chained(progress);
-        };
-    }
+    attachTelemetry(config, {board.has_value() ? &*board : nullptr,
+                             journal.has_value() ? &*journal : nullptr, flight});
 
     obs::TraceSink sink;
     std::optional<obs::ScopedTraceSink> traceGuard;
@@ -1463,9 +1386,8 @@ int usage() {
                  "      [--profile FILE]  (self-profile: per-phase span times + metrics)\n"
                  "      [--no-replay]  (disable the record-once/replay-many fast path;\n"
                  "       results are bit-identical either way)\n"
-                 "      [--batch N]  (lanes per replay batch; 0 = engine default 32)\n"
-                 "      [--no-batch]  (replay each leg individually instead of batching\n"
-                 "       trials through one decoded tape; bit-identical either way)\n"
+                 "      [--batch N]  (lanes per replay batch; 0 = engine default 32;\n"
+                 "       results are bit-identical for every N)\n"
                  "      [--analytic-check] [--check-z Z]  (gate the MC result against\n"
                  "       the closed-form FFW/BBR models; nonzero exit on divergence)\n"
                  "      [--corrupt-mapgen SCALE]  (deliberately scale the sampled fault\n"
