@@ -56,8 +56,8 @@ TraceStats replay(const std::string& benchmark, WorkloadScale scale,
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     Replayer replayer(scheme);
     sim.setObserver(&replayer);
@@ -104,7 +104,7 @@ int main() {
             return std::make_unique<FfwDCache>(org, map, l2, centeredOnly);
         });
         const auto wdis = run([&](L2Cache& l2) {
-            return std::make_unique<SimpleWordDisableDCache>(org, map, l2);
+            return std::make_unique<SimpleWordDisableCache>(org, map, l2);
         });
         ffwTable.addRow({name, formatPercent(moving.hitRate), formatPercent(staticK.hitRate),
                          formatPercent(centered.hitRate), formatPercent(wdis.hitRate)});

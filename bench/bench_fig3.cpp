@@ -32,8 +32,8 @@ int main() {
         const LinkOutput linked = link(module);
         L2Cache l2;
         CacheOrganization org;
-        ConventionalICache icache(org, l2);
-        ConventionalDCache dcache(org, l2);
+        ConventionalCache icache(org, l2);
+        ConventionalCache dcache(org, l2);
         Simulator sim(linked.image, module.data, icache, dcache);
         LocalityProfiler profiler;
         sim.setObserver(&profiler);

@@ -89,8 +89,8 @@ int main() {
     const LinkOutput linked = link(bbrModule);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, bbrModule.data, icache, dcache);
     const std::uint64_t interval = scale == WorkloadScale::Tiny ? 100000 : 1000000;
     FootprintObserver observer(interval);

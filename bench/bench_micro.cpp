@@ -10,6 +10,7 @@
 #include <chrono>
 #include <limits>
 #include <span>
+#include <string>
 
 #include "bench_export.h"
 #include "compiler/passes.h"
@@ -23,10 +24,7 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "schemes/conventional.h"
 #include "schemes/factory.h"
-#include "schemes/ffw.h"
-#include "schemes/word_disable.h"
 #include "serve/store.h"
 #include "workload/workload.h"
 
@@ -56,60 +54,38 @@ void BM_BistMarch(benchmark::State& state) {
 }
 BENCHMARK(BM_BistMarch);
 
-void BM_FfwReadLoop(benchmark::State& state) {
+/// ns per L1 access for one scheme: a sequential 64KB read sweep through
+/// the D-cache `makeSchemes(kind, ...)` builds at a 400mV chip, called on
+/// the concrete L1Core type as the replay kernel calls it. Registered once
+/// per SchemeKind in main() as BM_L1ReadLoop/<scheme name>.
+void BM_L1ReadLoop(benchmark::State& state, SchemeKind kind) {
     const FaultMapGenerator generator;
     Rng rng(3);
     const CacheOrganization org;
     const FaultMap map = generator.generate(rng, 400_mV, org.lines(), org.wordsPerBlock());
     L2Cache l2;
-    FfwDCache dcache(org, map, l2);
-    std::uint32_t addr = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dcache.read(addr));
-        addr = (addr + 4) % (64 * 1024);
-    }
+    const SchemePair pair = makeSchemes(kind, org, map, map, l2);
+    withConcreteSchemes(kind, pair, [&state](auto& /*icache*/, auto& dcache) {
+        std::uint32_t addr = 0;
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(dcache.read(addr));
+            addr = (addr + 4) % (64 * 1024);
+        }
+    });
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FfwReadLoop);
 
-// The trace-enabled twin of BM_FfwReadLoop: same access pattern with a sink
-// attached, so `(traced - plain) / plain` bounds the tracing overhead. With
-// NO sink attached the only cost on this path is one relaxed atomic load
-// (see BM_ObsTraceDisabled) plus the recenter counter — the acceptance bar
-// is <= 1% there.
+// The trace-enabled twin of BM_L1ReadLoop/ffw+bbr: same access pattern with
+// a sink attached, so `(traced - plain) / plain` bounds the tracing
+// overhead. With NO sink attached the only cost on this path is one relaxed
+// atomic load (see BM_ObsTraceDisabled) plus the recenter counter — the
+// acceptance bar is <= 1% there.
 void BM_FfwReadLoopTraced(benchmark::State& state) {
-    const FaultMapGenerator generator;
-    Rng rng(3);
-    const CacheOrganization org;
-    const FaultMap map = generator.generate(rng, 400_mV, org.lines(), org.wordsPerBlock());
-    L2Cache l2;
-    FfwDCache dcache(org, map, l2);
     obs::TraceSink sink;
     const obs::ScopedTraceSink guard(&sink);
-    std::uint32_t addr = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dcache.read(addr));
-        addr = (addr + 4) % (64 * 1024);
-    }
-    state.SetItemsProcessed(state.iterations());
+    BM_L1ReadLoop(state, SchemeKind::FfwBbr);
 }
 BENCHMARK(BM_FfwReadLoopTraced);
-
-void BM_SimpleWdisReadLoop(benchmark::State& state) {
-    const FaultMapGenerator generator;
-    Rng rng(3);
-    const CacheOrganization org;
-    const FaultMap map = generator.generate(rng, 400_mV, org.lines(), org.wordsPerBlock());
-    L2Cache l2;
-    SimpleWordDisableDCache dcache(org, map, l2);
-    std::uint32_t addr = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dcache.read(addr));
-        addr = (addr + 4) % (64 * 1024);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimpleWdisReadLoop);
 
 void BM_BbrLink(benchmark::State& state) {
     Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
@@ -133,8 +109,8 @@ void BM_SimulatorThroughput(benchmark::State& state) {
     for (auto _ : state) {
         L2Cache l2;
         CacheOrganization org;
-        ConventionalICache icache(org, l2);
-        ConventionalDCache dcache(org, l2);
+        ConventionalCache icache(org, l2);
+        ConventionalCache dcache(org, l2);
         Simulator sim(linked.image, module.data, icache, dcache);
         const RunStats stats = sim.run();
         instructions += stats.instructions;
@@ -350,8 +326,8 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
             const auto start = Clock::now();
             L2Cache l2;
             CacheOrganization org;
-            ConventionalICache icache(org, l2);
-            ConventionalDCache dcache(org, l2);
+            ConventionalCache icache(org, l2);
+            ConventionalCache dcache(org, l2);
             Simulator sim(linked.image, module.data, icache, dcache);
             const RunStats stats = sim.run();
             rate.add(static_cast<double>(stats.instructions) / secondsSince(start));
@@ -616,6 +592,13 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
 } // namespace
 
 int main(int argc, char** argv) {
+    for (const SchemeKind kind :
+         {SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
+          SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
+          SchemeKind::IdcPlus, SchemeKind::FfwBbr}) {
+        const std::string name = "BM_L1ReadLoop/" + std::string(schemeName(kind));
+        benchmark::RegisterBenchmark(name.c_str(), BM_L1ReadLoop, kind);
+    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     ExportingReporter reporter;

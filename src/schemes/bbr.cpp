@@ -7,92 +7,48 @@
 
 namespace voltcache {
 
-BbrICache::BbrICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2, Mode mode,
-                     bool enforcePlacement)
-    : mapper_(org),
-      tags_(org.sets(), org.associativity),
-      faultMap_(std::move(faultMap)),
-      l2_(&l2),
+BbrPolicy::BbrPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2, Mode mode)
+    : L1State(org, std::move(faultMap), l2, org.associativity),
       mode_(mode),
-      enforcePlacement_(enforcePlacement),
-      fetchMisses_(obs::MetricsRegistry::global().counter("bbr.fetch_misses")) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
-    VC_EXPECTS(faultMap_.wordsPerLine() == org.wordsPerBlock());
+      fetchMisses_(obs::MetricsRegistry::global().counter("bbr.fetch_misses")) {}
+
+void BbrPolicy::throwPlacementViolation(std::uint32_t addr, std::uint32_t set,
+                                        std::uint32_t way) const {
+    throw PlacementViolation(
+        "BBR: fetch of address " + std::to_string(addr) +
+        " touches a defective I-cache word (line " +
+        std::to_string(frameOf(set, way)) + ", word " +
+        std::to_string(mapper_.wordOffset(addr)) +
+        ") — the image was not placed against this fault map; "
+        "analysis::provePlacement / tools/vcverify catches this statically");
 }
 
-AccessResult BbrICache::fetch(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles;
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-
+void BbrPolicy::fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag,
+                     std::uint32_t /*word*/, AccessResult& /*result*/) {
+    fetchMisses_.add();
     if (mode_ == Mode::SetAssociative) {
-        // High-voltage mode: no defects exist; plain 4-way LRU operation.
-        if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-            tags_.touch(set, hit.way);
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        ++stats_.lineMisses;
-        ++stats_.l2Reads;
-        fetchMisses_.add();
         if (obs::TraceSink* sink = obs::traceSink()) {
             sink->record("bbr.fetch_miss", "icache", {{"addr", addr}, {"set", set}, {"dm", 0}});
         }
-        const auto l2 = l2_->read(addr);
         tags_.fill(set, tag);
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
+        return;
     }
-
-    // Direct-mapped mode: the way comes from the low tag bits (Fig. 7), so
-    // each memory word maps to exactly one cache word — the invariant BBR's
-    // link-time placement relies on.
     const std::uint32_t way = mapper_.directWay(addr);
-    if (enforcePlacement_ &&
-        faultMap_.isFaulty(mapper_.physicalLine(set, way), mapper_.wordOffset(addr))) {
-        throw PlacementViolation(
-            "BBR: fetch of address " + std::to_string(addr) +
-            " touches a defective I-cache word (line " +
-            std::to_string(mapper_.physicalLine(set, way)) + ", word " +
-            std::to_string(mapper_.wordOffset(addr)) +
-            ") — the image was not placed against this fault map; "
-            "analysis::provePlacement / tools/vcverify catches this statically");
-    }
-    if (tags_.probeWay(set, way, tag)) {
-        ++stats_.hits;
-        result.l1Hit = true;
-        return result;
-    }
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    fetchMisses_.add();
     if (obs::TraceSink* sink = obs::traceSink()) {
         sink->record("bbr.fetch_miss", "icache",
                      {{"addr", addr}, {"set", set}, {"way", way}, {"dm", 1}});
     }
-    const auto l2 = l2_->read(addr);
     tags_.fillAt(set, way, tag);
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-    return result;
 }
 
-void BbrICache::invalidateAll() { tags_.invalidateAll(); }
-
-void BbrICache::switchMode(Mode mode) {
+void BbrPolicy::switchMode(Mode mode) {
     if (mode == mode_) return;
     mode_ = mode;
     if (obs::TraceSink* sink = obs::traceSink()) {
         sink->record("bbr.mode_switch", "icache",
                      {{"dm", mode_ == Mode::DirectMapped ? 1 : 0}});
     }
-    invalidateAll();
+    tags_.invalidateAll();
 }
 
 } // namespace voltcache

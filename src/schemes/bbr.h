@@ -5,19 +5,16 @@
 // switches to direct-mapped (DAC-style [27]: the least significant tag bits
 // select the way), which gives the linker exact control of where every
 // instruction lands. A BBR-linked binary never places a word on a defective
-// cache word, so the fetch path needs no fault handling at all — by default
-// this cache *enforces* that invariant and throws PlacementViolation if a
+// cache word, so the fetch path needs no fault handling at all — and
+// this cache enforces that invariant and throws PlacementViolation if a
 // fetch ever touches a defective word (it would indicate a linker bug).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "faults/fault_map.h"
 #include "obs/metrics.h"
-#include "schemes/scheme.h"
+#include "schemes/l1_core.h"
 
 namespace voltcache {
 
@@ -28,15 +25,12 @@ public:
     using std::logic_error::logic_error;
 };
 
-class BbrICache final : public InstrCacheScheme {
+class BbrPolicy : public L1State {
 public:
     enum class Mode : std::uint8_t { SetAssociative, DirectMapped };
 
-    BbrICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
-              Mode mode = Mode::DirectMapped, bool enforcePlacement = true);
-
-    AccessResult fetch(std::uint32_t addr) override;
-    void invalidateAll() override;
+    BbrPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
+              Mode mode = Mode::DirectMapped);
 
     /// Mode switch invalidates all contents (paper Section IV-B2). In a run
     /// the mode is fixed for the whole low-voltage episode, so the switch
@@ -44,19 +38,29 @@ public:
     void switchMode(Mode mode);
     [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
-    [[nodiscard]] std::string_view name() const noexcept override { return "bbr"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 0; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
+protected:
+    [[nodiscard]] std::string_view label() const noexcept { return "bbr"; }
+    TagArray::Lookup findWay(std::uint32_t addr, std::uint32_t set, std::uint32_t tag) {
+        // High-voltage mode: no defects exist; plain 4-way LRU operation.
+        if (mode_ == Mode::SetAssociative) return L1State::findWay(addr, set, tag);
+        // Direct-mapped mode: the way comes from the low tag bits (Fig. 7),
+        // so each memory word maps to exactly one cache word — the
+        // invariant BBR's link-time placement relies on.
+        const std::uint32_t way = mapper_.directWay(addr);
+        if (faulty(set, way, mapper_.wordOffset(addr))) throwPlacementViolation(addr, set, way);
+        return {tags_.probeWay(set, way, tag), way};
+    }
+    void fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag, std::uint32_t word,
+              AccessResult& result);
 
 private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
+    [[noreturn]] void throwPlacementViolation(std::uint32_t addr, std::uint32_t set,
+                                              std::uint32_t way) const;
+
     Mode mode_;
-    bool enforcePlacement_;
-    L1Stats stats_;
     obs::Counter fetchMisses_; ///< process-wide "bbr.fetch_misses" counter
 };
+
+using BbrICache = L1Core<BbrPolicy>;
 
 } // namespace voltcache

@@ -6,59 +6,29 @@
 #include <cstdint>
 #include <string>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "schemes/scheme.h"
+#include "schemes/l1_core.h"
 
 namespace voltcache {
 
-/// Plain 4-way LRU write-through data cache with no defects.
-class ConventionalDCache final : public DataCacheScheme {
+/// Plain 4-way LRU write-through cache with no defects: every L1State
+/// default, plus a configurable latency overhead and name.
+class ConventionalPolicy : public L1State {
 public:
-    ConventionalDCache(const CacheOrganization& org, L2Cache& l2,
-                       std::uint32_t latencyOverhead = 0, std::string name = "conventional");
+    ConventionalPolicy(const CacheOrganization& org, L2Cache& l2,
+                       std::uint32_t latencyOverhead = 0, std::string name = "conventional")
+        : L1State(org, FaultMap(org.lines(), org.wordsPerBlock()), l2, org.associativity),
+          latencyOverhead_(latencyOverhead),
+          name_(std::move(name)) {}
 
-    AccessResult read(std::uint32_t addr) override;
-    AccessResult write(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override {
-        return latencyOverhead_;
-    }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
+protected:
+    [[nodiscard]] std::uint32_t extraCycles() const noexcept { return latencyOverhead_; }
+    [[nodiscard]] std::string_view label() const noexcept { return name_; }
 
 private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    L2Cache* l2_;
     std::uint32_t latencyOverhead_;
     std::string name_;
-    L1Stats stats_;
 };
 
-/// Plain 4-way LRU instruction cache with no defects.
-class ConventionalICache final : public InstrCacheScheme {
-public:
-    ConventionalICache(const CacheOrganization& org, L2Cache& l2,
-                       std::uint32_t latencyOverhead = 0, std::string name = "conventional");
-
-    AccessResult fetch(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override {
-        return latencyOverhead_;
-    }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
-
-private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    L2Cache* l2_;
-    std::uint32_t latencyOverhead_;
-    std::string name_;
-    L1Stats stats_;
-};
+using ConventionalCache = L1Core<ConventionalPolicy>;
 
 } // namespace voltcache

@@ -16,40 +16,40 @@ SchemePair makeSchemes(SchemeKind kind, const CacheOrganization& org,
     switch (kind) {
         case SchemeKind::DefectFree:
         case SchemeKind::Conventional760:
-            pair.dcache = std::make_unique<ConventionalDCache>(org, l2, 0, "conventional");
-            pair.icache = std::make_unique<ConventionalICache>(org, l2, 0, "conventional");
+            pair.dcache = std::make_unique<ConventionalCache>(org, l2);
+            pair.icache = std::make_unique<ConventionalCache>(org, l2);
             pair.l1StaticFactor = 1.0;
             break;
         case SchemeKind::Robust8T:
             // The paper grants the 8T cache one extra cycle: its 28% larger
             // array blows the wire-delay slack (Section VI-B).
-            pair.dcache = std::make_unique<ConventionalDCache>(org, l2, 1, "8T");
-            pair.icache = std::make_unique<ConventionalICache>(org, l2, 1, "8T");
+            pair.dcache = std::make_unique<ConventionalCache>(org, l2, 1, "8T");
+            pair.icache = std::make_unique<ConventionalCache>(org, l2, 1, "8T");
             pair.l1StaticFactor = combinedL1StaticFactor("8T", "8T");
             pair.l1DynamicFactor = 1.30; // 30% larger cells => pricier reads
             break;
         case SchemeKind::SimpleWordDisable:
-            pair.dcache = std::make_unique<SimpleWordDisableDCache>(org, dcacheMap, l2);
-            pair.icache = std::make_unique<SimpleWordDisableICache>(org, icacheMap, l2);
+            pair.dcache = std::make_unique<SimpleWordDisableCache>(org, dcacheMap, l2);
+            pair.icache = std::make_unique<SimpleWordDisableCache>(org, icacheMap, l2);
             pair.l1StaticFactor = combinedL1StaticFactor("simple-wdis", "simple-wdis");
             pair.l1DynamicFactor = 1.01; // per-word fault-map bit read
             break;
         case SchemeKind::WilkersonPlus:
-            pair.dcache = std::make_unique<WilkersonDCache>(org, dcacheMap, l2);
-            pair.icache = std::make_unique<WilkersonICache>(org, icacheMap, l2);
+            pair.dcache = std::make_unique<WilkersonCache>(org, dcacheMap, l2);
+            pair.icache = std::make_unique<WilkersonCache>(org, icacheMap, l2);
             pair.l1StaticFactor = combinedL1StaticFactor("wilkerson", "wilkerson");
             pair.l1DynamicFactor = 1.05; // pair read + combining muxes
             break;
         case SchemeKind::FbaPlus:
-            pair.dcache = std::make_unique<FaultBufferDCache>(org, dcacheMap, l2, fbaConfig());
-            pair.icache = std::make_unique<FaultBufferICache>(org, icacheMap, l2, fbaConfig());
+            pair.dcache = std::make_unique<FaultBufferCache>(org, dcacheMap, l2, fbaConfig());
+            pair.icache = std::make_unique<FaultBufferCache>(org, icacheMap, l2, fbaConfig());
             pair.l1StaticFactor = combinedL1StaticFactor("fba64", "fba64");
             pair.l1DynamicFactor = 1.10; // parallel CAM probe (entry energy
                                          // itself ignored, as in the paper)
             break;
         case SchemeKind::IdcPlus:
-            pair.dcache = std::make_unique<FaultBufferDCache>(org, dcacheMap, l2, idcConfig());
-            pair.icache = std::make_unique<FaultBufferICache>(org, icacheMap, l2, idcConfig());
+            pair.dcache = std::make_unique<FaultBufferCache>(org, dcacheMap, l2, idcConfig());
+            pair.icache = std::make_unique<FaultBufferCache>(org, icacheMap, l2, idcConfig());
             pair.l1StaticFactor = combinedL1StaticFactor("idc64", "idc64");
             pair.l1DynamicFactor = 1.10; // parallel IDC probe
             break;

@@ -44,10 +44,20 @@ struct SchemePair {
     return kind == SchemeKind::FfwBbr;
 }
 
+namespace detail {
+
+template <class ICache, class DCache = ICache, class Fn>
+decltype(auto) withCaches(const SchemePair& pair, Fn&& fn) {
+    return std::forward<Fn>(fn)(static_cast<ICache&>(*pair.icache),
+                                static_cast<DCache&>(*pair.dcache));
+}
+
+} // namespace detail
+
 /// Invoke `fn(concreteICache&, concreteDCache&)` with the pair downcast to
-/// the final types `makeSchemes(kind, ...)` constructed. This is how the
-/// batched replay engine devirtualizes — and, with IPO, inlines — every
-/// per-access scheme call inside the timing kernel: one kernel
+/// the L1Core instantiations `makeSchemes(kind, ...)` constructed. This is
+/// how the batched replay engine devirtualizes — and, with IPO, inlines —
+/// every per-access scheme call inside the timing kernel: one kernel
 /// instantiation per concrete pair, selected once per chunk instead of a
 /// virtual dispatch per access.
 template <class Fn>
@@ -56,21 +66,16 @@ decltype(auto) withConcreteSchemes(SchemeKind kind, const SchemePair& pair, Fn&&
         case SchemeKind::DefectFree:
         case SchemeKind::Conventional760:
         case SchemeKind::Robust8T:
-            return std::forward<Fn>(fn)(static_cast<ConventionalICache&>(*pair.icache),
-                                        static_cast<ConventionalDCache&>(*pair.dcache));
+            return detail::withCaches<ConventionalCache>(pair, std::forward<Fn>(fn));
         case SchemeKind::SimpleWordDisable:
-            return std::forward<Fn>(fn)(static_cast<SimpleWordDisableICache&>(*pair.icache),
-                                        static_cast<SimpleWordDisableDCache&>(*pair.dcache));
+            return detail::withCaches<SimpleWordDisableCache>(pair, std::forward<Fn>(fn));
         case SchemeKind::WilkersonPlus:
-            return std::forward<Fn>(fn)(static_cast<WilkersonICache&>(*pair.icache),
-                                        static_cast<WilkersonDCache&>(*pair.dcache));
+            return detail::withCaches<WilkersonCache>(pair, std::forward<Fn>(fn));
         case SchemeKind::FbaPlus:
         case SchemeKind::IdcPlus:
-            return std::forward<Fn>(fn)(static_cast<FaultBufferICache&>(*pair.icache),
-                                        static_cast<FaultBufferDCache&>(*pair.dcache));
+            return detail::withCaches<FaultBufferCache>(pair, std::forward<Fn>(fn));
         case SchemeKind::FfwBbr:
-            return std::forward<Fn>(fn)(static_cast<BbrICache&>(*pair.icache),
-                                        static_cast<FfwDCache&>(*pair.dcache));
+            return detail::withCaches<BbrICache, FfwDCache>(pair, std::forward<Fn>(fn));
     }
     __builtin_unreachable();
 }

@@ -13,12 +13,6 @@ const char* probeEventFor(const FaultBufferConfig& config) {
     return config.ways == config.entries ? "fba.probe" : "idc.probe";
 }
 
-void recordProbe(const char* name, std::uint32_t wordAddr, bool hit) {
-    if (obs::TraceSink* sink = obs::traceSink()) {
-        sink->record(name, "fault-buffer", {{"word_addr", wordAddr}, {"hit", hit ? 1 : 0}});
-    }
-}
-
 } // namespace
 
 WordBuffer::WordBuffer(std::uint32_t entries, std::uint32_t ways)
@@ -85,59 +79,27 @@ FaultBufferConfig idcConfig(std::uint32_t entries, std::uint32_t ways) {
     return FaultBufferConfig{entries, ways, entries >= 1024 ? "idc+" : "idc"};
 }
 
-FaultBufferDCache::FaultBufferDCache(const CacheOrganization& org, FaultMap faultMap,
+FaultBufferPolicy::FaultBufferPolicy(const CacheOrganization& org, FaultMap faultMap,
                                      L2Cache& l2, FaultBufferConfig config)
-    : mapper_(org),
-      tags_(org.sets(), org.associativity),
-      faultMap_(std::move(faultMap)),
-      l2_(&l2),
+    : SimpleWordDisablePolicy(org, std::move(faultMap), l2),
       config_(std::move(config)),
       buffer_(config_.entries, config_.ways),
-      probeEvent_(probeEventFor(config_)) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
+      probeEvent_(probeEventFor(config_)) {}
+
+bool FaultBufferPolicy::probeAux(std::uint32_t addr, AccessResult& result) {
+    result.auxProbe = true;
+    result.auxHit = buffer_.probe(addr / 4);
+    if (obs::TraceSink* sink = obs::traceSink()) {
+        sink->record(probeEvent_, "fault-buffer",
+                     {{"word_addr", addr / 4}, {"hit", result.auxHit ? 1 : 0}});
+    }
+    return result.auxHit;
 }
 
-AccessResult FaultBufferDCache::read(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-    const std::uint32_t wordAddr = addr / 4;
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!faultMap_.isFaulty(mapper_.physicalLine(set, hit.way), word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        // Defective word: redirect to the buffer.
-        result.auxProbe = true;
-        if (buffer_.probe(wordAddr)) {
-            recordProbe(probeEvent_, wordAddr, true);
-            ++stats_.hits;
-            result.l1Hit = true;
-            result.auxHit = true;
-            return result;
-        }
-        recordProbe(probeEvent_, wordAddr, false);
-        ++stats_.wordMisses;
-        ++stats_.l2Reads;
-        const auto l2 = l2_->read(addr);
-        buffer_.insert(wordAddr);
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
-    }
-
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    const auto l2 = l2_->read(addr);
+void FaultBufferPolicy::fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag,
+                             std::uint32_t word, AccessResult& result) {
     const auto fill = tags_.fill(set, tag);
-    const std::uint32_t frame = mapper_.physicalLine(set, fill.way);
+    const std::uint32_t frame = frameOf(set, fill.way);
     if (fill.evictedValid) {
         // Buffer entries are substitute storage for the evicted line's
         // defective words: they leave with it.
@@ -152,117 +114,8 @@ AccessResult FaultBufferDCache::read(std::uint32_t addr) {
     // block just travelled past the buffer.
     if (faultMap_.isFaulty(frame, word)) {
         result.auxProbe = true;
-        buffer_.insert(wordAddr);
+        buffer_.insert(addr / 4);
     }
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-    return result;
-}
-
-AccessResult FaultBufferDCache::write(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!faultMap_.isFaulty(mapper_.physicalLine(set, hit.way), word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-        } else {
-            // Keep a buffered copy coherent; no allocation on writes.
-            result.auxProbe = true;
-            result.auxHit = buffer_.probe(addr / 4);
-            recordProbe(probeEvent_, addr / 4, result.auxHit);
-        }
-    }
-    const auto l2 = l2_->write(addr);
-    result.l2Writes = 1;
-    result.dram = l2.dram;
-    return result;
-}
-
-void FaultBufferDCache::invalidateAll() {
-    tags_.invalidateAll();
-    buffer_.clear();
-}
-
-FaultBufferICache::FaultBufferICache(const CacheOrganization& org, FaultMap faultMap,
-                                     L2Cache& l2, FaultBufferConfig config)
-    : mapper_(org),
-      tags_(org.sets(), org.associativity),
-      faultMap_(std::move(faultMap)),
-      l2_(&l2),
-      config_(std::move(config)),
-      buffer_(config_.entries, config_.ways),
-      probeEvent_(probeEventFor(config_)) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
-}
-
-AccessResult FaultBufferICache::fetch(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-    const std::uint32_t wordAddr = addr / 4;
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!faultMap_.isFaulty(mapper_.physicalLine(set, hit.way), word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        result.auxProbe = true;
-        if (buffer_.probe(wordAddr)) {
-            recordProbe(probeEvent_, wordAddr, true);
-            ++stats_.hits;
-            result.l1Hit = true;
-            result.auxHit = true;
-            return result;
-        }
-        recordProbe(probeEvent_, wordAddr, false);
-        ++stats_.wordMisses;
-        ++stats_.l2Reads;
-        const auto l2 = l2_->read(addr);
-        buffer_.insert(wordAddr);
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
-    }
-
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    const auto l2 = l2_->read(addr);
-    const auto fill = tags_.fill(set, tag);
-    const std::uint32_t frame = mapper_.physicalLine(set, fill.way);
-    if (fill.evictedValid) {
-        const std::uint32_t evictedBlock = fill.evictedTag * mapper_.sets() + set;
-        for (std::uint32_t w = 0; w < mapper_.wordsPerBlock(); ++w) {
-            if (faultMap_.isFaulty(frame, w)) {
-                buffer_.invalidate(evictedBlock * mapper_.wordsPerBlock() + w);
-            }
-        }
-    }
-    if (faultMap_.isFaulty(frame, word)) {
-        result.auxProbe = true;
-        buffer_.insert(wordAddr);
-    }
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-    return result;
-}
-
-void FaultBufferICache::invalidateAll() {
-    tags_.invalidateAll();
-    buffer_.clear();
 }
 
 } // namespace voltcache

@@ -16,10 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "faults/fault_map.h"
-#include "schemes/scheme.h"
+#include "schemes/word_disable.h"
 
 namespace voltcache {
 
@@ -74,53 +71,33 @@ struct FaultBufferConfig {
 [[nodiscard]] FaultBufferConfig idcConfig(std::uint32_t entries = 1024,
                                           std::uint32_t ways = 8);
 
-class FaultBufferDCache final : public DataCacheScheme {
+/// FBA/IDC start from simple word disable and add the word buffer.
+class FaultBufferPolicy : public SimpleWordDisablePolicy {
 public:
-    FaultBufferDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
+    FaultBufferPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
                       FaultBufferConfig config);
 
-    AccessResult read(std::uint32_t addr) override;
-    AccessResult write(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return config_.name; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 1; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
     [[nodiscard]] const WordBuffer& buffer() const noexcept { return buffer_; }
 
+protected:
+    [[nodiscard]] std::uint32_t extraCycles() const noexcept { return 1; }
+    [[nodiscard]] std::string_view label() const noexcept { return config_.name; }
+    /// A defective word redirects to the buffer.
+    bool probeAux(std::uint32_t addr, AccessResult& result);
+    void onWordMiss(std::uint32_t /*set*/, std::uint32_t /*way*/, std::uint32_t /*word*/,
+                    std::uint32_t addr) {
+        buffer_.insert(addr / 4);
+    }
+    void fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag, std::uint32_t word,
+              AccessResult& result);
+    void onInvalidateAll() { buffer_.clear(); }
+
 private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
     FaultBufferConfig config_;
     WordBuffer buffer_;
-    L1Stats stats_;
     const char* probeEvent_; ///< "fba.probe"/"idc.probe" (trace names must be literals)
 };
 
-class FaultBufferICache final : public InstrCacheScheme {
-public:
-    FaultBufferICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
-                      FaultBufferConfig config);
-
-    AccessResult fetch(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return config_.name; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 1; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
-    [[nodiscard]] const WordBuffer& buffer() const noexcept { return buffer_; }
-
-private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
-    FaultBufferConfig config_;
-    WordBuffer buffer_;
-    L1Stats stats_;
-    const char* probeEvent_; ///< "fba.probe"/"idc.probe" (trace names must be literals)
-};
+using FaultBufferCache = L1Core<FaultBufferPolicy>;
 
 } // namespace voltcache

@@ -8,16 +8,11 @@
 
 namespace voltcache {
 
-FfwDCache::FfwDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
+FfwPolicy::FfwPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
                      FfwConfig config)
-    : mapper_(org),
-      tags_(org.sets(), org.associativity),
-      faultMap_(std::move(faultMap)),
-      l2_(&l2),
+    : L1State(org, std::move(faultMap), l2, org.associativity),
       config_(config),
       recenters_(obs::MetricsRegistry::global().counter("ffw.recenters")) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
-    VC_EXPECTS(faultMap_.wordsPerLine() == org.wordsPerBlock());
     lineState_.assign(org.lines(), LineState{});
     freeCount_.assign(org.lines(), 0);
     usableWayMask_.assign(org.sets(), 0);
@@ -33,7 +28,7 @@ FfwDCache::FfwDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l
     }
 }
 
-FfwDCache::Window FfwDCache::recentered(std::uint32_t frame, std::uint32_t missedWord) const {
+FfwPolicy::Window FfwPolicy::recentered(std::uint32_t frame, std::uint32_t missedWord) const {
     const std::uint32_t k = freeCount_[frame];
     const std::uint32_t wordsPerBlock = mapper_.wordsPerBlock();
     VC_EXPECTS(k >= 1 && k <= wordsPerBlock);
@@ -45,28 +40,23 @@ FfwDCache::Window FfwDCache::recentered(std::uint32_t frame, std::uint32_t misse
     return Window{start, k};
 }
 
-void FfwDCache::setWindow(std::uint32_t frame, Window window) {
+void FfwPolicy::setWindow(std::uint32_t frame, Window window) {
     lineState_[frame].windowStart = static_cast<std::uint8_t>(window.start);
     lineState_[frame].windowLength = static_cast<std::uint8_t>(window.length);
 }
 
-void FfwDCache::noteRecenter(std::uint32_t oldStart, std::uint32_t newStart) {
-    const std::uint32_t dist = oldStart > newStart ? oldStart - newStart : newStart - oldStart;
-    ++recenterDist_[std::min<std::size_t>(dist, recenterDist_.size() - 1)];
-}
-
-FfwDCache::Window FfwDCache::windowOf(std::uint32_t set, std::uint32_t way) const {
+FfwPolicy::Window FfwPolicy::windowOf(std::uint32_t set, std::uint32_t way) const {
     const LineState& state = lineState_[frameOf(set, way)];
     return Window{state.windowStart, state.windowLength};
 }
 
-std::uint32_t FfwDCache::storedPattern(std::uint32_t set, std::uint32_t way) const {
+std::uint32_t FfwPolicy::storedPattern(std::uint32_t set, std::uint32_t way) const {
     const auto window = windowOf(set, way);
     if (window.length == 0) return 0;
     return ((1u << window.length) - 1u) << window.start;
 }
 
-std::uint32_t FfwDCache::physicalEntryFor(std::uint32_t set, std::uint32_t way,
+std::uint32_t FfwPolicy::physicalEntryFor(std::uint32_t set, std::uint32_t way,
                                           std::uint32_t logicalWord) const {
     const auto window = windowOf(set, way);
     VC_EXPECTS(window.contains(logicalWord));
@@ -83,63 +73,35 @@ std::uint32_t FfwDCache::physicalEntryFor(std::uint32_t set, std::uint32_t way,
     return 0;
 }
 
-AccessResult FfwDCache::read(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles;
-    result.auxProbe = true; // FMAP + StoredPattern are read in parallel
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        const std::uint32_t frame = frameOf(set, hit.way);
-        const LineState& state = lineState_[frame];
-        if (word >= state.windowStart &&
-            word < static_cast<std::uint32_t>(state.windowStart) + state.windowLength) {
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        // Word miss: fetch from L2; the missing word is forwarded to the
-        // CPU and the window recenters on it off the critical path.
-        ++stats_.wordMisses;
-        ++stats_.l2Reads;
-        const auto l2 = l2_->read(addr);
-        if (config_.recenterOnWordMiss) {
-            const Window next = recentered(frame, word);
-            if (obs::TraceSink* sink = obs::traceSink()) {
-                sink->record("ffw.recenter", "dcache",
-                             {{"set", set},
-                              {"way", hit.way},
-                              {"word", word},
-                              {"old_start", state.windowStart},
-                              {"old_len", state.windowLength},
-                              {"new_start", next.start},
-                              {"new_len", next.length}});
-            }
-            recenters_.add();
-            noteRecenter(state.windowStart, next.start);
-            setWindow(frame, next);
-        }
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
+void FfwPolicy::onWordMiss(std::uint32_t set, std::uint32_t way, std::uint32_t word,
+                           std::uint32_t /*addr*/) {
+    if (!config_.recenterOnWordMiss) return;
+    const std::uint32_t frame = frameOf(set, way);
+    const LineState& state = lineState_[frame];
+    const Window next = recentered(frame, word);
+    if (obs::TraceSink* sink = obs::traceSink()) {
+        sink->record("ffw.recenter", "dcache",
+                     {{"set", set},
+                      {"way", way},
+                      {"word", word},
+                      {"old_start", state.windowStart},
+                      {"old_len", state.windowLength},
+                      {"new_start", next.start},
+                      {"new_len", next.length}});
     }
+    recenters_.add();
+    const std::uint32_t oldStart = state.windowStart;
+    const std::uint32_t dist = std::max(oldStart, next.start) - std::min(oldStart, next.start);
+    ++recenterDist_[std::min<std::size_t>(dist, recenterDist_.size() - 1)];
+    setWindow(frame, next);
+}
 
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    const auto l2 = l2_->read(addr);
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-
+void FfwPolicy::fill(std::uint32_t /*addr*/, std::uint32_t set, std::uint32_t tag,
+                     std::uint32_t word, AccessResult& /*result*/) {
     if (usableWayMask_[set] == 0) {
         // Every frame in the set is fully defective: serve from L2 without
         // allocating (the set is effectively disabled).
-        return result;
+        return;
     }
     const auto fill = tags_.fill(set, tag, usableWayMask_[set]);
     const std::uint32_t frame = frameOf(set, fill.way);
@@ -151,39 +113,6 @@ AccessResult FfwDCache::read(std::uint32_t addr) {
             setWindow(frame, Window{0, freeCount_[frame]});
             break;
     }
-    return result;
 }
-
-AccessResult FfwDCache::write(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles;
-    result.auxProbe = true;
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        const std::uint32_t frame = frameOf(set, hit.way);
-        const LineState& state = lineState_[frame];
-        if (word >= state.windowStart &&
-            word < static_cast<std::uint32_t>(state.windowStart) + state.windowLength) {
-            ++stats_.hits;
-            result.l1Hit = true;
-        } else if (config_.updateOnWriteMiss) {
-            const Window next = recentered(frame, word);
-            noteRecenter(state.windowStart, next.start);
-            setWindow(frame, next);
-        }
-    }
-    // Write-through, no-write-allocate.
-    const auto l2 = l2_->write(addr);
-    result.l2Writes = 1;
-    result.dram = l2.dram;
-    return result;
-}
-
-void FfwDCache::invalidateAll() { tags_.invalidateAll(); }
 
 } // namespace voltcache

@@ -23,11 +23,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "faults/fault_map.h"
 #include "obs/metrics.h"
-#include "schemes/scheme.h"
+#include "schemes/l1_core.h"
 
 namespace voltcache {
 
@@ -46,24 +43,12 @@ struct FfwConfig {
     /// Recenter the window when a word miss occurs (the paper's mechanism).
     /// Disable for the "static window" ablation.
     bool recenterOnWordMiss = true;
-    /// Also recenter on write misses to absent words (off: writes are pure
-    /// write-through and never move the window — the paper's reads-drive-
-    /// locality design).
-    bool updateOnWriteMiss = false;
 };
 
-class FfwDCache final : public DataCacheScheme {
+class FfwPolicy : public L1State {
 public:
-    FfwDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
+    FfwPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2,
               FfwConfig config = {});
-
-    AccessResult read(std::uint32_t addr) override;
-    AccessResult write(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return "ffw"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 0; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
 
     /// The current window of a frame: [start, start+length) logical words.
     struct Window {
@@ -93,30 +78,39 @@ public:
         return recenterDist_;
     }
 
+protected:
+    /// FMAP + StoredPattern are read in parallel with the tags.
+    static constexpr bool kProbesEveryAccess = true;
+    [[nodiscard]] std::string_view label() const noexcept { return "ffw"; }
+    [[nodiscard]] bool holdsWord(std::uint32_t set, std::uint32_t way, std::uint32_t word) const {
+        const LineState& state = lineState_[frameOf(set, way)];
+        return word >= state.windowStart &&
+               word < static_cast<std::uint32_t>(state.windowStart) + state.windowLength;
+    }
+    /// The missing word was forwarded to the CPU; the window recenters on
+    /// it off the critical path.
+    void onWordMiss(std::uint32_t set, std::uint32_t way, std::uint32_t word,
+                    std::uint32_t addr);
+    void fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag, std::uint32_t word,
+              AccessResult& result);
+
 private:
     struct LineState {
         std::uint8_t windowStart = 0;
         std::uint8_t windowLength = 0;
     };
 
-    [[nodiscard]] std::uint32_t frameOf(std::uint32_t set, std::uint32_t way) const {
-        return mapper_.physicalLine(set, way);
-    }
     [[nodiscard]] Window recentered(std::uint32_t frame, std::uint32_t missedWord) const;
     void setWindow(std::uint32_t frame, Window window);
-    void noteRecenter(std::uint32_t oldStart, std::uint32_t newStart);
 
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
     FfwConfig config_;
     std::vector<LineState> lineState_;    ///< per physical frame
     std::vector<std::uint8_t> freeCount_;      ///< fault-free entries per frame
     std::vector<std::uint32_t> usableWayMask_; ///< per set: ways with >=1 entry
-    L1Stats stats_;
     obs::Counter recenters_; ///< process-wide "ffw.recenters" counter
     std::array<std::uint64_t, 8> recenterDist_{}; ///< window-start move distances
 };
+
+using FfwDCache = L1Core<FfwPolicy>;
 
 } // namespace voltcache

@@ -1,137 +1,24 @@
 #include "schemes/wilkerson.h"
 
+#include <bit>
+
 #include "common/contracts.h"
 
 namespace voltcache {
 
 WilkersonPairing::WilkersonPairing(const CacheOrganization& org, const FaultMap& map)
-    : mapper_(org), map_(&map), logicalWays_(org.associativity / 2) {
+    : logicalWays_(org.associativity / 2) {
     VC_EXPECTS(org.associativity % 2 == 0);
+    const AddressMapper mapper(org);
+    unrepairableMask_.reserve(static_cast<std::size_t>(org.sets()) * logicalWays_);
     for (std::uint32_t set = 0; set < org.sets(); ++set) {
         for (std::uint32_t lway = 0; lway < logicalWays_; ++lway) {
-            for (std::uint32_t word = 0; word < org.wordsPerBlock(); ++word) {
-                if (unrepairable(set, lway, word)) ++unrepairable_;
-            }
+            const std::uint32_t both = map.lineFaultMask(mapper.physicalLine(set, 2 * lway)) &
+                                       map.lineFaultMask(mapper.physicalLine(set, 2 * lway + 1));
+            unrepairableMask_.push_back(both);
+            unrepairable_ += static_cast<std::uint32_t>(std::popcount(both));
         }
     }
 }
-
-bool WilkersonPairing::unrepairable(std::uint32_t set, std::uint32_t lway,
-                                    std::uint32_t word) const {
-    const std::uint32_t frameA = mapper_.physicalLine(set, 2 * lway);
-    const std::uint32_t frameB = mapper_.physicalLine(set, 2 * lway + 1);
-    return map_->isFaulty(frameA, word) && map_->isFaulty(frameB, word);
-}
-
-WilkersonDCache::WilkersonDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2)
-    : mapper_(org),
-      faultMap_(std::move(faultMap)),
-      pairing_(org, faultMap_),
-      tags_(org.sets(), org.associativity / 2),
-      l2_(&l2) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
-}
-
-AccessResult WilkersonDCache::read(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!pairing_.unrepairable(set, hit.way, word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        // Unrepairable word: supplementary simple word disable.
-        ++stats_.wordMisses;
-        ++stats_.l2Reads;
-        const auto l2 = l2_->read(addr);
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
-    }
-
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    const auto l2 = l2_->read(addr);
-    tags_.fill(set, tag); // fills the pair (both physical frames, one fetch)
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-    return result;
-}
-
-AccessResult WilkersonDCache::write(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!pairing_.unrepairable(set, hit.way, word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-        }
-    }
-    const auto l2 = l2_->write(addr);
-    result.l2Writes = 1;
-    result.dram = l2.dram;
-    return result;
-}
-
-void WilkersonDCache::invalidateAll() { tags_.invalidateAll(); }
-
-WilkersonICache::WilkersonICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2)
-    : mapper_(org),
-      faultMap_(std::move(faultMap)),
-      pairing_(org, faultMap_),
-      tags_(org.sets(), org.associativity / 2),
-      l2_(&l2) {
-    VC_EXPECTS(faultMap_.lines() == org.lines());
-}
-
-AccessResult WilkersonICache::fetch(std::uint32_t addr) {
-    ++stats_.accesses;
-    AccessResult result;
-    result.latencyCycles = kL1HitLatencyCycles + latencyOverhead();
-    const std::uint32_t set = mapper_.set(addr);
-    const std::uint32_t tag = mapper_.tag(addr);
-    const std::uint32_t word = mapper_.wordOffset(addr);
-
-    if (const auto hit = tags_.lookup(set, tag); hit.hit) {
-        tags_.touch(set, hit.way);
-        if (!pairing_.unrepairable(set, hit.way, word)) {
-            ++stats_.hits;
-            result.l1Hit = true;
-            return result;
-        }
-        ++stats_.wordMisses;
-        ++stats_.l2Reads;
-        const auto l2 = l2_->read(addr);
-        result.l2Reads = 1;
-        result.dram = l2.dram;
-        result.latencyCycles += l2.latencyCycles;
-        return result;
-    }
-
-    ++stats_.lineMisses;
-    ++stats_.l2Reads;
-    const auto l2 = l2_->read(addr);
-    tags_.fill(set, tag);
-    result.l2Reads = 1;
-    result.dram = l2.dram;
-    result.latencyCycles += l2.latencyCycles;
-    return result;
-}
-
-void WilkersonICache::invalidateAll() { tags_.invalidateAll(); }
 
 } // namespace voltcache

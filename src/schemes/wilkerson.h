@@ -11,15 +11,14 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "faults/fault_map.h"
-#include "schemes/scheme.h"
+#include "schemes/l1_core.h"
 
 namespace voltcache {
 
-/// Pairing metadata shared by the D- and I-side variants.
+/// Which words of each logical line are unrepairable, computed once from
+/// the fault map (the pairing keeps no reference to it).
 class WilkersonPairing {
 public:
     WilkersonPairing(const CacheOrganization& org, const FaultMap& map);
@@ -29,59 +28,40 @@ public:
     /// True if `word` of logical way `lway` in `set` is defective in both
     /// pair members (served like simple word disable).
     [[nodiscard]] bool unrepairable(std::uint32_t set, std::uint32_t lway,
-                                    std::uint32_t word) const;
+                                    std::uint32_t word) const {
+        return (unrepairableMask_[set * logicalWays_ + lway] >> word) & 1u;
+    }
 
     /// Count of unrepairable word positions across the whole cache — the
     /// quantity that kills plain word-disable yield at low voltage.
     [[nodiscard]] std::uint32_t unrepairableCount() const noexcept { return unrepairable_; }
 
 private:
-    AddressMapper mapper_;
-    const FaultMap* map_;
     std::uint32_t logicalWays_;
+    std::vector<std::uint32_t> unrepairableMask_; ///< per (set, logical way)
     std::uint32_t unrepairable_ = 0;
 };
 
-class WilkersonDCache final : public DataCacheScheme {
+class WilkersonPolicy : public L1State {
 public:
-    WilkersonDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2);
+    WilkersonPolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2)
+        : L1State(org, std::move(faultMap), l2, org.associativity / 2),
+          pairing_(org, faultMap_) {}
 
-    AccessResult read(std::uint32_t addr) override;
-    AccessResult write(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return "wilkerson+"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 1; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
     [[nodiscard]] const WilkersonPairing& pairing() const noexcept { return pairing_; }
 
-private:
-    AddressMapper mapper_;
-    FaultMap faultMap_;
-    WilkersonPairing pairing_;
-    TagArray tags_; ///< logical ways only
-    L2Cache* l2_;
-    L1Stats stats_;
-};
-
-class WilkersonICache final : public InstrCacheScheme {
-public:
-    WilkersonICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2);
-
-    AccessResult fetch(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return "wilkerson+"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 1; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
+protected:
+    [[nodiscard]] std::uint32_t extraCycles() const noexcept { return 1; }
+    [[nodiscard]] std::string_view label() const noexcept { return "wilkerson+"; }
+    /// Tag ways are logical ways; a fill takes both frames of the pair.
+    [[nodiscard]] bool holdsWord(std::uint32_t set, std::uint32_t lway, std::uint32_t word) const {
+        return !pairing_.unrepairable(set, lway, word);
+    }
 
 private:
-    AddressMapper mapper_;
-    FaultMap faultMap_;
     WilkersonPairing pairing_;
-    TagArray tags_;
-    L2Cache* l2_;
-    L1Stats stats_;
 };
+
+using WilkersonCache = L1Core<WilkersonPolicy>;
 
 } // namespace voltcache

@@ -10,55 +10,23 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "cache/address.h"
-#include "cache/tag_array.h"
-#include "faults/fault_map.h"
-#include "schemes/scheme.h"
+#include "schemes/l1_core.h"
 
 namespace voltcache {
 
-class SimpleWordDisableDCache final : public DataCacheScheme {
+class SimpleWordDisablePolicy : public L1State {
 public:
-    SimpleWordDisableDCache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2);
+    SimpleWordDisablePolicy(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2)
+        : L1State(org, std::move(faultMap), l2, org.associativity) {}
 
-    AccessResult read(std::uint32_t addr) override;
-    AccessResult write(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return "simple-wdis"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 0; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
-
-private:
-    [[nodiscard]] bool wordFaulty(std::uint32_t set, std::uint32_t way,
-                                  std::uint32_t word) const;
-
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
-    L1Stats stats_;
+protected:
+    [[nodiscard]] std::string_view label() const noexcept { return "simple-wdis"; }
+    [[nodiscard]] bool holdsWord(std::uint32_t set, std::uint32_t way, std::uint32_t word) const {
+        return !faulty(set, way, word);
+    }
 };
 
-class SimpleWordDisableICache final : public InstrCacheScheme {
-public:
-    SimpleWordDisableICache(const CacheOrganization& org, FaultMap faultMap, L2Cache& l2);
-
-    AccessResult fetch(std::uint32_t addr) override;
-    void invalidateAll() override;
-
-    [[nodiscard]] std::string_view name() const noexcept override { return "simple-wdis"; }
-    [[nodiscard]] std::uint32_t latencyOverhead() const noexcept override { return 0; }
-    [[nodiscard]] const L1Stats& stats() const noexcept override { return stats_; }
-
-private:
-    AddressMapper mapper_;
-    TagArray tags_;
-    FaultMap faultMap_;
-    L2Cache* l2_;
-    L1Stats stats_;
-};
+using SimpleWordDisableCache = L1Core<SimpleWordDisablePolicy>;
 
 } // namespace voltcache

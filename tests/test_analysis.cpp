@@ -262,9 +262,8 @@ TEST(Prover, RuntimeEnforcementNeverFiresOnAVerifiedImage) {
         // word; a statically-verified image must run to Halt without one.
         L2Cache l2;
         CacheOrganization org;
-        BbrICache icache(org, map, l2, BbrICache::Mode::DirectMapped,
-                         /*enforcePlacement=*/true);
-        ConventionalDCache dcache(org, l2);
+        BbrICache icache(org, map, l2, BbrICache::Mode::DirectMapped);
+        ConventionalCache dcache(org, l2);
         Simulator sim(out->image, module.data, icache, dcache);
         RunStats stats{};
         EXPECT_NO_THROW(stats = sim.run()) << "seed " << seed;

@@ -18,8 +18,8 @@ std::int32_t runSource(std::string_view source) {
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     const RunStats stats = sim.run();
     EXPECT_TRUE(stats.halted);
@@ -105,8 +105,8 @@ TEST(Assembler, LiteralPoolSyntax) {
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     (void)sim.run();
     EXPECT_EQ(sim.reg(1), 246913578);
@@ -144,8 +144,8 @@ TEST(Assembler, SurvivesBbrToolchain) {
     auto exec = [](const LinkOutput& out, const Module& m) {
         L2Cache l2;
         CacheOrganization org;
-        ConventionalICache icache(org, l2);
-        ConventionalDCache dcache(org, l2);
+        ConventionalCache icache(org, l2);
+        ConventionalCache dcache(org, l2);
         Simulator sim(out.image, m.data, icache, dcache);
         (void)sim.run();
         return sim.reg(1);

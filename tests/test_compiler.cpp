@@ -21,8 +21,8 @@ std::int32_t execute(const Module& module) {
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     const RunStats stats = sim.run();
     EXPECT_TRUE(stats.halted);

@@ -115,8 +115,8 @@ struct SimHarness {
 
     L2Cache l2;
     LinkOutput linked;
-    ConventionalICache icache;
-    ConventionalDCache dcache;
+    ConventionalCache icache;
+    ConventionalCache dcache;
     Simulator sim;
 };
 
@@ -209,8 +209,8 @@ TEST(Simulator, MaxInstructionsStopsEarly) {
     const Module module = mb.take();
     const LinkOutput linked = link(module);
     L2Cache l2;
-    ConventionalICache icache(CacheOrganization{}, l2);
-    ConventionalDCache dcache(CacheOrganization{}, l2);
+    ConventionalCache icache(CacheOrganization{}, l2);
+    ConventionalCache dcache(CacheOrganization{}, l2);
     PipelineConfig config;
     config.maxInstructions = 1000;
     Simulator sim(linked.image, module.data, icache, dcache, config);
@@ -401,8 +401,8 @@ TEST(Timing, ExtraDcacheCycleBubblesEveryLoad) {
 
     auto cyclesWithOverhead = [&](std::uint32_t overhead) {
         L2Cache l2;
-        ConventionalICache icache(CacheOrganization{}, l2);
-        ConventionalDCache dcache(CacheOrganization{}, l2, overhead, "d");
+        ConventionalCache icache(CacheOrganization{}, l2);
+        ConventionalCache dcache(CacheOrganization{}, l2, overhead, "d");
         Simulator sim(linked.image, module.data, icache, dcache);
         return sim.run().cycles;
     };

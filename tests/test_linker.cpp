@@ -38,8 +38,8 @@ Module tinyProgram() {
 std::int32_t executeImage(const Image& image, const Module& module) {
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(image, module.data, icache, dcache);
     const RunStats stats = sim.run();
     EXPECT_TRUE(stats.halted);

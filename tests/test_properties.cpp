@@ -163,7 +163,7 @@ TEST_P(FfwDominance, FfwNeverTrailsOnSequentialScans) {
     L2Cache l2a;
     L2Cache l2b;
     FfwDCache ffw(org, map, l2a);
-    SimpleWordDisableDCache wdis(org, map, l2b);
+    SimpleWordDisableCache wdis(org, map, l2b);
     for (std::uint32_t addr = 0; addr < 64 * 1024; addr += 4) {
         (void)ffw.read(addr);
         (void)wdis.read(addr);

@@ -18,8 +18,8 @@ RunStats runChase(const PointerChaseParams& params, std::int32_t* checksum = nul
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     if (profiler != nullptr) sim.setObserver(profiler);
     const RunStats stats = sim.run();

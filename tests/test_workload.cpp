@@ -42,8 +42,8 @@ RunOutcome runBenchmark(const std::string& name, WorkloadScale scale,
     const LinkOutput linked = link(module);
     L2Cache l2;
     CacheOrganization org;
-    ConventionalICache icache(org, l2);
-    ConventionalDCache dcache(org, l2);
+    ConventionalCache icache(org, l2);
+    ConventionalCache dcache(org, l2);
     Simulator sim(linked.image, module.data, icache, dcache);
     LocalityProfiler profiler;
     if (profile) sim.setObserver(&profiler);
