@@ -5,10 +5,11 @@
 // trials at a fixed code layout. One execution-driven run per (benchmark,
 // layout) records an ArchTrace (cpu/arch_trace.h); every subsequent trial
 // streams that trace through the trial's fault maps, scheme state, L2 model
-// and energy accounting via the shared timing kernel — skipping functional
-// execution, memory, and (for fixed layouts) the branch predictor. Results
-// are bit-identical to simulateSystem because the timing code is the same
-// template instantiated over a different Driver.
+// and energy accounting via the shared timing step (timing::issueOne in
+// cpu/timing_kernel.h) — skipping functional execution, memory, and (for
+// fixed layouts) the branch predictor. Results are bit-identical to
+// simulateSystem because the timing code is the same template instantiated
+// over a different Driver.
 //
 // Two recorded layouts cover all schemes:
 //   * plain — the untransformed module, conventionally linked; every
@@ -91,14 +92,17 @@ struct BatchLane {
 /// lane's timing state — scheme/tag arrays, L2 counters, energy inputs,
 /// pipeline scoreboard — advances through that chunk before the next one is
 /// decoded, so the decode cost is amortized across the batch and the tape
-/// stays cache-hot. All lanes must share the benchmark (the trace) and
-/// layout kind: every `config.scheme` either needs BBR linking (each lane
-/// then links/translates/predicts per trial; LinkError folds into
-/// linkFailed yield loss, as in execution) or none does. `cache` must hold
-/// that layout's recording, and every `config.observers` must be empty
+/// stays cache-hot. Plain lanes advance op-major (each tape op steps every
+/// lane of a scheme group); BBR lanes advance lane-major (each walks the
+/// chunk on its own translated layout). All lanes must share the benchmark
+/// (the trace) and layout kind: every `config.scheme` either needs BBR
+/// linking (each lane then links/translates/predicts per trial; LinkError
+/// folds into linkFailed yield loss, as in execution) or none does, and
+/// every `config.maxInstructions` must equal the recording's. `cache` must
+/// hold that layout's recording, and every `config.observers` must be empty
 /// (observers see no replayed run). Per-lane results are byte-identical to
-/// simulateSystem — the timing semantics are the same runPipelineChunk
-/// template, fed by a tape-walking driver instead of the simulator.
+/// simulateSystem — both lane kinds drive the same timing::issueOne step as
+/// execution, fed by a tape driver instead of the simulator.
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes);
 

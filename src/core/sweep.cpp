@@ -238,7 +238,7 @@ Digest256 legDigest(const Digest256& moduleDigest, SchemeKind scheme,
                     const OperatingPoint& point, std::uint64_t chipSeed,
                     const SystemConfig& t) {
     HashWriter h;
-    h.str("voltcache.leg.v1");
+    h.str("voltcache.leg.v2");
     h.digest(moduleDigest);
     h.u32(static_cast<std::uint32_t>(scheme));
     h.str(schemeName(scheme)); // belt and braces if kinds are ever renumbered
@@ -268,15 +268,13 @@ Digest256 legDigest(const Digest256& moduleDigest, SchemeKind scheme,
     h.f64(t.energy.coreL1StaticPower);
     h.f64(t.energy.l2StaticPower);
     h.f64(t.energy.referenceVoltage.millivolts());
-    // Pipeline + predictor configuration.
+    // Pipeline + predictor configuration. pipeline.maxInstructions is left
+    // out: every leg runs under t.maxInstructions (hashed above), which
+    // simulateSystem and replayBatch copy over it.
     h.u32(t.pipeline.issueWidth);
     h.u32(t.pipeline.mispredictPenalty);
     h.u32(t.pipeline.mulLatency);
     h.u32(t.pipeline.divLatency);
-    h.u64(t.pipeline.maxInstructions);
-    h.boolean(t.pipeline.takenBranchFetchBubble);
-    h.boolean(t.pipeline.dcachePortOccupancy);
-    h.boolean(t.pipeline.extraDcacheCycleStalls);
     h.u32(t.pipeline.predictor.bhtEntries);
     h.u32(t.pipeline.predictor.btbEntries);
     h.u32(t.pipeline.predictor.btbWays);

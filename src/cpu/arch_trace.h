@@ -18,6 +18,9 @@
 // whose trace would exceed the cap marks the trace overflowed, and the
 // sweep falls back to execution-driven legs instead of accumulating an
 // unbounded resident trace.
+//
+// TraceRecorder writes a trace; TapeBuilder reads it back against the
+// recording image, one flat TapeOp per instruction.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +31,7 @@
 #include "common/contracts.h"
 #include "cpu/simulator.h"
 #include "isa/instruction.h"
+#include "linker/image.h"
 
 namespace voltcache {
 
@@ -308,6 +312,59 @@ public:
 private:
     ArchTrace trace_;
     bool skipNextData_ = false;
+};
+
+/// One pre-lowered instruction of a recorded stream, as the replay engine
+/// (core/replay.cpp) walks it. `aux` is the one recorded fact the opcode
+/// needs: the data address (Lw/Sw), the literal address (Ldl), or the
+/// recording-layout control-flow target (Jal/Jalr/conditional branch) — all
+/// in recording-layout coordinates, so each BBR lane applies its own
+/// translation.
+struct TapeOp {
+    Instruction inst;
+    std::uint32_t recPc = 0;
+    std::uint32_t aux = 0;
+    std::uint8_t taken = 0;   ///< recorded branch direction (1 for jumps)
+    std::uint8_t correct = 0; ///< recorded predictor verdict
+};
+
+/// Decodes a sealed ArchTrace chunk-by-chunk into TapeOps: walks the
+/// recording image from its entry point and pops the cursor's recorded
+/// facts in the order TraceRecorder pushed them — the reading half of the
+/// trace format.
+class TapeBuilder {
+public:
+    TapeBuilder(const Image& recording, const ArchTrace& trace)
+        : code_(recording.decodedInstructions()),
+          cursor_(trace),
+          base_(recording.baseAddr()),
+          recPc_(recording.entryAddr()),
+          remaining_(trace.instructions()) {
+        ip_ = code_ + (recPc_ - base_) / 4;
+    }
+
+    [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
+    [[nodiscard]] bool fullyConsumed() const noexcept { return cursor_.fullyConsumed(); }
+
+    /// Decode up to `cap` instructions into `out`; returns the count.
+    std::uint32_t fill(TapeOp* out, std::uint32_t cap);
+
+private:
+    void step() {
+        recPc_ += 4;
+        ++ip_;
+    }
+    void jumpTo(std::uint32_t target) {
+        recPc_ = target;
+        ip_ = code_ + (recPc_ - base_) / 4;
+    }
+
+    const Instruction* code_;
+    const Instruction* ip_;
+    ArchTrace::Cursor cursor_;
+    std::uint32_t base_;
+    std::uint32_t recPc_;
+    std::uint64_t remaining_;
 };
 
 } // namespace voltcache

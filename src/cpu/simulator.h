@@ -38,21 +38,6 @@ struct PipelineConfig {
     std::uint32_t mulLatency = 3;
     std::uint32_t divLatency = 12;
     std::uint64_t maxInstructions = 0; ///< 0 = run to Halt
-    /// Even a correctly-predicted taken transfer restarts the fetch
-    /// pipeline: it costs (I-cache hit latency - 1) bubble cycles, as on
-    /// in-order embedded cores. This is what makes every +1 cycle of L1I
-    /// latency so expensive in Fig. 10.
-    bool takenBranchFetchBubble = true;
-    /// A scheme's extra L1D cycle is *array* time (Fig. 9: the wire-delay
-    /// slack is gone), not a pipeline register — the single D-port can then
-    /// only start a new access every (1 + overhead) cycles.
-    bool dcachePortOccupancy = true;
-    /// The pipeline is designed around the 2-cycle L1D (Table I): a scheme
-    /// that adds a cache cycle inserts that bubble on EVERY load, dependent
-    /// or not — the paper's central claim that L1 latency is the critical
-    /// parameter (Section VI-B: ">40% performance loss ... mostly due to
-    /// the 1 cycle extra latency").
-    bool extraDcacheCycleStalls = true;
     BranchPredictor::Config predictor = {};
 };
 

@@ -3,13 +3,20 @@
 // runs the *same* timing code — cycle accounting, stall attribution, issue
 // constraints, D-port occupancy — against a recorded architectural stream.
 // Bit-identical results between execution and replay are guaranteed by
-// construction: there is exactly one copy of the timing semantics, and the
-// Driver policy only supplies the dynamic facts (instruction stream, data
-// addresses, branch outcomes) plus the functional side effects execution
-// needs and replay skips.
+// construction: there is exactly one copy of the timing semantics,
+// `issueOne`, the step that issues and executes one instruction on one
+// PipelineState. Every user calls it:
+//   * runPipelineChunk loops it over one lane — execution (the Simulator's
+//     ExecDriver) and replay's BBR lanes;
+//   * replay's op-major plain-lane loop calls it once per (tape op, lane),
+//     with a stateless Driver that views a single tape op.
+// The Driver policy only supplies the dynamic facts (instruction stream,
+// data addresses, branch outcomes) plus the functional side effects
+// execution needs and replay skips.
 //
-// Driver concept (all methods hot; drivers inline everything):
-//   bool atEnd();                       // replay: trace exhausted; exec: false
+// Driver concept (all methods hot; drivers inline everything). issueOne
+// calls all but atEnd(), which only runPipelineChunk consults:
+//   bool atEnd();                       // replay: chunk exhausted; exec: false
 //   const Instruction& inst();          // instruction at the current position
 //   std::uint32_t pc();                 // its architectural byte address
 //   std::uint32_t loadAddr();           // Lw effective address
@@ -30,6 +37,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "cpu/simulator.h"
@@ -87,11 +95,11 @@ inline constexpr std::array<std::uint8_t, kOpcodeCount> kOpFlags = makeOpFlags()
 
 } // namespace detail
 
-/// The pipeline loop's complete timing state (the Simulator's former
-/// scoreboard members), hoisted into a struct so a run can be suspended and
-/// resumed: the scalar `runPipeline` drives one chunk to completion, while
-/// the batched replay engine (core/replay.cpp) interleaves many lanes
-/// through the same tape chunk, each carrying its own PipelineState.
+/// The pipeline's complete timing state (the Simulator's former scoreboard
+/// members), hoisted into a struct so a run can be suspended and resumed:
+/// the scalar `runPipeline` drives one chunk to completion, while the
+/// batched replay engine (core/replay.cpp) interleaves many lanes through
+/// the same tape chunk, each carrying its own PipelineState.
 ///
 /// The register scoreboards carry one extra scratch slot: writes to the
 /// zero register are redirected there instead of branching on rd == 0, so
@@ -106,13 +114,18 @@ struct PipelineState {
     std::array<bool, kNumRegisters + 1> regFromLoad{};
     std::uint64_t frontendReady = 0;
     StallCause frontendCause = StallCause::None;
+    bool running = true; ///< false once Halt retired — do not resume
     std::uint64_t lastFetchBlock = ~std::uint64_t{0};
     std::uint64_t dportBusyUntil = 0;
     // Stall cycles indexed by StallCause (slot 0 = None is discarded), so
     // the hot advanceTo is a single indexed add instead of a branch tree.
     std::array<std::uint64_t, 5> stallCycles{};
-    bool running = true; ///< false once Halt retired — do not resume
 };
+// No tail padding: GCC copies a padded struct as a shorter byte block, and
+// that partial copy stops it from keeping runPipelineChunk's local state in
+// registers. Keep the small fields away from the end.
+static_assert(sizeof(PipelineState) ==
+              offsetof(PipelineState, stallCycles) + sizeof(PipelineState::stallCycles));
 
 /// Assemble the final RunStats from a finished run's state. Pairs with
 /// runPipelineChunk; `runPipeline` below is the one-shot composition.
@@ -128,257 +141,260 @@ struct PipelineState {
     return stats;
 }
 
+namespace detail {
+
+/// Stall issue until `targetCycle`, charging the wait to `cause`; the new
+/// cycle starts with every issue slot free.
+inline void advanceTo(PipelineState& st, std::uint64_t targetCycle, StallCause cause) {
+    if (targetCycle <= st.cycle) return;
+    st.stallCycles[static_cast<unsigned>(cause)] += targetCycle - st.cycle;
+    st.cycle = targetCycle;
+    st.slotsUsed = 0;
+    st.memOpsThisCycle = 0;
+    st.branchesThisCycle = 0;
+}
+
+inline void setRegTiming(PipelineState& st, unsigned index, std::uint64_t readyCycle,
+                         bool fromLoad) {
+    const unsigned slot = index == kZeroRegister ? kNumRegisters : index;
+    st.regReady[slot] = readyCycle;
+    st.regFromLoad[slot] = fromLoad;
+}
+
+/// The activity counts every L1 access adds besides its own L1 count.
+inline void countBeyondL1(ActivityCounts& activity, const AccessResult& res) {
+    activity.l2Accesses += res.l2Reads;
+    if (res.dram) ++activity.dramAccesses;
+    if (res.auxProbe) ++activity.auxAccesses;
+}
+
+/// Fetch resumes at `readyCycle` after a control-flow redirect.
+inline void redirectFetch(PipelineState& st, std::uint64_t readyCycle) {
+    st.frontendReady = readyCycle;
+    st.frontendCause = StallCause::Branch;
+}
+
+} // namespace detail
+
+/// Issue and execute the driver's current instruction on `st`: fetch, the
+/// frontend drain, register dependences, width and port limits, then the
+/// execute switch, leaving the driver stepped past the instruction. The
+/// caller checks the stop conditions first: `st.running`, the instruction
+/// limit, and the driver's end of stream.
+///
+/// `ICache`/`DCache` are the scheme base classes or, from callers that know
+/// the concrete (final) scheme types, those types — devirtualizing and, with
+/// IPO, inlining every per-access call.
+template <class Driver, class ICache, class DCache>
+[[gnu::always_inline]] inline void issueOne(PipelineState& st, Driver& driver, ICache& icache,
+                                            DCache& dcache, const PipelineConfig& config) {
+    using detail::advanceTo;
+    using detail::redirectFetch;
+    using detail::setRegTiming;
+
+    const Instruction& inst = driver.inst();
+    const std::uint32_t pc = driver.pc();
+    // Read where needed only: through the scheme base classes (execution)
+    // each overhead read is a virtual call.
+    const auto iHitLatency = [&icache] {
+        return kL1HitLatencyCycles + icache.latencyOverhead();
+    };
+
+    // --- Instruction fetch: one I-cache access per cache-line entry. ---
+    const std::uint64_t fetchBlock = pc / 32;
+    if (fetchBlock != st.lastFetchBlock) {
+        st.lastFetchBlock = fetchBlock;
+        const AccessResult fetch = icache.fetch(pc);
+        ++st.stats.activity.l1iAccesses;
+        detail::countBeyondL1(st.stats.activity, fetch);
+        if (!fetch.l1Hit) {
+            // Miss penalty beyond the pipelined hit latency stalls fetch.
+            const std::uint64_t penalty = fetch.latencyCycles - iHitLatency();
+            if (st.cycle + penalty > st.frontendReady) {
+                st.frontendReady = st.cycle + penalty;
+                st.frontendCause = StallCause::IFetch;
+            }
+        }
+    }
+    advanceTo(st, st.frontendReady, st.frontendCause);
+
+    const std::uint8_t opFlags = detail::kOpFlags[static_cast<unsigned>(inst.op)];
+
+    // --- Register dependences. ---
+    // Branch-free in the common no-stall case: compute both effective ready
+    // cycles (0 when the source is unread), take the max, and only attribute
+    // a cause on the rare path where it actually stalls. Ties attribute to
+    // rs1, exactly as the sequential compare chain did.
+    {
+        const std::uint64_t ready1 =
+            (opFlags & detail::kReadsRs1) != 0 ? st.regReady[inst.rs1] : 0;
+        const std::uint64_t ready2 =
+            (opFlags & detail::kReadsRs2) != 0 ? st.regReady[inst.rs2] : 0;
+        const std::uint64_t ready = std::max(ready1, ready2);
+        if (ready > st.cycle) [[unlikely]] {
+            const bool fromLoad =
+                ready1 >= ready2 ? st.regFromLoad[inst.rs1] : st.regFromLoad[inst.rs2];
+            advanceTo(st, ready, fromLoad ? StallCause::Dmem : StallCause::Exec);
+        }
+    }
+
+    // --- Issue-width and structural constraints. ---
+    const bool isMem = (opFlags & detail::kIsMemory) != 0;
+    const bool isCf = (opFlags & detail::kIsControlFlow) != 0;
+    if (st.slotsUsed >= config.issueWidth || (isMem && st.memOpsThisCycle >= 1) ||
+        (isCf && st.branchesThisCycle >= 1)) {
+        advanceTo(st, st.cycle + 1, StallCause::None);
+    }
+    const std::uint32_t dOverhead = isMem ? dcache.latencyOverhead() : 0;
+    if (isMem) {
+        // A scheme's extra L1D cycle is *array* time (Fig. 9: the wire-delay
+        // slack is gone), not a pipeline register — the single D-port can
+        // then only start a new access every (1 + overhead) cycles.
+        if (st.dportBusyUntil > st.cycle) {
+            advanceTo(st, st.dportBusyUntil, StallCause::Dmem);
+        }
+        st.dportBusyUntil = st.cycle + 1 + dOverhead;
+        ++st.memOpsThisCycle;
+    }
+    ++st.slotsUsed;
+    if (isCf) ++st.branchesThisCycle;
+
+    driver.notifyIssue();
+    ++st.stats.instructions;
+
+    // --- Execute. ---
+    // Even a correctly-predicted taken transfer restarts the fetch pipeline:
+    // it costs (I-cache hit latency - 1) bubble cycles, as on in-order
+    // embedded cores. This is what makes every +1 cycle of L1I latency so
+    // expensive in Fig. 10.
+    const auto takenBubbleEnd = [&] {
+        return std::max(st.frontendReady, st.cycle + iHitLatency() - 1);
+    };
+    // A mispredicted Jalr or conditional branch refills the pipeline, then
+    // pays the I-fetch latency plus the extra drain of the deeper front end
+    // (the overhead stage lengthens both refetch and flush).
+    const auto refillEnd = [&] {
+        return st.cycle + 1 + config.mispredictPenalty + iHitLatency() +
+               icache.latencyOverhead();
+    };
+    switch (inst.op) {
+        case Opcode::Nop: break;
+        case Opcode::Halt:
+            st.stats.halted = true;
+            st.running = false;
+            return;
+        case Opcode::Lui:
+            setRegTiming(st, inst.rd, st.cycle + 1, false);
+            driver.writeLui();
+            break;
+        case Opcode::Lw:
+        case Opcode::Ldl: {
+            const std::uint32_t addr =
+                inst.op == Opcode::Lw ? driver.loadAddr() : driver.literalAddr();
+            const AccessResult res = dcache.read(addr);
+            ++st.stats.loads;
+            ++st.stats.activity.l1dAccesses;
+            detail::countBeyondL1(st.stats.activity, res);
+            setRegTiming(st, inst.rd, st.cycle + res.latencyCycles, true);
+            driver.writeLoad(addr);
+            if (dOverhead > 0) {
+                // The pipeline is designed around the 2-cycle L1D (Table I):
+                // a scheme that adds a cache cycle inserts that bubble on
+                // EVERY load, dependent or not — nothing issues while the
+                // lengthened MEM stage drains. This is the paper's central
+                // claim that L1 latency is the critical parameter (Section
+                // VI-B: ">40% performance loss ... mostly due to the 1 cycle
+                // extra latency").
+                advanceTo(st, st.cycle + 1 + dOverhead, StallCause::Dmem);
+            }
+            break;
+        }
+        case Opcode::Sw: {
+            const std::uint32_t addr = driver.storeAddr();
+            driver.doStore(addr);
+            const AccessResult res = dcache.write(addr);
+            ++st.stats.stores;
+            ++st.stats.activity.l1dAccesses;
+            st.stats.activity.l2WriteThroughs += res.l2Writes;
+            detail::countBeyondL1(st.stats.activity, res);
+            // Ideal write buffer: the store retires without stalling.
+            break;
+        }
+        case Opcode::Jal: {
+            const std::uint32_t target = driver.directTarget();
+            const bool correct = driver.resolveJump(pc, target);
+            if (inst.rd != kZeroRegister) {
+                setRegTiming(st, inst.rd, st.cycle + 1, false);
+                driver.writeLink();
+                driver.pushReturnAddress(pc + 4);
+            }
+            // Direct jump with a cold BTB: the target is extracted in
+            // decode — an I-fetch-latency redirect bubble.
+            redirectFetch(st, correct ? takenBubbleEnd() : st.cycle + 1 + iHitLatency());
+            driver.notifyControlFlow(true, target, correct);
+            driver.stepJump(target);
+            return;
+        }
+        case Opcode::Jalr: {
+            const std::uint32_t target = driver.jalrTarget();
+            const bool correct = driver.resolveReturn(pc, target);
+            if (inst.rd != kZeroRegister) {
+                setRegTiming(st, inst.rd, st.cycle + 1, false);
+                driver.writeLink();
+                driver.pushReturnAddress(pc + 4);
+            }
+            if (!correct) ++st.stats.mispredicts;
+            redirectFetch(st, correct ? takenBubbleEnd() : refillEnd());
+            driver.notifyControlFlow(true, target, correct);
+            driver.stepJalr(target);
+            return;
+        }
+        default: {
+            if (isConditionalBranch(inst.op)) {
+                const bool taken = driver.condTaken();
+                const std::uint32_t target = driver.directTarget();
+                const bool correct = driver.resolveBranch(pc, taken, target);
+                ++st.stats.condBranches;
+                if (taken) ++st.stats.takenBranches;
+                if (!correct) {
+                    ++st.stats.mispredicts;
+                    redirectFetch(st, refillEnd());
+                } else if (taken) {
+                    redirectFetch(st, takenBubbleEnd());
+                }
+                driver.notifyControlFlow(taken, taken ? target : pc + 4, correct);
+                driver.stepBranch(taken, target);
+                return;
+            }
+            // Plain ALU op (R-type or ALU-imm).
+            std::uint32_t latency = 1;
+            if (inst.op == Opcode::Mul) latency = config.mulLatency;
+            if (inst.op == Opcode::Div || inst.op == Opcode::Rem) latency = config.divLatency;
+            setRegTiming(st, inst.rd, st.cycle + latency, false);
+            driver.writeAlu();
+            break;
+        }
+    }
+    driver.stepFallthrough();
+}
+
 /// Advance `st` until the driver's stream is exhausted, the instruction
 /// limit is reached, or Halt retires (st.running goes false). Resumable: a
 /// driver that reports atEnd() at a chunk boundary leaves the state ready
-/// for the next chunk. `ICache`/`DCache` default to the scheme base
-/// classes; callers that know the concrete (final) scheme types pass them
-/// instead, devirtualizing — and, with IPO, inlining — every per-access
-/// call in the loop.
+/// for the next chunk.
 template <class Driver, class ICache = InstrCacheScheme, class DCache = DataCacheScheme>
 void runPipelineChunk(PipelineState& st, Driver& driver, ICache& icache, DCache& dcache,
                       const PipelineConfig& config) {
-    // Hoist the state into locals for the chunk: their addresses never
-    // escape, so the compiler keeps the hot fields in registers across the
-    // (possibly opaque) cache-scheme calls, exactly as when they were local
-    // variables of the one-shot loop.
-    RunStats stats = st.stats;
-    std::uint64_t cycle = st.cycle;
-    std::uint32_t slotsUsed = st.slotsUsed;
-    std::uint32_t memOpsThisCycle = st.memOpsThisCycle;
-    std::uint32_t branchesThisCycle = st.branchesThisCycle;
-    std::array<std::uint64_t, kNumRegisters + 1> regReady = st.regReady;
-    std::array<bool, kNumRegisters + 1> regFromLoad = st.regFromLoad;
-    std::uint64_t frontendReady = st.frontendReady;
-    StallCause frontendCause = st.frontendCause;
-    std::uint64_t lastFetchBlock = st.lastFetchBlock;
-    std::uint64_t dportBusyUntil = st.dportBusyUntil;
-    std::array<std::uint64_t, 5> stallCycles = st.stallCycles;
-    bool running = st.running;
-
-    const std::uint32_t iOverhead = icache.latencyOverhead();
-    const std::uint32_t iHitLatency = kL1HitLatencyCycles + iOverhead;
-    const std::uint32_t takenBubble = config.takenBranchFetchBubble ? iHitLatency - 1 : 0;
-    const std::uint32_t dOverhead = dcache.latencyOverhead();
-
-    const auto advanceTo = [&](std::uint64_t targetCycle, StallCause cause) {
-        if (targetCycle <= cycle) return;
-        stallCycles[static_cast<unsigned>(cause)] += targetCycle - cycle;
-        cycle = targetCycle;
-        slotsUsed = 0;
-        memOpsThisCycle = 0;
-        branchesThisCycle = 0;
-    };
-    const auto setRegTiming = [&](unsigned index, std::uint64_t readyCycle, bool fromLoad) {
-        const unsigned slot = index == kZeroRegister ? kNumRegisters : index;
-        regReady[slot] = readyCycle;
-        regFromLoad[slot] = fromLoad;
-    };
-
+    // Step a local copy: its address never escapes the inlined step, so the
+    // compiler keeps the hot fields in registers across the (possibly
+    // opaque) cache-scheme calls.
+    PipelineState local = st;
     const std::uint64_t instrLimit =
         config.maxInstructions != 0 ? config.maxInstructions : ~std::uint64_t{0};
-
-    while (running) {
-        if (stats.instructions >= instrLimit) break;
-        if (driver.atEnd()) break;
-        const Instruction& inst = driver.inst();
-        const std::uint32_t pc = driver.pc();
-
-        // --- Instruction fetch: one I-cache access per cache-line entry. ---
-        const std::uint64_t fetchBlock = pc / 32;
-        if (fetchBlock != lastFetchBlock) {
-            lastFetchBlock = fetchBlock;
-            const AccessResult fetch = icache.fetch(pc);
-            ++stats.activity.l1iAccesses;
-            stats.activity.l2Accesses += fetch.l2Reads;
-            if (fetch.dram) ++stats.activity.dramAccesses;
-            if (fetch.auxProbe) ++stats.activity.auxAccesses;
-            if (!fetch.l1Hit) {
-                // Miss penalty beyond the pipelined hit latency stalls fetch.
-                const std::uint64_t penalty = fetch.latencyCycles - iHitLatency;
-                if (cycle + penalty > frontendReady) {
-                    frontendReady = cycle + penalty;
-                    frontendCause = StallCause::IFetch;
-                }
-            }
-        }
-        advanceTo(frontendReady, frontendCause);
-
-        const std::uint8_t opFlags = detail::kOpFlags[static_cast<unsigned>(inst.op)];
-
-        // --- Register dependences. ---
-        // Branch-free in the common no-stall case: compute both effective
-        // ready cycles (0 when the source is unread), take the max, and only
-        // attribute a cause on the rare path where it actually stalls. Ties
-        // attribute to rs1, exactly as the sequential compare chain did.
-        {
-            const std::uint64_t ready1 =
-                (opFlags & detail::kReadsRs1) != 0 ? regReady[inst.rs1] : 0;
-            const std::uint64_t ready2 =
-                (opFlags & detail::kReadsRs2) != 0 ? regReady[inst.rs2] : 0;
-            const std::uint64_t ready = std::max(ready1, ready2);
-            if (ready > cycle) [[unlikely]] {
-                const bool fromLoad =
-                    ready1 >= ready2 ? regFromLoad[inst.rs1] : regFromLoad[inst.rs2];
-                advanceTo(ready, fromLoad ? StallCause::Dmem : StallCause::Exec);
-            }
-        }
-
-        // --- Issue-width and structural constraints. ---
-        const bool isMem = (opFlags & detail::kIsMemory) != 0;
-        const bool isCf = (opFlags & detail::kIsControlFlow) != 0;
-        if (slotsUsed >= config.issueWidth || (isMem && memOpsThisCycle >= 1) ||
-            (isCf && branchesThisCycle >= 1)) {
-            advanceTo(cycle + 1, StallCause::None);
-        }
-        if (isMem && config.dcachePortOccupancy) {
-            const std::uint64_t portFree = dportBusyUntil;
-            if (portFree > cycle) advanceTo(portFree, StallCause::Dmem);
-            dportBusyUntil = cycle + 1 + dOverhead;
-        }
-        ++slotsUsed;
-        if (isMem) ++memOpsThisCycle;
-        if (isCf) ++branchesThisCycle;
-
-        driver.notifyIssue();
-        ++stats.instructions;
-
-        // --- Execute. ---
-        switch (inst.op) {
-            case Opcode::Nop: break;
-            case Opcode::Halt:
-                stats.halted = true;
-                running = false;
-                continue;
-            case Opcode::Lui:
-                setRegTiming(inst.rd, cycle + 1, false);
-                driver.writeLui();
-                break;
-            case Opcode::Lw:
-            case Opcode::Ldl: {
-                const std::uint32_t addr =
-                    inst.op == Opcode::Lw ? driver.loadAddr() : driver.literalAddr();
-                const AccessResult res = dcache.read(addr);
-                ++stats.loads;
-                ++stats.activity.l1dAccesses;
-                stats.activity.l2Accesses += res.l2Reads;
-                if (res.dram) ++stats.activity.dramAccesses;
-                if (res.auxProbe) ++stats.activity.auxAccesses;
-                setRegTiming(inst.rd, cycle + res.latencyCycles, true);
-                driver.writeLoad(addr);
-                if (config.extraDcacheCycleStalls && dOverhead > 0) {
-                    // The pipe has no slot for the extra cache cycle(s): they
-                    // bubble behind every load, used or not — nothing issues
-                    // while the lengthened MEM stage drains.
-                    advanceTo(cycle + 1 + dOverhead, StallCause::Dmem);
-                }
-                break;
-            }
-            case Opcode::Sw: {
-                const std::uint32_t addr = driver.storeAddr();
-                driver.doStore(addr);
-                const AccessResult res = dcache.write(addr);
-                ++stats.stores;
-                ++stats.activity.l1dAccesses;
-                stats.activity.l2WriteThroughs += res.l2Writes;
-                stats.activity.l2Accesses += res.l2Reads;
-                if (res.dram) ++stats.activity.dramAccesses;
-                if (res.auxProbe) ++stats.activity.auxAccesses;
-                // Ideal write buffer: the store retires without stalling.
-                break;
-            }
-            case Opcode::Jal: {
-                const std::uint32_t target = driver.directTarget();
-                const bool correct = driver.resolveJump(pc, target);
-                if (inst.rd != kZeroRegister) {
-                    setRegTiming(inst.rd, cycle + 1, false);
-                    driver.writeLink();
-                    driver.pushReturnAddress(pc + 4);
-                }
-                if (!correct) {
-                    // Direct jump with a cold BTB: the target is extracted
-                    // in decode — an I-fetch-latency redirect bubble.
-                    frontendReady = cycle + 1 + iHitLatency;
-                    frontendCause = StallCause::Branch;
-                } else if (takenBubble > 0) {
-                    frontendReady = std::max(frontendReady, cycle + takenBubble);
-                    frontendCause = StallCause::Branch;
-                }
-                driver.notifyControlFlow(true, target, correct);
-                driver.stepJump(target);
-                continue;
-            }
-            case Opcode::Jalr: {
-                const std::uint32_t target = driver.jalrTarget();
-                const bool correct = driver.resolveReturn(pc, target);
-                if (inst.rd != kZeroRegister) {
-                    setRegTiming(inst.rd, cycle + 1, false);
-                    driver.writeLink();
-                    driver.pushReturnAddress(pc + 4);
-                }
-                if (!correct) {
-                    ++stats.mispredicts;
-                    frontendReady = cycle + 1 + config.mispredictPenalty + iHitLatency +
-                                    iOverhead;
-                    frontendCause = StallCause::Branch;
-                } else if (takenBubble > 0) {
-                    frontendReady = std::max(frontendReady, cycle + takenBubble);
-                    frontendCause = StallCause::Branch;
-                }
-                driver.notifyControlFlow(true, target, correct);
-                driver.stepJalr(target);
-                continue;
-            }
-            default: {
-                if (isConditionalBranch(inst.op)) {
-                    const bool taken = driver.condTaken();
-                    const std::uint32_t target = driver.directTarget();
-                    const bool correct = driver.resolveBranch(pc, taken, target);
-                    ++stats.condBranches;
-                    if (taken) ++stats.takenBranches;
-                    if (!correct) {
-                        ++stats.mispredicts;
-                        // The refill pays the I-fetch latency plus the extra
-                        // drain of the deeper front end (the overhead stage
-                        // lengthens both refetch and flush).
-                        frontendReady = cycle + 1 + config.mispredictPenalty +
-                                        iHitLatency + iOverhead;
-                        frontendCause = StallCause::Branch;
-                    } else if (taken && takenBubble > 0) {
-                        frontendReady = std::max(frontendReady, cycle + takenBubble);
-                        frontendCause = StallCause::Branch;
-                    }
-                    driver.notifyControlFlow(taken, taken ? target : pc + 4, correct);
-                    driver.stepBranch(taken, target);
-                    continue;
-                }
-                // Plain ALU op (R-type or ALU-imm).
-                std::uint32_t latency = 1;
-                if (inst.op == Opcode::Mul) latency = config.mulLatency;
-                if (inst.op == Opcode::Div || inst.op == Opcode::Rem) {
-                    latency = config.divLatency;
-                }
-                setRegTiming(inst.rd, cycle + latency, false);
-                driver.writeAlu();
-                break;
-            }
-        }
-        driver.stepFallthrough();
+    while (local.running && local.stats.instructions < instrLimit && !driver.atEnd()) {
+        issueOne(local, driver, icache, dcache, config);
     }
-
-    st.stats = stats;
-    st.cycle = cycle;
-    st.slotsUsed = slotsUsed;
-    st.memOpsThisCycle = memOpsThisCycle;
-    st.branchesThisCycle = branchesThisCycle;
-    st.regReady = regReady;
-    st.regFromLoad = regFromLoad;
-    st.frontendReady = frontendReady;
-    st.frontendCause = frontendCause;
-    st.lastFetchBlock = lastFetchBlock;
-    st.dportBusyUntil = dportBusyUntil;
-    st.stallCycles = stallCycles;
-    st.running = running;
+    st = local;
 }
 
 /// One-shot run: fresh state, a single chunk to completion, finalized stats.

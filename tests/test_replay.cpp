@@ -2,7 +2,8 @@
 //   * trace encoding round-trips (zigzag, varints, chunk boundaries, the
 //     trailing partial control-flow byte, byte-cap overflow),
 //   * the headline equivalence property — for every scheme x voltage x seed,
-//     a one-lane replayBatch() equals simulateSystem() field-for-field, and
+//     one-lane and multi-lane replayBatch() equal simulateSystem()
+//     field-for-field, also under an instruction cap, and
 //   * sweep-level integration: the exported JSON is byte-identical with
 //     replay on vs off (any thread count), the byte cap falls back to
 //     execution-driven legs without changing results, and the progress
@@ -169,9 +170,22 @@ struct Fixture {
         replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
         return lane.result;
     }
+
+    /// One TrialBatch with a lane per config, results in config order.
+    [[nodiscard]] std::vector<SystemResult> replayLanes(
+        const std::vector<SystemConfig>& configs) const {
+        std::vector<BatchLane> lanes(configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) lanes[i].config = configs[i];
+        replayBatch(&bbrModule, traces, lanes);
+        std::vector<SystemResult> results;
+        for (const BatchLane& lane : lanes) results.push_back(lane.result);
+        return results;
+    }
 };
 
-Fixture makeFixture(const std::string& benchmark) {
+/// `maxInstructions` caps the recorded runs; replayed configs must carry
+/// the same cap.
+Fixture makeFixture(const std::string& benchmark, std::uint64_t maxInstructions = 0) {
     Fixture fx;
     fx.module = buildBenchmark(benchmark, WorkloadScale::Tiny);
     fx.bbrModule = fx.module;
@@ -180,6 +194,7 @@ Fixture makeFixture(const std::string& benchmark) {
     SystemConfig record;
     record.scheme = SchemeKind::Conventional760;
     record.op = DvfsTable::vccminBaseline();
+    record.maxInstructions = maxInstructions;
     SystemResult ignored;
     fx.traces.plain = recordReplaySource(fx.module, record, 0, ignored);
     fx.traces.bbr = recordReplaySource(fx.bbrModule, record, 0, ignored);
@@ -197,12 +212,16 @@ const std::vector<SchemeKind>& allSchemes() {
 }
 
 // The headline property: replay is bit-identical to execution for every
-// scheme at a high / mid / floor operating point over many chips. (Table II
-// has no 600mV row; 560mV is the nearest mid-grid point.)
+// scheme at a high / mid / floor operating point over many chips, both as
+// one-lane batches and with all 20 chips sharing one batch (the op-major
+// multi-lane path). (Table II has no 600mV row; 560mV is the nearest
+// mid-grid point.)
 TEST(ReplayEquivalence, AllSchemesVoltagesSeeds) {
     const Fixture fx = makeFixture("basicmath");
     for (const SchemeKind scheme : allSchemes()) {
         for (const int mv : {760, 560, 400}) {
+            std::vector<SystemConfig> configs;
+            std::vector<SystemResult> execs;
             for (std::uint64_t seed = 1; seed <= 20; ++seed) {
                 SystemConfig config;
                 config.scheme = scheme;
@@ -215,7 +234,49 @@ TEST(ReplayEquivalence, AllSchemesVoltagesSeeds) {
                                           std::to_string(mv) + "mV seed " +
                                           std::to_string(seed);
                 expectSameResult(exec, replayed, where);
+                configs.push_back(config);
+                execs.push_back(exec);
             }
+            const std::vector<SystemResult> batched = fx.replayLanes(configs);
+            for (std::size_t i = 0; i < configs.size(); ++i) {
+                expectSameResult(execs[i], batched[i],
+                                 std::string(schemeName(scheme)) + " @" +
+                                     std::to_string(mv) + "mV seed " +
+                                     std::to_string(configs[i].faultMapSeed) +
+                                     " (20-lane batch)");
+            }
+        }
+    }
+}
+
+// An instruction cap that ends mid tape chunk (4099 = 16 x 256 + 3): the
+// capped recording and every capped replay, one-lane and 7-lane, stop on
+// the same instruction as capped execution.
+TEST(ReplayEquivalence, InstructionCapEndsMidChunk) {
+    constexpr std::uint64_t kCap = 4099;
+    const Fixture fx = makeFixture("basicmath", kCap);
+    for (const SchemeKind scheme : allSchemes()) {
+        std::vector<SystemConfig> configs;
+        std::vector<SystemResult> execs;
+        for (std::uint64_t seed = 1; seed <= 7; ++seed) {
+            SystemConfig config;
+            config.scheme = scheme;
+            config.op = DvfsTable::at(400_mV);
+            config.faultMapSeed = seed;
+            config.maxInstructions = kCap;
+            execs.push_back(simulateSystem(fx.module, &fx.bbrModule, config));
+            configs.push_back(config);
+        }
+        const std::vector<SystemResult> batched = fx.replayLanes(configs);
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const std::string where = std::string(schemeName(scheme)) + " capped seed " +
+                                      std::to_string(configs[i].faultMapSeed);
+            if (!execs[i].linkFailed) {
+                EXPECT_EQ(execs[i].run.instructions, kCap) << where;
+                EXPECT_FALSE(execs[i].run.halted) << where;
+            }
+            expectSameResult(execs[i], fx.replay(configs[i]), where + " (1 lane)");
+            expectSameResult(execs[i], batched[i], where + " (7-lane batch)");
         }
     }
 }

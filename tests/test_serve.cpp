@@ -132,6 +132,12 @@ TEST(ContentKey, LegDigestSensitiveToEveryResultAffectingField) {
     changed.l1Org.associativity = 2;
     EXPECT_NE(reference, legDigest(module, SchemeKind::FfwBbr, point, 42, changed));
 
+    // ...and no field that cannot: every leg runs under
+    // SystemConfig::maxInstructions, which overrides the pipeline's copy.
+    changed = base;
+    changed.pipeline.maxInstructions = 1000;
+    EXPECT_EQ(reference, legDigest(module, SchemeKind::FfwBbr, point, 42, changed));
+
     // An operating point with a perturbed pFailBit (fault-model parameter).
     OperatingPoint perturbed = point;
     perturbed.pFailBit *= 1.01;

@@ -140,6 +140,19 @@ if ! cmp -s "$det_base" "$noreplay_json"; then
     echo "ci: FAIL — sweep JSON differs between replayed and --no-replay runs" >&2
     exit 1
 fi
+# The same pair under an instruction cap that ends mid tape chunk
+# (4099 = 16 x 256 + 3): capped recording, capped replay and capped
+# execution must stop on the same instruction.
+capped_json="$build_dir/ci_capped.json"
+capped_noreplay_json="$build_dir/ci_capped_noreplay.json"
+"$build_dir/tools/voltcache" sweep --scale tiny --threads 1 \
+    --max-instructions 4099 --json "$capped_json" > /dev/null
+"$build_dir/tools/voltcache" sweep --scale tiny --threads 1 \
+    --max-instructions 4099 --no-replay --json "$capped_noreplay_json" > /dev/null
+if ! cmp -s "$capped_json" "$capped_noreplay_json"; then
+    echo "ci: FAIL — capped sweep JSON differs between replayed and --no-replay runs" >&2
+    exit 1
+fi
 
 echo "== batch smoke: sweep JSON identical at odd --batch sizes =="
 # Batched multi-map replay is a pure scheduling change: awkward batch sizes
