@@ -10,6 +10,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace voltcache::net {
@@ -25,6 +26,12 @@ timeval toTimeval(std::chrono::milliseconds timeout) {
     tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
     tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
     return tv;
+}
+
+/// See the header: replies must not wait on the peer's delayed ACK.
+void setNoDelay(int fd) noexcept {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 sockaddr_in loopbackAddress(std::uint16_t port) {
@@ -56,15 +63,36 @@ void Socket::close() noexcept {
 }
 
 bool Socket::sendAll(std::string_view data) noexcept {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n =
-            ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    return sendAll(std::span<const std::string_view>(&data, 1));
+}
+
+bool Socket::sendAll(std::span<const std::string_view> parts) noexcept {
+    constexpr std::size_t kMaxIov = 16;
+    std::size_t next = 0;   // first part not yet fully sent
+    std::size_t offset = 0; // bytes of parts[next] already sent
+    while (next < parts.size()) {
+        iovec iov[kMaxIov];
+        std::size_t count = 0;
+        for (std::size_t i = next; i < parts.size() && count < kMaxIov; ++i, ++count) {
+            const std::size_t skip = i == next ? offset : 0;
+            iov[count].iov_base = const_cast<char*>(parts[i].data() + skip);
+            iov[count].iov_len = parts[i].size() - skip;
+        }
+        msghdr message{};
+        message.msg_iov = iov;
+        message.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
             return false;
         }
-        sent += static_cast<std::size_t>(n);
+        auto sent = static_cast<std::size_t>(n);
+        while (next < parts.size() && sent >= parts[next].size() - offset) {
+            sent -= parts[next].size() - offset;
+            offset = 0;
+            ++next;
+        }
+        offset += sent;
     }
     return true;
 }
@@ -156,6 +184,7 @@ Socket TcpListener::accept(std::chrono::milliseconds timeout) {
     if (ready <= 0 || stop_.load(std::memory_order_acquire)) return {};
     const int fd = ::accept(listen_.fd(), nullptr, nullptr);
     if (fd < 0) return {};
+    setNoDelay(fd);
     return Socket(fd);
 }
 
@@ -180,6 +209,7 @@ Socket tcpConnect(const std::string& host, std::uint16_t port,
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
         throwErrno("connect");
     }
+    setNoDelay(fd);
     return socket;
 }
 

@@ -6,12 +6,21 @@
 // client connect, and a one-shot HTTP/1.1 GET helper for in-process scrape
 // tests and `voltcache top`. Everything binds/connects on 127.0.0.1 only —
 // the exporter is a local observability port, not an internet-facing server.
+//
+// Every connected socket (TcpListener::accept, tcpConnect) has TCP_NODELAY
+// set. The serve protocol is request/response: a reply that ends in a
+// small segment behind unacknowledged data would otherwise wait for the
+// peer's delayed ACK (tens of milliseconds on Linux) under Nagle's
+// algorithm. A reply made of several pieces goes out through the
+// multi-buffer sendAll as one sendmsg, so NODELAY does not split it into
+// extra small segments either.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -35,6 +44,9 @@ public:
     /// Write the whole buffer (retrying short writes, SIGPIPE suppressed).
     /// Returns false if the peer went away.
     bool sendAll(std::string_view data) noexcept;
+    /// Write every part, in order, as one gathered stream (sendmsg with an
+    /// iovec, retrying short writes). No part is copied.
+    bool sendAll(std::span<const std::string_view> parts) noexcept;
 
     /// Read until EOF or `maxBytes`, appending to `out`. Returns bytes read.
     std::size_t recvAll(std::string& out, std::size_t maxBytes = 1 << 20);

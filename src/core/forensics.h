@@ -57,6 +57,8 @@ struct LegForensics {
     bool hasFfw = false; ///< leg ran an FFW D-cache (ffw* fields meaningful)
     bool hasBbr = false; ///< leg used BBR placement (bbr* fields meaningful)
     LinkFailCause failCause = LinkFailCause::None; ///< set when the leg yield-lost
+
+    bool operator==(const LegForensics&) const = default;
 };
 
 /// Aggregate over all trials of one (scheme, voltage point) cell.

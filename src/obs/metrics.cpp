@@ -13,10 +13,43 @@ namespace voltcache::obs {
 namespace {
 
 /// Small dense thread id (0-based) for shard indexing; stable per thread.
+/// An exiting thread releases its id and the next new thread takes it, so
+/// ids (and the cells keyed by them) are bounded by the live thread count.
+class ThreadIds {
+public:
+    static ThreadIds& instance() {
+        static auto* ids = new ThreadIds(); // leaked: threads exit after static dtors
+        return *ids;
+    }
+    std::uint64_t acquire() {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (free_.empty()) return next_++;
+        const std::uint64_t id = free_.back();
+        free_.pop_back();
+        return id;
+    }
+    void release(std::uint64_t id) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        free_.push_back(id);
+    }
+
+private:
+    std::mutex mutex_;
+    std::vector<std::uint64_t> free_;
+    std::uint64_t next_ = 0;
+};
+
+struct ThreadIdLease {
+    const std::uint64_t id = ThreadIds::instance().acquire();
+    ThreadIdLease() = default;
+    ThreadIdLease(const ThreadIdLease&) = delete;
+    ThreadIdLease& operator=(const ThreadIdLease&) = delete;
+    ~ThreadIdLease() { ThreadIds::instance().release(id); }
+};
+
 std::uint64_t threadId() noexcept {
-    static std::atomic<std::uint64_t> next{0};
-    thread_local const std::uint64_t id = next.fetch_add(1, std::memory_order_relaxed);
-    return id;
+    thread_local const ThreadIdLease lease;
+    return lease.id;
 }
 
 /// Canonical family key: name + sorted labels, with separators that cannot
@@ -166,6 +199,15 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
     // families_ is keyed by name + sorted labels, so iteration is already
     // deterministic; keep the order.
     return out;
+}
+
+std::size_t MetricsRegistry::cells() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t total = 0;
+    for (const auto& [key, family] : families_) {
+        total += family->counterCells.size() + family->histogramCells.size();
+    }
+    return total;
 }
 
 TimedMetricsSnapshot MetricsRegistry::snapshotTimed() const {

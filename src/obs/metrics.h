@@ -9,7 +9,10 @@
 //
 // Counters and histograms shard per thread (sums merge); a gauge is a single
 // shared cell (last writer wins — merging per-thread "current values" has no
-// meaningful semantics).
+// meaningful semantics). A thread that exits hands its shard index to the
+// next new thread, which keeps adding to the same cells: a daemon whose
+// sweeps start fresh workers for every job keeps one cell per family per
+// live thread, not one per thread it ever ran.
 #pragma once
 
 #include <array>
@@ -177,6 +180,10 @@ public:
     /// Rates since `prev`, advancing `prev` to the fresh snapshot — the
     /// exporter's scrape-to-scrape delta in one call.
     [[nodiscard]] std::vector<MetricRate> snapshotDelta(TimedMetricsSnapshot& prev) const;
+
+    /// Per-thread counter and histogram cells across all families (memory
+    /// diagnostics).
+    [[nodiscard]] std::size_t cells() const;
 
     /// Process-wide registry used by the built-in instrumentation.
     [[nodiscard]] static MetricsRegistry& global();

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -44,6 +45,7 @@ struct ThreadShard {
 struct ShardRegistry {
     std::mutex mutex;
     std::vector<std::shared_ptr<ThreadShard>> shards;
+    std::map<std::string, Agg, std::less<>> retired; ///< folded shards of exited threads
 
     static ShardRegistry& instance() {
         static ShardRegistry* registry = new ShardRegistry(); // leaked: spans may
@@ -51,15 +53,42 @@ struct ShardRegistry {
     }
 };
 
-ThreadShard& threadShard() {
-    thread_local const std::shared_ptr<ThreadShard> shard = [] {
-        auto created = std::make_shared<ThreadShard>();
+void addInto(Agg& into, const Agg& agg) {
+    into.count += agg.count;
+    into.totalNs += agg.totalNs;
+    into.selfNs += agg.selfNs;
+}
+
+/// The calling thread's registered shard. At thread exit its aggregates
+/// fold into the registry's retired totals and the shard is dropped, so a
+/// daemon whose sweeps start fresh workers per job keeps one shard per
+/// live thread.
+struct ShardLease {
+    std::shared_ptr<ThreadShard> shard = std::make_shared<ThreadShard>();
+
+    ShardLease() {
         ShardRegistry& registry = ShardRegistry::instance();
         const std::lock_guard<std::mutex> lock(registry.mutex);
-        registry.shards.push_back(created);
-        return created;
-    }();
-    return *shard;
+        registry.shards.push_back(shard);
+    }
+    ShardLease(const ShardLease&) = delete;
+    ShardLease& operator=(const ShardLease&) = delete;
+    ~ShardLease() {
+        ShardRegistry& registry = ShardRegistry::instance();
+        const std::lock_guard<std::mutex> lock(registry.mutex);
+        {
+            const std::lock_guard<std::mutex> shardLock(shard->mutex);
+            for (const auto& [name, agg] : shard->aggregates) {
+                addInto(registry.retired[name], agg);
+            }
+        }
+        std::erase(registry.shards, shard);
+    }
+};
+
+ThreadShard& threadShard() {
+    thread_local const ShardLease lease;
+    return *lease.shard;
 }
 
 } // namespace
@@ -77,14 +106,10 @@ std::vector<SpanStat> Profiler::snapshot() {
     {
         ShardRegistry& registry = ShardRegistry::instance();
         const std::lock_guard<std::mutex> registryLock(registry.mutex);
+        merged.insert(registry.retired.begin(), registry.retired.end());
         for (const auto& shard : registry.shards) {
             const std::lock_guard<std::mutex> shardLock(shard->mutex);
-            for (const auto& [name, agg] : shard->aggregates) {
-                Agg& into = merged[name];
-                into.count += agg.count;
-                into.totalNs += agg.totalNs;
-                into.selfNs += agg.selfNs;
-            }
+            for (const auto& [name, agg] : shard->aggregates) addInto(merged[name], agg);
         }
     }
     std::vector<SpanStat> out;
@@ -98,6 +123,7 @@ std::vector<SpanStat> Profiler::snapshot() {
 void Profiler::reset() {
     ShardRegistry& registry = ShardRegistry::instance();
     const std::lock_guard<std::mutex> registryLock(registry.mutex);
+    registry.retired.clear();
     for (const auto& shard : registry.shards) {
         const std::lock_guard<std::mutex> shardLock(shard->mutex);
         shard->aggregates.clear();

@@ -1,5 +1,8 @@
 #include "schemes/fault_buffer.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/contracts.h"
 #include "obs/trace.h"
 
@@ -17,58 +20,112 @@ const char* probeEventFor(const FaultBufferConfig& config) {
 
 WordBuffer::WordBuffer(std::uint32_t entries, std::uint32_t ways)
     : entries_(entries), ways_(ways), sets_(entries / ways) {
-    VC_EXPECTS(entries > 0);
+    VC_EXPECTS(entries > 0 && entries < kNil);
     VC_EXPECTS(ways > 0 && entries % ways == 0);
-    store_.assign(entries, Entry{});
+    // At most half-full, so linear-probe runs stay short.
+    const std::uint32_t cells = std::bit_ceil(2 * entries);
+    indexMask_ = cells - 1;
+    indexShift_ = 32 - static_cast<std::uint32_t>(std::countr_zero(cells));
+    slots_.resize(entries);
+    index_.resize(cells);
+    lists_.resize(sets_);
+    clear();
 }
 
-WordBuffer::Entry* WordBuffer::findEntry(std::uint32_t wordAddr) {
-    const std::uint32_t set = wordAddr % sets_;
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t way = 0; way < ways_; ++way) {
-        Entry& entry = store_[base + way];
-        if (entry.valid && entry.wordAddr == wordAddr) return &entry;
+std::uint32_t WordBuffer::findCell(std::uint32_t wordAddr) const noexcept {
+    std::uint32_t cell = home(wordAddr);
+    while (index_[cell] != kNil && slots_[index_[cell]].wordAddr != wordAddr) {
+        cell = (cell + 1) & indexMask_;
     }
-    return nullptr;
+    return cell;
+}
+
+void WordBuffer::eraseCell(std::uint32_t cell) noexcept {
+    std::uint32_t hole = cell;
+    for (std::uint32_t next = (hole + 1) & indexMask_; index_[next] != kNil;
+         next = (next + 1) & indexMask_) {
+        // The entry at `next` may fill the hole unless its home lies
+        // cyclically in (hole, next].
+        const std::uint32_t want = home(slots_[index_[next]].wordAddr);
+        if (((next - want) & indexMask_) >= ((next - hole) & indexMask_)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+void WordBuffer::unlink(SetList& set, Link slot) noexcept {
+    const Slot& s = slots_[slot];
+    (s.prev == kNil ? set.head : slots_[s.prev].next) = s.next;
+    (s.next == kNil ? set.tail : slots_[s.next].prev) = s.prev;
+}
+
+void WordBuffer::pushFront(SetList& set, Link slot) noexcept {
+    Slot& s = slots_[slot];
+    s.prev = kNil;
+    s.next = set.head;
+    (set.head == kNil ? set.tail : slots_[set.head].prev) = slot;
+    set.head = slot;
+}
+
+void WordBuffer::touch(SetList& set, Link slot) noexcept {
+    if (set.head == slot) return;
+    unlink(set, slot);
+    pushFront(set, slot);
 }
 
 bool WordBuffer::probe(std::uint32_t wordAddr) {
     ++probes_;
-    if (Entry* entry = findEntry(wordAddr)) {
-        entry->lastUse = ++useCounter_;
-        ++hits_;
-        return true;
-    }
-    return false;
+    const Link slot = index_[findCell(wordAddr)];
+    if (slot == kNil) return false;
+    touch(lists_[wordAddr % sets_], slot);
+    ++hits_;
+    return true;
 }
 
 void WordBuffer::insert(std::uint32_t wordAddr) {
-    if (Entry* entry = findEntry(wordAddr)) {
-        entry->lastUse = ++useCounter_;
+    SetList& set = lists_[wordAddr % sets_];
+    Link slot = index_[findCell(wordAddr)];
+    if (slot != kNil) {
+        touch(set, slot);
         return;
     }
-    const std::uint32_t set = wordAddr % sets_;
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    Entry* victim = &store_[base];
-    for (std::uint32_t way = 0; way < ways_; ++way) {
-        Entry& entry = store_[base + way];
-        if (!entry.valid) {
-            victim = &entry;
-            break;
-        }
-        if (entry.lastUse < victim->lastUse) victim = &entry;
+    if (set.size == ways_) {
+        slot = set.tail;
+        unlink(set, slot);
+        eraseCell(findCell(slots_[slot].wordAddr));
+    } else {
+        // A set with room implies a free slot somewhere in the buffer.
+        slot = freeHead_;
+        freeHead_ = slots_[slot].next;
+        ++set.size;
     }
-    victim->valid = true;
-    victim->wordAddr = wordAddr;
-    victim->lastUse = ++useCounter_;
+    slots_[slot].wordAddr = wordAddr;
+    pushFront(set, slot);
+    // The eviction may have shifted entries, so look the cell up afresh.
+    index_[findCell(wordAddr)] = slot;
 }
 
 void WordBuffer::invalidate(std::uint32_t wordAddr) {
-    if (Entry* entry = findEntry(wordAddr)) entry->valid = false;
+    const std::uint32_t cell = findCell(wordAddr);
+    const Link slot = index_[cell];
+    if (slot == kNil) return;
+    SetList& set = lists_[wordAddr % sets_];
+    unlink(set, slot);
+    --set.size;
+    eraseCell(cell);
+    slots_[slot].next = freeHead_;
+    freeHead_ = slot;
 }
 
 void WordBuffer::clear() {
-    for (auto& entry : store_) entry.valid = false;
+    std::fill(index_.begin(), index_.end(), kNil);
+    std::fill(lists_.begin(), lists_.end(), SetList{});
+    for (std::uint32_t slot = 0; slot < entries_; ++slot) {
+        slots_[slot].next = slot + 1 < entries_ ? static_cast<Link>(slot + 1) : kNil;
+    }
+    freeHead_ = 0;
 }
 
 FaultBufferConfig fbaConfig(std::uint32_t entries) {

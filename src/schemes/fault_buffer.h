@@ -10,6 +10,16 @@
 // the side structure adds one cycle to every L1 access (Table III). The
 // paper's Fig. 10-12 evaluate optimistic FBA+/IDC+ variants with 1024
 // entries.
+//
+// WordBuffer is O(1) per operation. Seen from outside, each set is an LRU
+// set of word addresses with a fixed capacity, and which physical slot holds
+// a word never leaks. So instead of scanning a 1024-way CAM, an
+// open-addressing index maps a word address to its slot, and each set keeps
+// an intrusive LRU list: a hit moves the word to the front, a full set
+// evicts its tail, a set with room takes any free slot. That is exactly the
+// old scan's behaviour (first invalid way, else least recent use), so every
+// hit and miss is unchanged. Links and index cells are u16 slot numbers:
+// 8 B per slot plus two 2 B index cells, 12 B per entry.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +33,7 @@ namespace voltcache {
 /// Word-granular victim store for defective words. Fully associative when
 /// ways == entries (FBA, CAM-tagged); set-associative otherwise (IDC).
 /// Unlike TagArray this supports arbitrarily high associativity (the
-/// paper's FBA+ is a 1024-entry CAM).
+/// paper's FBA+ is a 1024-entry CAM) at O(1) cost per operation.
 class WordBuffer {
 public:
     WordBuffer(std::uint32_t entries, std::uint32_t ways);
@@ -43,19 +53,43 @@ public:
     [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
 
 private:
-    struct Entry {
+    using Link = std::uint16_t;
+    static constexpr Link kNil = 0xFFFF;
+
+    struct Slot {
         std::uint32_t wordAddr = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
+        Link prev = kNil; ///< towards the set's MRU end
+        Link next = kNil; ///< towards the LRU end; the free list's link
+    };
+    struct SetList {
+        Link head = kNil; ///< most recently used
+        Link tail = kNil; ///< least recently used: the next victim
+        std::uint16_t size = 0;
     };
 
-    [[nodiscard]] Entry* findEntry(std::uint32_t wordAddr);
+    [[nodiscard]] std::uint32_t home(std::uint32_t wordAddr) const noexcept {
+        return (wordAddr * 0x9E3779B1u) >> indexShift_;
+    }
+    /// Index cell holding `wordAddr`'s slot, or the empty cell ending its
+    /// probe run.
+    [[nodiscard]] std::uint32_t findCell(std::uint32_t wordAddr) const noexcept;
+    /// Empty `cell` and close the gap (backward-shift deletion), so probe
+    /// runs never need tombstones.
+    void eraseCell(std::uint32_t cell) noexcept;
+    void unlink(SetList& set, Link slot) noexcept;
+    void pushFront(SetList& set, Link slot) noexcept;
+    /// Make `slot` its set's most recently used word.
+    void touch(SetList& set, Link slot) noexcept;
 
     std::uint32_t entries_;
     std::uint32_t ways_;
     std::uint32_t sets_;
-    std::vector<Entry> store_;
-    std::uint64_t useCounter_ = 0;
+    std::uint32_t indexMask_ = 0;
+    std::uint32_t indexShift_ = 0;
+    std::vector<Slot> slots_;
+    std::vector<Link> index_; ///< open addressing, linear probing; kNil = empty
+    std::vector<SetList> lists_;
+    Link freeHead_ = kNil;
     std::uint64_t probes_ = 0;
     std::uint64_t hits_ = 0;
 };

@@ -23,6 +23,13 @@
 //   <the raw sweep JSON document — one line of exactly L bytes>
 //   {"ev":"error","id":...,"message":"..."}                (instead of result)
 //
+// Per job the order is fixed: `accepted` is written before the executor can
+// see the job, so it precedes every other event of that job, and the result
+// event and its document go out as one write under the session's write
+// lock. Replies to pipelined ping/stats requests (written by the reader
+// thread) can interleave between a job's events, but never between a result
+// and its document.
+//
 // The document line is byte-identical to what `voltcache sweep --json` would
 // have written (sans trailing newline): the server frames the exact string
 // and never reserializes it, so clients can diff server output against the

@@ -177,14 +177,16 @@ void Server::reapSessionsLocked(std::vector<std::thread>& joinable) {
                                        static_cast<double>(sessions_.size()));
 }
 
-void Server::writeLine(Session& session, const std::string& line) {
+void Server::writeLines(Session& session, std::initializer_list<std::string_view> lines) {
     if (!session.open.load(std::memory_order_acquire)) return;
+    std::vector<std::string_view> parts;
+    parts.reserve(2 * lines.size());
+    for (const std::string_view line : lines) {
+        parts.push_back(line);
+        parts.push_back("\n");
+    }
     const std::lock_guard<std::mutex> lock(session.writeMutex);
-    std::string framed;
-    framed.reserve(line.size() + 1);
-    framed.append(line);
-    framed.push_back('\n');
-    if (!session.socket.sendAll(framed)) {
+    if (!session.socket.sendAll(parts)) {
         session.open.store(false, std::memory_order_release);
     }
 }
@@ -251,16 +253,22 @@ void Server::sessionLoop(const std::shared_ptr<Session>& session) {
                     job.trace = obs::traceIdHex(obs::makeRootContext(
                         job.id.empty() ? job.op : job.id));
                 }
+                // `accepted` goes out before the executor can see the job,
+                // so it always precedes the job's own result.
                 std::size_t depth = 0;
                 {
                     const std::lock_guard<std::mutex> lock(stateMutex_);
-                    session->queue.push_back(job);
+                    depth = queueDepthLocked() + 1;
+                }
+                writeLine(*session, acceptedEvent(job.id, depth, job.trace));
+                {
+                    const std::lock_guard<std::mutex> lock(stateMutex_);
+                    session->queue.push_back(std::move(job));
                     depth = queueDepthLocked();
                 }
                 obs::MetricsRegistry::global().set("serve.queue_depth", {},
                                                    static_cast<double>(depth));
                 jobsCv_.notify_one();
-                writeLine(*session, acceptedEvent(job.id, depth, job.trace));
                 break;
             }
         }
@@ -393,8 +401,7 @@ void Server::runJob(Session& session, const JobRequest& request) {
         }
         summary.documentBytes = document.size();
         summary.trace = request.trace;
-        writeLine(session, resultEvent(request.id, summary));
-        writeLine(session, document);
+        writeLines(session, {resultEvent(request.id, summary), document});
         jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
         if (traced) obs::JobTraceStore::global().endJob(trace);

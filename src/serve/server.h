@@ -26,10 +26,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -112,9 +114,11 @@ private:
         return stop_.load(std::memory_order_acquire);
     }
 
-    /// Write one line (appends '\n') under the session write lock. A failed
-    /// or timed-out send marks the session closed.
-    void writeLine(Session& session, const std::string& line);
+    /// Write `lines`, each followed by '\n', as one send under the session
+    /// write lock, so no reply from another thread can land between them.
+    /// A failed or timed-out send marks the session closed.
+    void writeLines(Session& session, std::initializer_list<std::string_view> lines);
+    void writeLine(Session& session, std::string_view line) { writeLines(session, {line}); }
 
     void sessionLoop(const std::shared_ptr<Session>& session);
     void executorLoop();

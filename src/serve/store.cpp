@@ -16,10 +16,9 @@ constexpr std::size_t kSegmentHeaderBytes = sizeof(kSegmentMagic) + 4;
 constexpr std::size_t kSegmentRecordBytes =
     sizeof(Digest256) + kLegPayloadBytes + sizeof(Digest256);
 
-/// Accounted cost of one LRU entry: key + value + node/index overhead. The
-/// estimate only needs to make the byte budget meaningful, not exact.
-constexpr std::uint64_t kEntryBytes =
-    sizeof(Digest256) + sizeof(LegResult) + 96;
+/// The index starts at this many cells and doubles to stay at most half
+/// full.
+constexpr std::size_t kMinIndexCells = 1024;
 
 void appendU64(std::string& out, std::uint64_t value) {
     for (int i = 0; i < 8; ++i) {
@@ -111,12 +110,99 @@ bool decodeLegResult(std::string_view payload, LegResult& out) {
     return true;
 }
 
-std::size_t LegStore::DigestHasher::operator()(const Digest256& key) const noexcept {
-    // The key is itself a cryptographic digest — its first 8 bytes are as
-    // good a hash as any.
+std::uint64_t LegStore::entryBytes(const LegResult& value) noexcept {
+    return slotBytes(value.forensics != LegForensics{});
+}
+
+std::uint64_t LegStore::slotBytes(bool hasForensics) noexcept {
+    static_assert(sizeof(Slot) <= 104, "store.h documents 104 B slots");
+    // Two index cells per slot at the maximum load factor of one half.
+    const std::uint64_t base = sizeof(Slot) + 2 * sizeof(std::uint32_t);
+    return hasForensics ? base + sizeof(LegForensics) : base;
+}
+
+std::size_t LegStore::home(const Digest256& key) const noexcept {
+    // The key is itself a cryptographic digest; the multiply only spreads
+    // hand-made test keys that differ in one byte.
     std::uint64_t value = 0;
     std::memcpy(&value, key.data(), sizeof(value));
-    return static_cast<std::size_t>(value);
+    return static_cast<std::size_t>((value * 0x9E3779B97F4A7C15ull) >> indexShift_);
+}
+
+std::size_t LegStore::findCell(const Digest256& key) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t cell = home(key);
+    while (index_[cell] != kNil && slots_[index_[cell]].key != key) {
+        cell = (cell + 1) & mask;
+    }
+    return cell;
+}
+
+void LegStore::eraseCell(std::size_t cell) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = cell;
+    for (std::size_t next = (hole + 1) & mask; index_[next] != kNil; next = (next + 1) & mask) {
+        // The entry at `next` may fill the hole unless its home lies
+        // cyclically in (hole, next].
+        const std::size_t want = home(slots_[index_[next]].key);
+        if (((next - want) & mask) >= ((next - hole) & mask)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+void LegStore::growIndex() {
+    const std::size_t cells = index_.empty() ? kMinIndexCells : 2 * index_.size();
+    index_.assign(cells, kNil);
+    indexShift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(cells));
+    for (std::uint32_t id = head_; id != kNil; id = slots_[id].next) {
+        index_[findCell(slots_[id].key)] = id;
+    }
+}
+
+void LegStore::unlink(std::uint32_t id) noexcept {
+    const Slot& entry = slots_[id];
+    (entry.prev == kNil ? head_ : slots_[entry.prev].next) = entry.next;
+    (entry.next == kNil ? tail_ : slots_[entry.next].prev) = entry.prev;
+}
+
+void LegStore::pushFront(std::uint32_t id) noexcept {
+    Slot& entry = slots_[id];
+    entry.prev = kNil;
+    entry.next = head_;
+    (head_ == kNil ? tail_ : slots_[head_].prev) = id;
+    head_ = id;
+}
+
+void LegStore::touch(std::uint32_t id) noexcept {
+    if (head_ == id) return;
+    unlink(id);
+    pushFront(id);
+}
+
+void LegStore::assign(Slot& entry, const LegResult& value) {
+    entry.linkFailed = value.linkFailed;
+    entry.normRuntime = value.normRuntime;
+    entry.l2PerKilo = value.l2PerKilo;
+    entry.normEpi = value.normEpi;
+    entry.busyFrac = value.busyFrac;
+    entry.ifetchFrac = value.ifetchFrac;
+    entry.dmemFrac = value.dmemFrac;
+    entry.branchFrac = value.branchFrac;
+    if (value.forensics == LegForensics{}) {
+        releaseForensics(entry);
+        return;
+    }
+    if (entry.forensics == kNil) entry.forensics = forensics_.allocate();
+    forensics_[entry.forensics] = value.forensics;
+}
+
+void LegStore::releaseForensics(Slot& entry) {
+    if (entry.forensics == kNil) return;
+    forensics_.release(entry.forensics);
+    entry.forensics = kNil;
 }
 
 LegStore::LegStore(const Options& options) : byteBudget_(options.byteBudget) {
@@ -210,14 +296,23 @@ void LegStore::openSegmentForAppend(const std::string& path, bool truncate) {
 
 bool LegStore::lookup(const Digest256& key, LegResult& out) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
+    const std::uint32_t id = index_.empty() ? kNil : index_[findCell(key)];
+    if (id == kNil) {
         ++stats_.misses;
         missesMetric_.add();
         return false;
     }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    out = it->second->second;
+    touch(id);
+    const Slot& entry = slots_[id];
+    out.linkFailed = entry.linkFailed;
+    out.normRuntime = entry.normRuntime;
+    out.l2PerKilo = entry.l2PerKilo;
+    out.normEpi = entry.normEpi;
+    out.busyFrac = entry.busyFrac;
+    out.ifetchFrac = entry.ifetchFrac;
+    out.dmemFrac = entry.dmemFrac;
+    out.branchFrac = entry.branchFrac;
+    out.forensics = entry.forensics != kNil ? forensics_[entry.forensics] : LegForensics{};
     ++stats_.hits;
     hitsMetric_.add();
     return true;
@@ -230,18 +325,28 @@ void LegStore::store(const Digest256& key, const LegResult& value) {
 
 void LegStore::insertLocked(const Digest256& key, const LegResult& value,
                             bool persist) {
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        it->second->second = value;
+    if (2 * (stats_.entries + 1) > index_.size()) growIndex();
+    const std::size_t cell = findCell(key);
+    if (index_[cell] != kNil) {
+        const std::uint32_t id = index_[cell];
+        Slot& entry = slots_[id];
+        touch(id);
+        bytes_ -= slotBytes(entry.forensics != kNil);
+        assign(entry, value);
+        bytes_ += slotBytes(entry.forensics != kNil);
+        stats_.bytes = bytes_;
         return;
     }
-    lru_.emplace_front(key, value);
-    index_.emplace(key, lru_.begin());
-    bytes_ += kEntryBytes;
+    const std::uint32_t id = slots_.allocate();
+    Slot& entry = slots_[id];
+    entry.key = key;
+    assign(entry, value);
+    pushFront(id);
+    index_[cell] = id;
+    bytes_ += entryBytes(value);
+    ++stats_.entries;
     ++stats_.inserts;
-    while (bytes_ > byteBudget_ && lru_.size() > 1) evictLocked();
-    stats_.entries = lru_.size();
+    while (bytes_ > byteBudget_ && stats_.entries > 1) evictLocked();
     stats_.bytes = bytes_;
     insertsMetric_.add();
     entriesMetric_.set(static_cast<double>(stats_.entries));
@@ -258,10 +363,14 @@ void LegStore::insertLocked(const Digest256& key, const LegResult& value,
 }
 
 void LegStore::evictLocked() {
-    const Entry& victim = lru_.back();
-    index_.erase(victim.first);
-    lru_.pop_back();
-    bytes_ -= kEntryBytes;
+    const std::uint32_t id = tail_;
+    Slot& victim = slots_[id];
+    bytes_ -= slotBytes(victim.forensics != kNil);
+    unlink(id);
+    eraseCell(findCell(victim.key));
+    releaseForensics(victim);
+    slots_.release(id);
+    --stats_.entries;
     ++stats_.evictions;
     evictionsMetric_.add();
 }

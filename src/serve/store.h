@@ -10,7 +10,15 @@
 //
 // Two tiers:
 //   * In-memory LRU under a byte budget (`--store-budget`). Insertions move
-//     entries to the front; evictions pop the tail. Hits touch.
+//     entries to the front; evictions pop the tail. Hits touch. Entries live
+//     in a chunked slab of fixed-size slots (key, LRU links, linkFailed, the
+//     7 metric doubles: 104 B) that never moves or shrinks; an evicted slot
+//     is reused first. An open-addressing index of u32 slot numbers (at
+//     most half full) maps keys to slots. LegForensics (432 B) lives in a
+//     second slab and only for legs whose forensics are not all zero — the
+//     FFW/BBR legs — so a plain leg costs 112 B (its slot and its share of
+//     the index) against about 600 B for list and hash-map nodes holding
+//     whole LegResults.
 //   * Optional append-only on-disk segment (`--store DIR/legs.vcs`) that
 //     survives restarts. Every record carries a SHA-256 of (key || payload);
 //     records failing verification on load are counted and skipped, a stale
@@ -25,12 +33,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "core/sweep.h"
@@ -90,12 +97,64 @@ public:
 
     [[nodiscard]] Stats stats() const;
 
+    /// Bytes one entry holding `value` counts against the budget: its slot,
+    /// its share of the index, and its out-of-line forensics if any.
+    [[nodiscard]] static std::uint64_t entryBytes(const LegResult& value) noexcept;
+
 private:
-    struct DigestHasher {
-        std::size_t operator()(const Digest256& key) const noexcept;
+    [[nodiscard]] static std::uint64_t slotBytes(bool hasForensics) noexcept;
+    static constexpr std::uint32_t kNil = 0xFFFFFFFF;
+
+    /// Fixed-size objects in chunks that never move; released ids are
+    /// reused before the slab grows.
+    template <class T, std::uint32_t kChunk>
+    class Slab {
+    public:
+        [[nodiscard]] T& operator[](std::uint32_t id) noexcept {
+            return chunks_[id / kChunk][id % kChunk];
+        }
+        [[nodiscard]] std::uint32_t allocate() {
+            if (!free_.empty()) {
+                const std::uint32_t id = free_.back();
+                free_.pop_back();
+                return id;
+            }
+            if (used_ % kChunk == 0) chunks_.push_back(std::make_unique<T[]>(kChunk));
+            return used_++;
+        }
+        void release(std::uint32_t id) { free_.push_back(id); }
+
+    private:
+        std::vector<std::unique_ptr<T[]>> chunks_;
+        std::vector<std::uint32_t> free_;
+        std::uint32_t used_ = 0;
     };
 
-    using Entry = std::pair<Digest256, LegResult>;
+    struct Slot {
+        Digest256 key{};
+        double normRuntime = 0.0;
+        double l2PerKilo = 0.0;
+        double normEpi = 0.0;
+        double busyFrac = 0.0;
+        double ifetchFrac = 0.0;
+        double dmemFrac = 0.0;
+        double branchFrac = 0.0;
+        std::uint32_t prev = kNil;      ///< towards the MRU end
+        std::uint32_t next = kNil;      ///< towards the LRU end
+        std::uint32_t forensics = kNil; ///< forensics_ id; kNil = all zero
+        bool linkFailed = false;
+    };
+
+    /// Index cell holding `key`'s slot, or the empty cell ending its run.
+    [[nodiscard]] std::size_t findCell(const Digest256& key) noexcept;
+    [[nodiscard]] std::size_t home(const Digest256& key) const noexcept;
+    void eraseCell(std::size_t cell) noexcept;
+    void growIndex();
+    void unlink(std::uint32_t id) noexcept;
+    void pushFront(std::uint32_t id) noexcept;
+    void touch(std::uint32_t id) noexcept; ///< make `id` the most recently used
+    void assign(Slot& entry, const LegResult& value);
+    void releaseForensics(Slot& entry);
 
     void loadSegment(const std::string& path);
     void openSegmentForAppend(const std::string& path, bool truncate);
@@ -103,8 +162,12 @@ private:
     void evictLocked();
 
     mutable std::mutex mutex_;
-    std::list<Entry> lru_; ///< front = most recently used
-    std::unordered_map<Digest256, std::list<Entry>::iterator, DigestHasher> index_;
+    Slab<Slot, 1024> slots_;
+    Slab<LegForensics, 64> forensics_;
+    std::uint32_t head_ = kNil;      ///< most recently used
+    std::uint32_t tail_ = kNil;      ///< least recently used
+    std::vector<std::uint32_t> index_; ///< open addressing, linear probing
+    std::uint32_t indexShift_ = 0;
     std::uint64_t byteBudget_ = 0;
     std::uint64_t bytes_ = 0;
     std::ofstream segment_; ///< open iff a directory was configured

@@ -124,6 +124,23 @@ TEST(Metrics, PerThreadShardsMergeAtSnapshot) {
     EXPECT_EQ(snapshot[0].count, static_cast<std::uint64_t>(kThreads) * kAdds);
 }
 
+TEST(Metrics, ExitedThreadsHandTheirCellsToNewThreads) {
+    // A sweep per job starts fresh workers; the registry must not keep a
+    // cell per family for every thread that ever ran.
+    obs::MetricsRegistry registry;
+    constexpr int kThreads = 32;
+    for (int t = 0; t < kThreads; ++t) {
+        std::thread([&registry] {
+            registry.add("sequential.count", {});
+            registry.observe("sequential.ns", {}, 100);
+        }).join();
+    }
+    EXPECT_EQ(registry.cells(), 2u);
+    for (const obs::MetricSnapshot& snap : registry.snapshot()) {
+        EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads)) << snap.name;
+    }
+}
+
 TEST(Metrics, HistogramLog2Buckets) {
     EXPECT_EQ(obs::histogramBucket(0), 0u);
     EXPECT_EQ(obs::histogramBucket(1), 1u);

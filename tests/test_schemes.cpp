@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "schemes/bbr.h"
 #include "schemes/conventional.h"
 #include "schemes/factory.h"
@@ -472,6 +473,120 @@ TEST(FaultBuffer, WordBufferInvalidateIsIdempotent) {
     EXPECT_FALSE(buffer.probe(42));
     buffer.invalidate(42); // no-op
     EXPECT_FALSE(buffer.probe(42));
+}
+
+// ---- WordBuffer against the linear-scan reference ----
+
+/// The original linear-scan WordBuffer, kept verbatim as the reference
+/// model: per-entry lastUse stamps, a set scan on every operation, the
+/// first invalid way or else the least recent use as the victim.
+class ScanWordBuffer {
+public:
+    ScanWordBuffer(std::uint32_t entries, std::uint32_t ways)
+        : ways_(ways), sets_(entries / ways), store_(entries) {}
+
+    bool probe(std::uint32_t wordAddr) {
+        if (Entry* entry = findEntry(wordAddr)) {
+            entry->lastUse = ++useCounter_;
+            return true;
+        }
+        return false;
+    }
+    void insert(std::uint32_t wordAddr) {
+        if (Entry* entry = findEntry(wordAddr)) {
+            entry->lastUse = ++useCounter_;
+            return;
+        }
+        const std::size_t base = static_cast<std::size_t>(wordAddr % sets_) * ways_;
+        Entry* victim = &store_[base];
+        for (std::uint32_t way = 0; way < ways_; ++way) {
+            Entry& entry = store_[base + way];
+            if (!entry.valid) {
+                victim = &entry;
+                break;
+            }
+            if (entry.lastUse < victim->lastUse) victim = &entry;
+        }
+        *victim = Entry{wordAddr, ++useCounter_, true};
+    }
+    void invalidate(std::uint32_t wordAddr) {
+        if (Entry* entry = findEntry(wordAddr)) entry->valid = false;
+    }
+    void clear() {
+        for (auto& entry : store_) entry.valid = false;
+    }
+
+private:
+    struct Entry {
+        std::uint32_t wordAddr = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+    Entry* findEntry(std::uint32_t wordAddr) {
+        const std::size_t base = static_cast<std::size_t>(wordAddr % sets_) * ways_;
+        for (std::uint32_t way = 0; way < ways_; ++way) {
+            Entry& entry = store_[base + way];
+            if (entry.valid && entry.wordAddr == wordAddr) return &entry;
+        }
+        return nullptr;
+    }
+
+    std::uint32_t ways_;
+    std::uint32_t sets_;
+    std::vector<Entry> store_;
+    std::uint64_t useCounter_ = 0;
+};
+
+TEST(FaultBuffer, WordBufferMatchesLinearScanReference) {
+    struct Geometry {
+        std::uint32_t entries;
+        std::uint32_t ways;
+    };
+    for (const Geometry geometry : {Geometry{1024, 1024}, Geometry{1024, 8}, Geometry{4, 4},
+                                    Geometry{8, 8}, Geometry{64, 8}}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(std::to_string(geometry.entries) + "/" +
+                         std::to_string(geometry.ways) + " seed " + std::to_string(seed));
+            Rng rng(seed);
+            // A word pool about twice the capacity: random words, plus
+            // strided runs that collide in one set or one index cell.
+            std::vector<std::uint32_t> pool;
+            for (std::uint32_t i = 0; i < geometry.entries; ++i) {
+                pool.push_back(static_cast<std::uint32_t>(rng.next()));
+                pool.push_back(i * (geometry.entries / geometry.ways) +
+                               (i % 2 == 0 ? 0u : (1u << 20) * i));
+            }
+            pool.push_back(0);
+            pool.push_back(0xFFFFFFFFu);
+            WordBuffer buffer(geometry.entries, geometry.ways);
+            ScanWordBuffer reference(geometry.entries, geometry.ways);
+            std::uint64_t expectedHits = 0;
+            constexpr int kOps = 100000;
+            for (int op = 0; op < kOps; ++op) {
+                const std::uint32_t word = pool[rng.nextBelow(pool.size())];
+                const std::uint64_t roll = rng.nextBelow(1000);
+                if (roll < 450) {
+                    const bool hit = reference.probe(word);
+                    expectedHits += hit ? 1 : 0;
+                    ASSERT_EQ(buffer.probe(word), hit) << "op " << op << " word " << word;
+                } else if (roll < 800) {
+                    buffer.insert(word);
+                    reference.insert(word);
+                } else if (roll < 999) {
+                    buffer.invalidate(word);
+                    reference.invalidate(word);
+                } else {
+                    buffer.clear();
+                    reference.clear();
+                }
+            }
+            EXPECT_EQ(buffer.hits(), expectedHits);
+            // Every pool word ends in the same state.
+            for (const std::uint32_t word : pool) {
+                ASSERT_EQ(buffer.probe(word), reference.probe(word)) << word;
+            }
+        }
+    }
 }
 
 // ---- Per-access differential digests ----

@@ -6,6 +6,8 @@
 // NDJSON protocol (parsing, framing, bounded line reader), cached-sweep
 // byte-identity against cold and plain sweeps, and an in-process end-to-end
 // server round trip with a warm second submission.
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
@@ -214,7 +218,8 @@ TEST(LegStore, HitMissAndStats) {
 
 TEST(LegStore, EvictsLeastRecentlyUsedUnderByteBudget) {
     // Budget for ~2 entries; inserting 3 must evict the least recently used.
-    serve::LegStore store({.byteBudget = 1400, .directory = ""});
+    const std::uint64_t entry = serve::LegStore::entryBytes(sampleResult());
+    serve::LegStore store({.byteBudget = 2 * entry + entry / 2, .directory = ""});
     store.store(keyFor(1), sampleResult());
     store.store(keyFor(2), sampleResult());
     LegResult out;
@@ -284,6 +289,115 @@ TEST(LegStore, DiscardsForeignOrStaleSegmentWholesale) {
     store.flush();
     serve::LegStore reopened({.byteBudget = 1 << 20, .directory = dir});
     EXPECT_EQ(reopened.stats().loaded, 1u);
+}
+
+TEST(LegStore, RoundTripsPlainAndForensicsEntriesExactly) {
+    LegResult plain = sampleResult();
+    plain.forensics = LegForensics{};
+    plain.linkFailed = true;
+    LegResult failed = sampleResult();
+    failed.forensics.failCause = LinkFailCause::NoChunk;
+    failed.forensics.bbrDisplacement[16] = 3;
+    EXPECT_LT(serve::LegStore::entryBytes(plain), serve::LegStore::entryBytes(failed));
+    serve::LegStore store({.byteBudget = 1 << 20, .directory = ""});
+    store.store(keyFor(1), plain);
+    store.store(keyFor(2), sampleResult());
+    store.store(keyFor(3), failed);
+    LegResult out;
+    ASSERT_TRUE(store.lookup(keyFor(1), out));
+    EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(plain));
+    ASSERT_TRUE(store.lookup(keyFor(2), out));
+    EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(sampleResult()));
+    ASSERT_TRUE(store.lookup(keyFor(3), out));
+    EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(failed));
+    // Overwriting a key swaps its forensics in or out.
+    store.store(keyFor(2), plain);
+    ASSERT_TRUE(store.lookup(keyFor(2), out));
+    EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(plain));
+    EXPECT_EQ(store.stats().bytes, 2 * serve::LegStore::entryBytes(plain) +
+                                       serve::LegStore::entryBytes(failed));
+}
+
+TEST(LegStore, ReusedSlotNeverLeaksThePreviousForensics) {
+    LegResult plain = sampleResult();
+    plain.forensics = LegForensics{};
+    // Room for one forensics entry, or two plain ones.
+    serve::LegStore store(
+        {.byteBudget = serve::LegStore::entryBytes(sampleResult()), .directory = ""});
+    store.store(keyFor(1), sampleResult());
+    store.store(keyFor(2), plain); // evicts key 1, freeing its slot
+    store.store(keyFor(3), plain); // takes the freed slot
+    EXPECT_EQ(store.stats().evictions, 1u);
+    EXPECT_EQ(store.stats().entries, 2u);
+    LegResult out = sampleResult();
+    EXPECT_FALSE(store.lookup(keyFor(1), out));
+    for (const std::uint8_t tag : {2, 3}) {
+        out = sampleResult();
+        ASSERT_TRUE(store.lookup(keyFor(tag), out)) << int(tag);
+        EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(plain)) << int(tag);
+    }
+}
+
+TEST(LegStore, ManyEntriesSurviveIndexGrowthAndEviction) {
+    // Thousands of keys force index growth, then a budget of ~1000 plain
+    // entries evicts the oldest; every survivor still maps to its value.
+    LegResult plain = sampleResult();
+    plain.forensics = LegForensics{};
+    serve::LegStore store(
+        {.byteBudget = 1000 * serve::LegStore::entryBytes(plain), .directory = ""});
+    const auto keyOf = [](std::uint32_t i) { return Sha256::digest(std::to_string(i)); };
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+        plain.normRuntime = i;
+        store.store(keyOf(i), plain);
+    }
+    EXPECT_EQ(store.stats().entries, 1000u);
+    EXPECT_EQ(store.stats().evictions, 4000u);
+    LegResult out;
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+        const bool hit = store.lookup(keyOf(i), out);
+        ASSERT_EQ(hit, i >= 4000) << i;
+        if (hit) {
+            EXPECT_EQ(out.normRuntime, static_cast<double>(i));
+        }
+    }
+}
+
+TEST(LegStore, ReloadsASegmentWrittenByTheRecordEncoder) {
+    // A segment laid out by hand from the on-disk format (magic, payload
+    // size, then key || payload || SHA-256(key || payload) records), the
+    // way every earlier store version wrote it.
+    const std::string dir = freshDir("legstore_format");
+    std::filesystem::create_directories(dir);
+    LegResult plain = sampleResult();
+    plain.forensics = LegForensics{};
+    const std::vector<std::pair<Digest256, LegResult>> records = {
+        {keyFor(1), sampleResult()}, {keyFor(2), plain}};
+    {
+        std::ofstream file(dir + "/legs.vcs", std::ios::binary);
+        file.write("VCLEGST1", 8);
+        const char size[4] = {static_cast<char>(serve::kLegPayloadBytes & 0xFF),
+                              static_cast<char>(serve::kLegPayloadBytes >> 8), 0, 0};
+        file.write(size, 4);
+        for (const auto& [key, value] : records) {
+            const std::string payload = serve::encodeLegResult(value);
+            ASSERT_EQ(payload.size(), 484u);
+            Sha256 sha;
+            sha.update(key.data(), key.size());
+            sha.update(payload);
+            const Digest256 digest = sha.finish();
+            file.write(reinterpret_cast<const char*>(key.data()), 32);
+            file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+            file.write(reinterpret_cast<const char*>(digest.data()), 32);
+        }
+    }
+    serve::LegStore store({.byteBudget = 1 << 20, .directory = dir});
+    EXPECT_EQ(store.stats().loaded, 2u);
+    EXPECT_EQ(store.stats().rejected, 0u);
+    for (const auto& [key, value] : records) {
+        LegResult out;
+        ASSERT_TRUE(store.lookup(key, out));
+        EXPECT_EQ(serve::encodeLegResult(out), serve::encodeLegResult(value));
+    }
 }
 
 // ---- cached sweeps: byte identity ----
@@ -459,6 +573,61 @@ TEST(Protocol, LineReaderSplitsAndBounds) {
     EXPECT_EQ(bounded.next(line), serve::LineReader::Status::Overflow);
 }
 
+// ---- socket layer ----
+
+int noDelayOf(const net::Socket& socket) {
+    int value = -1;
+    socklen_t size = sizeof(value);
+    EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &size), 0);
+    return value;
+}
+
+TEST(Socket, ConnectedSocketsHaveNoDelay) {
+    net::TcpListener listener(0);
+    net::Socket client =
+        net::tcpConnect("127.0.0.1", listener.port(), std::chrono::milliseconds(5000));
+    net::Socket accepted = listener.accept(std::chrono::milliseconds(5000));
+    ASSERT_TRUE(accepted.valid());
+    EXPECT_EQ(noDelayOf(client), 1);
+    EXPECT_EQ(noDelayOf(accepted), 1);
+}
+
+TEST(Socket, GatheredSendSurvivesShortWrites) {
+    net::TcpListener listener(0);
+    net::Socket sender =
+        net::tcpConnect("127.0.0.1", listener.port(), std::chrono::milliseconds(5000));
+    net::Socket receiver = listener.accept(std::chrono::milliseconds(5000));
+    ASSERT_TRUE(receiver.valid());
+    // A tiny send buffer and a send timeout shorter than the paced drain
+    // below (~5 MB/s): each sendmsg returns after a partial write, mid-part.
+    const int small = 4096;
+    ::setsockopt(sender.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+    sender.setSendTimeout(std::chrono::milliseconds(100));
+    receiver.setRecvTimeout(std::chrono::milliseconds(5000));
+    std::vector<std::string> pieces = {"<", std::string(700000, 'a'), "", "|",
+                                       std::string(400000, 'b'), std::string(17, 'c')};
+    for (std::size_t i = 0; i < pieces[1].size(); i += 997) pieces[1][i] = 'A';
+    for (std::size_t i = 0; i < pieces[4].size(); i += 1009) pieces[4][i] = 'B';
+    std::string expected;
+    std::vector<std::string_view> parts;
+    for (const std::string& piece : pieces) {
+        expected += piece;
+        parts.push_back(piece);
+    }
+    std::string received;
+    std::thread drain([&receiver, &received, total = expected.size()] {
+        while (received.size() < total) {
+            if (receiver.recvSome(received, 1024) != net::Socket::RecvStatus::Data) return;
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    const bool sent = sender.sendAll(parts);
+    drain.join();
+    EXPECT_TRUE(sent);
+    EXPECT_EQ(received.size(), expected.size());
+    EXPECT_TRUE(received == expected);
+}
+
 // ---- end-to-end server ----
 
 struct EventLog {
@@ -591,6 +760,76 @@ TEST(Server, RejectsNonIntegerFieldsThenServesTheExactSeed) {
     ASSERT_NE(lastResult(served), nullptr);
     EXPECT_EQ(served.document, sweepResultToJson(runSweep(direct), meta));
     EXPECT_EQ(server.totals().jobsCompleted, 1u);
+}
+
+// Pings and stats pipelined around jobs on one connection are answered by
+// the reader thread while the executor writes results: no reply may split
+// a result event from its document, and a job's `accepted` precedes its
+// `result`.
+TEST(Server, PipelinedRepliesNeverSplitAResultFromItsDocument) {
+    serve::ServeOptions options;
+    options.port = 0;
+    options.threads = 2;
+    serve::Server server(options);
+    std::thread runner([&server] { server.run(); });
+    net::Socket socket =
+        net::tcpConnect("127.0.0.1", server.port(), std::chrono::milliseconds(60000));
+    constexpr int kJobs = 12;
+    std::string jobs;
+    for (int job = 0; job < kJobs; ++job) {
+        jobs += R"({"op":"sweep","id":"j)" + std::to_string(job) +
+                R"(","benchmarks":"crc32","schemes":"simple-wdis","scale":"tiny",)"
+                R"("mv":"400","trials":1,"progress":true,"seed":)" +
+                std::to_string(100 + job) + "}\n";
+    }
+    ASSERT_TRUE(socket.sendAll(jobs));
+    // Keep the reader thread answering while every result is written.
+    std::atomic<bool> done{false};
+    std::thread chatter([&socket, &done] {
+        std::string batch;
+        for (int i = 0; i < 8; ++i) batch += R"({"op":"ping"})" "\n";
+        batch += R"({"op":"stats"})" "\n";
+        while (!done.load() && socket.sendAll(batch)) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+    });
+
+    serve::LineReader reader(socket, serve::kMaxResponseLineBytes);
+    std::vector<std::string> accepted;
+    std::vector<std::string> results;
+    int replies = 0;
+    std::string line;
+    while (static_cast<int>(results.size()) < kJobs) {
+        if (reader.next(line) != serve::LineReader::Status::Line) break;
+        const JsonValue event = parseJson(line);
+        const std::string kind = event.stringOr("ev", "");
+        if (kind == "" || kind == "error") {
+            ADD_FAILURE() << "unexpected line: " << line.substr(0, 80);
+            break;
+        }
+        if (kind == "pong" || kind == "stats") ++replies;
+        if (kind == "accepted") accepted.push_back(event.stringOr("id", ""));
+        if (kind != "result") continue;
+        const std::string id = event.stringOr("id", "");
+        EXPECT_NE(std::find(accepted.begin(), accepted.end(), id), accepted.end())
+            << id << " resulted before it was accepted";
+        results.push_back(id);
+        std::string document;
+        if (reader.next(document) != serve::LineReader::Status::Line ||
+            document.size() != static_cast<std::size_t>(event.numberOr("bytes", -1.0))) {
+            ADD_FAILURE() << "the line after " << id
+                          << "'s result is: " << document.substr(0, 80);
+            break;
+        }
+    }
+    done.store(true);
+    chatter.join();
+    socket.close();
+    server.requestStop();
+    runner.join();
+    EXPECT_EQ(results.size(), static_cast<std::size_t>(kJobs));
+    EXPECT_GT(replies, 0);
+    EXPECT_EQ(server.totals().jobsCompleted, static_cast<std::uint64_t>(kJobs));
 }
 
 TEST(Server, BadJobFieldsReportAnErrorEvent) {

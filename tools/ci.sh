@@ -296,12 +296,14 @@ EOF
 fi
 "$build_dir/tools/voltcache" trace "$flight_dump" > /dev/null
 
-echo "== serve smoke: daemon round trip, warm hits, byte-identical JSON, graceful stop =="
+echo "== serve smoke: daemon round trip, warm hits, byte-identical JSON, graceful stop, store reload =="
 # Launch the sweep service on an ephemeral port with an on-disk store, submit
 # the same small sweep twice, and require: (1) both served documents are
 # byte-identical to the direct CLI export, (2) the second submission is served
 # (almost) entirely from the content-addressed store, (3) SIGTERM drains and
-# exits 0. Runs under whatever sanitizers this leg configured.
+# exits 0, (4) a daemon restarted on the same store directory serves a third
+# submission entirely from the reloaded segment. Runs under whatever
+# sanitizers this leg configured.
 serve_dir="$build_dir/ci_serve_store"
 serve_log="$build_dir/ci_serve.log"
 serve_direct="$build_dir/ci_serve_direct.json"
@@ -358,6 +360,13 @@ if ! grep -q 'trace=' "$serve_summary"; then
     kill "$serve_pid" 2> /dev/null || true
     exit 1
 fi
+# The client reports its own wall time next to the server's elapsed time; a
+# gap between the two is a transport stall.
+if ! grep -q 'wall=' "$serve_summary"; then
+    echo "ci: FAIL — submit summary does not report the client wall time" >&2
+    kill "$serve_pid" 2> /dev/null || true
+    exit 1
+fi
 serve_tele_port=$(sed -n 's/^telemetry: listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
     "$serve_log" 2> /dev/null | head -n 1)
 if [ -z "$serve_tele_port" ]; then
@@ -374,6 +383,47 @@ fi
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
     echo "ci: FAIL — serve did not exit 0 on SIGTERM" >&2
+    exit 1
+fi
+# Restart on the same store directory: the reloaded segment must answer a
+# third submission entirely (no store misses), byte-identical to the direct
+# export.
+serve_third="$build_dir/ci_serve_third.json"
+: > "$serve_log"
+"$build_dir/tools/voltcache" serve --port 0 --store "$serve_dir" \
+    > /dev/null 2> "$serve_log" &
+serve_pid=$!
+serve_port=""
+i=0
+while [ "$i" -lt 100 ]; do
+    serve_port=$(sed -n 's/^serve: listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
+        "$serve_log" 2> /dev/null | head -n 1)
+    [ -n "$serve_port" ] && break
+    sleep 0.1
+    i=$((i + 1))
+done
+if [ -z "$serve_port" ]; then
+    echo "ci: FAIL — restarted serve never announced its port" >&2
+    kill "$serve_pid" 2> /dev/null || true
+    exit 1
+fi
+"$build_dir/tools/voltcache" submit "127.0.0.1:$serve_port" --op sweep \
+    --trials 2 --benchmarks crc32,basicmath --scale tiny \
+    --json "$serve_third" > "$serve_summary"
+if ! cmp -s "$serve_direct" "$serve_third"; then
+    echo "ci: FAIL — sweep JSON served from the reloaded store differs" >&2
+    kill "$serve_pid" 2> /dev/null || true
+    exit 1
+fi
+if ! grep -q '^submit: .* misses=0 hitRate=1.0000 ' "$serve_summary"; then
+    echo "ci: FAIL — the restarted daemon did not serve from the reloaded store:" >&2
+    cat "$serve_summary" >&2
+    kill "$serve_pid" 2> /dev/null || true
+    exit 1
+fi
+kill -TERM "$serve_pid"
+if ! wait "$serve_pid"; then
+    echo "ci: FAIL — restarted serve did not exit 0 on SIGTERM" >&2
     exit 1
 fi
 

@@ -1292,6 +1292,9 @@ int cmdSubmit(const Args& args) {
     const auto timeout =
         std::chrono::milliseconds(std::stoul(args.get("timeout", "600000")));
     net::Socket socket = net::tcpConnect(host, port, timeout);
+    // wall = send to the document's last byte; against the server's
+    // elapsed it exposes any transport stall.
+    const auto sent = std::chrono::steady_clock::now();
     if (!socket.sendAll(serve::jobToJson(job) + "\n")) {
         throw std::runtime_error("submit: send failed");
     }
@@ -1339,6 +1342,8 @@ int cmdSubmit(const Args& args) {
         if (reader.next(document) != serve::LineReader::Status::Line) {
             throw std::runtime_error("submit: document line missing");
         }
+        const double wallSeconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - sent).count();
         if (document.size() != documentBytes) {
             throw std::runtime_error("submit: document framing mismatch (" +
                                      std::to_string(document.size()) + " vs " +
@@ -1354,7 +1359,7 @@ int cmdSubmit(const Args& args) {
             return value == nullptr || value->asBool();
         }();
         std::printf("submit: id=%s ok=%d legs=%llu cached=%llu hits=%llu "
-                    "misses=%llu hitRate=%.4f elapsed=%.3fs trace=%s\n",
+                    "misses=%llu hitRate=%.4f elapsed=%.3fs wall=%.3fs trace=%s\n",
                     event.stringOr("id", "").c_str(), ok ? 1 : 0,
                     static_cast<unsigned long long>(event.numberOr("legs", 0.0)),
                     static_cast<unsigned long long>(
@@ -1363,7 +1368,7 @@ int cmdSubmit(const Args& args) {
                     static_cast<unsigned long long>(
                         event.numberOr("storeMisses", 0.0)),
                     event.numberOr("hitRate", 0.0),
-                    event.numberOr("elapsedSeconds", 0.0),
+                    event.numberOr("elapsedSeconds", 0.0), wallSeconds,
                     event.stringOr("trace", job.trace).c_str());
         return ok ? 0 : 1;
     }
