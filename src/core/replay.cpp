@@ -109,90 +109,79 @@ private:
     TapeOp op_; ///< by value: the compiler keeps the facts in registers
 };
 
-/// BBR-lane Driver for timing::runPipelineChunk: walks a tape chunk while
-/// carrying the lane's own translated pc, translates every recorded address
-/// onto the trial layout, and runs a live predictor over it.
-class TapeDriver : public NoArchEffects {
-public:
-    TapeDriver(const AddressTranslator& xlate, BranchPredictor* predictor,
-               std::uint32_t entryTrialPc)
-        : xlate_(xlate), predictor_(predictor), trialPc_(entryTrialPc) {}
-
-    void beginChunk(const TapeOp* ops, std::uint32_t count) {
-        ops_ = ops;
-        n_ = count;
-        idx_ = 0;
-    }
-
-    [[nodiscard]] bool atEnd() const { return idx_ == n_; }
-    [[nodiscard]] const Instruction& inst() const { return ops_[idx_].inst; }
-    [[nodiscard]] std::uint32_t pc() const { return trialPc_; }
-
-    [[nodiscard]] std::uint32_t loadAddr() const { return xlate_.translateData(ops_[idx_].aux); }
-    [[nodiscard]] std::uint32_t literalAddr() const { return xlate_.translate(ops_[idx_].aux); }
-    [[nodiscard]] std::uint32_t storeAddr() const { return xlate_.translateData(ops_[idx_].aux); }
-
-    [[nodiscard]] bool condTaken() const { return ops_[idx_].taken != 0; }
-    [[nodiscard]] std::uint32_t directTarget() const { return xlate_.translate(ops_[idx_].aux); }
-    [[nodiscard]] std::uint32_t jalrTarget() const { return xlate_.translate(ops_[idx_].aux); }
-
-    [[nodiscard]] bool resolveJump(std::uint32_t pc, std::uint32_t target) {
-        const auto prediction = predictor_->predictJump(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/false);
-    }
-    [[nodiscard]] bool resolveReturn(std::uint32_t pc, std::uint32_t target) {
-        const auto prediction = predictor_->predictReturn(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/true);
-    }
-    [[nodiscard]] bool resolveBranch(std::uint32_t pc, bool taken, std::uint32_t target) {
-        const auto prediction = predictor_->predictBranch(pc);
-        return predictor_->resolve(prediction, pc, taken, target,
-                                   /*chargeMispredict=*/true);
-    }
-    void pushReturnAddress(std::uint32_t addr) { predictor_->pushReturnAddress(addr); }
-
-    void stepFallthrough() {
-        ++idx_;
-        trialPc_ += 4;
-    }
-    void stepBranch(bool taken, std::uint32_t target) {
-        ++idx_;
-        trialPc_ = taken ? target : trialPc_ + 4;
-    }
-    void stepJump(std::uint32_t target) {
-        ++idx_;
-        trialPc_ = target;
-    }
-    void stepJalr(std::uint32_t target) {
-        ++idx_;
-        trialPc_ = target;
-    }
-
-private:
-    const TapeOp* ops_ = nullptr;
-    std::uint32_t n_ = 0;
-    std::uint32_t idx_ = 0;
-    AddressTranslator xlate_;
-    BranchPredictor* predictor_;
-    std::uint32_t trialPc_;
+/// A BBR lane's own replay state: its recording-to-trial translation, the
+/// pc it has reached on its trial layout, and its live predictor (the
+/// predictor is pc-indexed, so recorded verdicts do not carry over).
+struct BbrLaneState {
+    AddressTranslator xlate;
+    std::uint32_t trialPc = 0;
+    BranchPredictor predictor;
 };
 
-/// One plain lane as the op-major loop sees it: timing state, the lane's
-/// concrete (devirtualized) schemes, and its pipeline configuration.
+/// BBR-lane Driver for timing::issueOne: a view of one tape op on one BBR
+/// lane. Addresses and targets are translated onto the lane's trial
+/// layout, verdicts come from the lane's live predictor, and the step
+/// methods advance the lane's trial pc.
+class BbrOpDriver : public NoArchEffects {
+public:
+    BbrOpDriver(const TapeOp& op, BbrLaneState& lane) : op_(op), lane_(lane) {}
+
+    [[nodiscard]] const Instruction& inst() const { return op_.inst; }
+    [[nodiscard]] std::uint32_t pc() const { return lane_.trialPc; }
+
+    [[nodiscard]] std::uint32_t loadAddr() const { return lane_.xlate.translateData(op_.aux); }
+    [[nodiscard]] std::uint32_t literalAddr() const { return lane_.xlate.translate(op_.aux); }
+    [[nodiscard]] std::uint32_t storeAddr() const { return lane_.xlate.translateData(op_.aux); }
+
+    [[nodiscard]] bool condTaken() const { return op_.taken != 0; }
+    [[nodiscard]] std::uint32_t directTarget() const { return lane_.xlate.translate(op_.aux); }
+    [[nodiscard]] std::uint32_t jalrTarget() const { return lane_.xlate.translate(op_.aux); }
+
+    [[nodiscard]] bool resolveJump(std::uint32_t pc, std::uint32_t target) {
+        const auto prediction = lane_.predictor.predictJump(pc);
+        return lane_.predictor.resolve(prediction, pc, true, target,
+                                       /*chargeMispredict=*/false);
+    }
+    [[nodiscard]] bool resolveReturn(std::uint32_t pc, std::uint32_t target) {
+        const auto prediction = lane_.predictor.predictReturn(pc);
+        return lane_.predictor.resolve(prediction, pc, true, target,
+                                       /*chargeMispredict=*/true);
+    }
+    [[nodiscard]] bool resolveBranch(std::uint32_t pc, bool taken, std::uint32_t target) {
+        const auto prediction = lane_.predictor.predictBranch(pc);
+        return lane_.predictor.resolve(prediction, pc, taken, target,
+                                       /*chargeMispredict=*/true);
+    }
+    void pushReturnAddress(std::uint32_t addr) { lane_.predictor.pushReturnAddress(addr); }
+
+    void stepFallthrough() { lane_.trialPc += 4; }
+    void stepBranch(bool taken, std::uint32_t target) {
+        lane_.trialPc = taken ? target : lane_.trialPc + 4;
+    }
+    void stepJump(std::uint32_t target) { lane_.trialPc = target; }
+    void stepJalr(std::uint32_t target) { lane_.trialPc = target; }
+
+private:
+    const TapeOp& op_;
+    BbrLaneState& lane_;
+};
+
+/// One lane as the op-major loop sees it: timing state, the lane's
+/// concrete (devirtualized) schemes, its pipeline configuration and, on a
+/// BBR lane, its BbrLaneState.
 template <class ICacheT, class DCacheT>
-struct PlainLaneRef {
+struct LaneRef {
     timing::PipelineState* st = nullptr;
     ICacheT* icache = nullptr;
     DCacheT* dcache = nullptr;
     const PipelineConfig* config = nullptr;
+    BbrLaneState* bbr = nullptr;
 };
 
 /// Per-lane mutable state of one TrialBatch: the structure-of-arrays over
 /// trials. Elements are constructed in a pre-sized vector and never move,
-/// so the schemes' reference to *l2 and the driver's predictor pointer stay
-/// valid for the batch's lifetime.
+/// so the schemes' reference to *l2 and the lane refs' pointers stay valid
+/// for the batch's lifetime.
 struct LaneRuntime {
     BatchLane* lane = nullptr;
     bool alive = false;
@@ -202,13 +191,12 @@ struct LaneRuntime {
     SchemePair pair;
     std::optional<LinkOutput> trialLink;
     std::vector<std::uint32_t> table;
-    std::optional<BranchPredictor> predictor;
+    std::optional<BbrLaneState> bbr;
     PipelineConfig pipeline;
     /// Points into replayBatch's dense state array: the op-major loop
     /// walks every lane's scoreboard per op, so the states must sit
     /// shoulder to shoulder rather than strided across LaneRuntimes.
     timing::PipelineState* st = nullptr;
-    std::optional<TapeDriver> bbrDrv;
 };
 
 /// Thread-local pool of L2Cache objects reused across batches. Constructing
@@ -371,87 +359,72 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
             }
             lane.result.linkStats = rt.trialLink->stats;
             rt.table = buildAddressTranslation(source->link.image, rt.trialLink->image);
-            rt.predictor.emplace(config.pipeline.predictor);
             const AddressTranslator xlate{rt.table.data(),
                                           static_cast<std::uint32_t>(rt.table.size()),
                                           source->link.image.baseAddr()};
-            rt.bbrDrv.emplace(xlate, &*rt.predictor,
-                              xlate.translate(source->link.image.entryAddr()));
+            rt.bbr.emplace(BbrLaneState{xlate, xlate.translate(source->link.image.entryAddr()),
+                                        BranchPredictor(config.pipeline.predictor)});
         } else {
             lane.result.linkStats = source->link.stats;
         }
         rt.alive = true;
     }
 
-    // Scheme-homogeneous plain groups for the op-major loop (lane order
-    // within a group never affects results — lanes share no state), plus
-    // the BBR lanes, which run lane-major: each walks its own translated pc
-    // stream under a live predictor.
-    std::vector<std::pair<SchemeKind, std::vector<LaneRuntime*>>> plainGroups;
-    std::vector<LaneRuntime*> bbrLanes;
+    // Scheme-homogeneous groups (lane order within a group never affects
+    // results — lanes share no state).
+    std::vector<std::pair<SchemeKind, std::vector<LaneRuntime*>>> groups;
     for (LaneRuntime& rt : rts) {
         if (!rt.alive) continue;
-        if (needsBbr) {
-            bbrLanes.push_back(&rt);
-            continue;
-        }
         const SchemeKind kind = rt.lane->config.scheme;
-        auto it = std::find_if(plainGroups.begin(), plainGroups.end(),
+        auto it = std::find_if(groups.begin(), groups.end(),
                                [kind](const auto& g) { return g.first == kind; });
-        if (it == plainGroups.end()) {
-            plainGroups.emplace_back(kind, std::vector<LaneRuntime*>{});
-            it = std::prev(plainGroups.end());
+        if (it == groups.end()) {
+            groups.emplace_back(kind, std::vector<LaneRuntime*>{});
+            it = std::prev(groups.end());
         }
         it->second.push_back(&rt);
     }
 
     // --- Chunked replay: decode once, advance every lane through it. ---
-    // Plain lanes go op-major: for each tape op, every lane of a group takes
-    // the same timing step, so the host's branch predictor sees each of the
-    // step's data-dependent branches resolve for the same op B times in a
-    // row. The tape holds exactly the recorded instructions, and recording
-    // stopped at the lanes' shared instruction limit (checked per lane
-    // above), so the tape's end is every plain lane's end.
+    // Op-major: for each tape op, every lane of a group takes the same
+    // timing step, so the host's branch predictor sees each of the step's
+    // data-dependent branches resolve for the same op B times in a row. The
+    // tape holds exactly the recorded instructions, and recording stopped at
+    // the lanes' shared instruction limit (checked per lane above), so the
+    // tape's end is every lane's end.
     TapeBuilder builder(source->link.image, source->trace);
     std::vector<TapeOp> tape(kTapeChunkOps);
     while (!builder.done()) {
         const std::uint32_t count = builder.fill(tape.data(), kTapeChunkOps);
-        for (auto& [kind, group] : plainGroups) {
+        for (auto& [kind, group] : groups) {
             withConcreteSchemes(
                 kind, group.front()->pair, [&](auto& icache0, auto& dcache0) {
                     using IC = std::decay_t<decltype(icache0)>;
                     using DC = std::decay_t<decltype(dcache0)>;
-                    // withConcreteSchemes instantiates this lambda for the
-                    // BBR pairing too, but BBR lanes never land in a plain
-                    // group — guard so that instantiation stays dead code.
-                    if constexpr (!std::is_same_v<IC, BbrICache>) {
-                        std::vector<PlainLaneRef<IC, DC>> refs;
-                        refs.reserve(group.size());
-                        for (LaneRuntime* rt : group) {
-                            refs.push_back(PlainLaneRef<IC, DC>{
-                                rt->st, static_cast<IC*>(rt->pair.icache.get()),
-                                static_cast<DC*>(rt->pair.dcache.get()), &rt->pipeline});
-                        }
-                        for (std::uint32_t i = 0; i < count; ++i) {
+                    std::vector<LaneRef<IC, DC>> refs;
+                    refs.reserve(group.size());
+                    for (LaneRuntime* rt : group) {
+                        refs.push_back(LaneRef<IC, DC>{
+                            rt->st, static_cast<IC*>(rt->pair.icache.get()),
+                            static_cast<DC*>(rt->pair.dcache.get()), &rt->pipeline,
+                            rt->bbr.has_value() ? &*rt->bbr : nullptr});
+                    }
+                    for (std::uint32_t i = 0; i < count; ++i) {
+                        if constexpr (std::is_same_v<IC, BbrICache>) {
+                            for (const LaneRef<IC, DC>& ref : refs) {
+                                BbrOpDriver op(tape[i], *ref.bbr);
+                                timing::issueOne(*ref.st, op, *ref.icache, *ref.dcache,
+                                                 *ref.config);
+                            }
+                        } else {
                             // Not const: GCC keeps the fields of a const
                             // local in memory instead of registers.
                             TapeOpDriver op(tape[i]);
-                            for (const PlainLaneRef<IC, DC>& ref : refs) {
+                            for (const LaneRef<IC, DC>& ref : refs) {
                                 timing::issueOne(*ref.st, op, *ref.icache, *ref.dcache,
                                                  *ref.config);
                             }
                         }
-                    }
-                });
-        }
-        for (LaneRuntime* rt : bbrLanes) {
-            withConcreteSchemes(
-                rt->lane->config.scheme, rt->pair, [&](auto& icache, auto& dcache) {
-                    if constexpr (std::is_same_v<std::decay_t<decltype(icache)>,
-                                                 BbrICache>) {
-                        rt->bbrDrv->beginChunk(tape.data(), count);
-                        timing::runPipelineChunk(*rt->st, *rt->bbrDrv, icache, dcache,
-                                                 rt->pipeline);
                     }
                 });
         }

@@ -92,16 +92,16 @@ struct BatchLane {
 /// lane's timing state — scheme/tag arrays, L2 counters, energy inputs,
 /// pipeline scoreboard — advances through that chunk before the next one is
 /// decoded, so the decode cost is amortized across the batch and the tape
-/// stays cache-hot. Plain lanes advance op-major (each tape op steps every
-/// lane of a scheme group); BBR lanes advance lane-major (each walks the
-/// chunk on its own translated layout). All lanes must share the benchmark
-/// (the trace) and layout kind: every `config.scheme` either needs BBR
+/// stays cache-hot. Every lane advances op-major: each tape op steps every
+/// lane of each scheme group before the next op (a BBR lane on its own
+/// translated layout, under its own predictor). All lanes must share the
+/// benchmark (the trace) and layout kind: every `config.scheme` needs BBR
 /// linking (each lane then links/translates/predicts per trial; LinkError
 /// folds into linkFailed yield loss, as in execution) or none does, and
 /// every `config.maxInstructions` must equal the recording's. `cache` must
 /// hold that layout's recording, and every `config.observers` must be empty
 /// (observers see no replayed run). Per-lane results are byte-identical to
-/// simulateSystem — both lane kinds drive the same timing::issueOne step as
+/// simulateSystem — every lane drives the same timing::issueOne step as
 /// execution, fed by a tape driver instead of the simulator.
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes);

@@ -69,7 +69,6 @@ class ExecDriver {
 public:
     explicit ExecDriver(Simulator& sim) : sim_(sim) {}
 
-    [[nodiscard]] bool atEnd() const { return false; }
     [[nodiscard]] const Instruction& inst() { return *(inst_ = &sim_.image_->fetch(sim_.pc_)); }
     [[nodiscard]] std::uint32_t pc() const { return sim_.pc_; }
 

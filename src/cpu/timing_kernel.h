@@ -5,18 +5,17 @@
 // Bit-identical results between execution and replay are guaranteed by
 // construction: there is exactly one copy of the timing semantics,
 // `issueOne`, the step that issues and executes one instruction on one
-// PipelineState. Every user calls it:
-//   * runPipelineChunk loops it over one lane — execution (the Simulator's
-//     ExecDriver) and replay's BBR lanes;
-//   * replay's op-major plain-lane loop calls it once per (tape op, lane),
-//     with a stateless Driver that views a single tape op.
+// PipelineState. It has two callers:
+//   * runPipeline loops it over one run — execution, through the
+//     Simulator's ExecDriver;
+//   * replay's op-major loop calls it once per (tape op, lane), with a
+//     Driver that views a single tape op (and, on a BBR lane, that lane's
+//     translation, trial pc and predictor).
 // The Driver policy only supplies the dynamic facts (instruction stream,
 // data addresses, branch outcomes) plus the functional side effects
 // execution needs and replay skips.
 //
-// Driver concept (all methods hot; drivers inline everything). issueOne
-// calls all but atEnd(), which only runPipelineChunk consults:
-//   bool atEnd();                       // replay: chunk exhausted; exec: false
+// Driver concept (all methods hot; drivers inline everything):
 //   const Instruction& inst();          // instruction at the current position
 //   std::uint32_t pc();                 // its architectural byte address
 //   std::uint32_t loadAddr();           // Lw effective address
@@ -96,10 +95,10 @@ inline constexpr std::array<std::uint8_t, kOpcodeCount> kOpFlags = makeOpFlags()
 } // namespace detail
 
 /// The pipeline's complete timing state (the Simulator's former scoreboard
-/// members), hoisted into a struct so a run can be suspended and resumed:
-/// the scalar `runPipeline` drives one chunk to completion, while the
-/// batched replay engine (core/replay.cpp) interleaves many lanes through
-/// the same tape chunk, each carrying its own PipelineState.
+/// members), hoisted into a struct so that one step can act on any run:
+/// `runPipeline` keeps one in a local for a whole execution-driven run,
+/// while the batched replay engine (core/replay.cpp) steps many lanes
+/// through the same tape op, each carrying its own PipelineState.
 ///
 /// The register scoreboards carry one extra scratch slot: writes to the
 /// zero register are redirected there instead of branching on rd == 0, so
@@ -114,7 +113,7 @@ struct PipelineState {
     std::array<bool, kNumRegisters + 1> regFromLoad{};
     std::uint64_t frontendReady = 0;
     StallCause frontendCause = StallCause::None;
-    bool running = true; ///< false once Halt retired — do not resume
+    bool running = true; ///< false once Halt retired
     std::uint64_t lastFetchBlock = ~std::uint64_t{0};
     std::uint64_t dportBusyUntil = 0;
     // Stall cycles indexed by StallCause (slot 0 = None is discarded), so
@@ -122,13 +121,12 @@ struct PipelineState {
     std::array<std::uint64_t, 5> stallCycles{};
 };
 // No tail padding: GCC copies a padded struct as a shorter byte block, and
-// that partial copy stops it from keeping runPipelineChunk's local state in
+// that partial copy stops it from keeping runPipeline's local state in
 // registers. Keep the small fields away from the end.
 static_assert(sizeof(PipelineState) ==
               offsetof(PipelineState, stallCycles) + sizeof(PipelineState::stallCycles));
 
-/// Assemble the final RunStats from a finished run's state. Pairs with
-/// runPipelineChunk; `runPipeline` below is the one-shot composition.
+/// Assemble the final RunStats from a finished run's state.
 [[nodiscard]] inline RunStats finalizePipeline(const PipelineState& st) {
     RunStats stats = st.stats;
     stats.ifetchStallCycles = st.stallCycles[static_cast<unsigned>(StallCause::IFetch)];
@@ -179,8 +177,8 @@ inline void redirectFetch(PipelineState& st, std::uint64_t readyCycle) {
 /// Issue and execute the driver's current instruction on `st`: fetch, the
 /// frontend drain, register dependences, width and port limits, then the
 /// execute switch, leaving the driver stepped past the instruction. The
-/// caller checks the stop conditions first: `st.running`, the instruction
-/// limit, and the driver's end of stream.
+/// caller decides when to stop: runPipeline checks `st.running` and the
+/// instruction limit, and replay's tape ends where the recording stopped.
 ///
 /// `ICache`/`DCache` are the scheme base classes or, from callers that know
 /// the concrete (final) scheme types, those types — devirtualizing and, with
@@ -378,31 +376,20 @@ template <class Driver, class ICache, class DCache>
     driver.stepFallthrough();
 }
 
-/// Advance `st` until the driver's stream is exhausted, the instruction
-/// limit is reached, or Halt retires (st.running goes false). Resumable: a
-/// driver that reports atEnd() at a chunk boundary leaves the state ready
-/// for the next chunk.
-template <class Driver, class ICache = InstrCacheScheme, class DCache = DataCacheScheme>
-void runPipelineChunk(PipelineState& st, Driver& driver, ICache& icache, DCache& dcache,
-                      const PipelineConfig& config) {
-    // Step a local copy: its address never escapes the inlined step, so the
-    // compiler keeps the hot fields in registers across the (possibly
-    // opaque) cache-scheme calls.
-    PipelineState local = st;
-    const std::uint64_t instrLimit =
-        config.maxInstructions != 0 ? config.maxInstructions : ~std::uint64_t{0};
-    while (local.running && local.stats.instructions < instrLimit && !driver.atEnd()) {
-        issueOne(local, driver, icache, dcache, config);
-    }
-    st = local;
-}
-
-/// One-shot run: fresh state, a single chunk to completion, finalized stats.
+/// One execution-driven run: a fresh state stepped until Halt retires or
+/// the instruction limit is reached, then finalized.
 template <class Driver, class ICache = InstrCacheScheme, class DCache = DataCacheScheme>
 RunStats runPipeline(Driver& driver, ICache& icache, DCache& dcache,
                      const PipelineConfig& config) {
+    // A local whose address never escapes the inlined step: the compiler
+    // keeps the hot fields in registers across the (opaque) cache-scheme
+    // calls.
     PipelineState st;
-    runPipelineChunk(st, driver, icache, dcache, config);
+    const std::uint64_t instrLimit =
+        config.maxInstructions != 0 ? config.maxInstructions : ~std::uint64_t{0};
+    while (st.running && st.stats.instructions < instrLimit) {
+        issueOne(st, driver, icache, dcache, config);
+    }
     return finalizePipeline(st);
 }
 

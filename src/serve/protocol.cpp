@@ -177,13 +177,16 @@ std::string resultEvent(const std::string& id, const ResultSummary& s) {
 
 LineReader::Status LineReader::next(std::string& line) {
     while (true) {
-        const std::size_t newline = buffer_.find('\n');
+        const std::size_t newline = buffer_.find('\n', scanned_);
         if (newline != std::string::npos) {
+            if (newline > maxLine_) return Status::Overflow;
             line.assign(buffer_, 0, newline);
             if (!line.empty() && line.back() == '\r') line.pop_back();
             buffer_.erase(0, newline + 1);
+            scanned_ = 0;
             return Status::Line;
         }
+        scanned_ = buffer_.size();
         if (buffer_.size() > maxLine_) return Status::Overflow;
         switch (socket_.recvSome(buffer_)) {
             case net::Socket::RecvStatus::Data: break;

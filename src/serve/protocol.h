@@ -117,9 +117,10 @@ struct ResultSummary {
 [[nodiscard]] std::string resultEvent(const std::string& id, const ResultSummary& s);
 
 /// Incremental newline-delimited reader over Socket::recvSome. Bounded:
-/// a line longer than maxLine reports Overflow instead of growing the
-/// buffer, and a socket-level timeout surfaces as Timeout so callers own
-/// the deadline policy. Bytes after the returned line stay buffered.
+/// a line longer than maxLine bytes (before its '\n') reports Overflow
+/// instead of growing the buffer, and a socket-level timeout surfaces as
+/// Timeout so callers own the deadline policy. Bytes after the returned
+/// line stay buffered, and each buffered byte is searched for '\n' once.
 class LineReader {
 public:
     enum class Status : std::uint8_t { Line, Eof, Timeout, Error, Overflow };
@@ -135,6 +136,7 @@ public:
 private:
     net::Socket& socket_;
     std::string buffer_;
+    std::size_t scanned_ = 0; ///< prefix of buffer_ known to hold no '\n'
     std::size_t maxLine_;
 };
 

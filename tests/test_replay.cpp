@@ -8,6 +8,7 @@
 //     replay on vs off (any thread count), the byte cap falls back to
 //     execution-driven legs without changing results, and the progress
 //     ticks account every leg as replayed or executed.
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -278,6 +279,33 @@ TEST(ReplayEquivalence, InstructionCapEndsMidChunk) {
             expectSameResult(execs[i], fx.replay(configs[i]), where + " (1 lane)");
             expectSameResult(execs[i], batched[i], where + " (7-lane batch)");
         }
+    }
+
+    // One batch whose lanes interleave every plain scheme, so several scheme
+    // groups share each decoded chunk.
+    std::vector<SchemeKind> plainOrder = {
+        SchemeKind::IdcPlus,         SchemeKind::DefectFree,    SchemeKind::FbaPlus,
+        SchemeKind::Conventional760, SchemeKind::WilkersonPlus, SchemeKind::Robust8T,
+        SchemeKind::SimpleWordDisable};
+    std::vector<SystemConfig> configs;
+    std::vector<SystemResult> execs;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        for (const SchemeKind scheme : plainOrder) {
+            SystemConfig config;
+            config.scheme = scheme;
+            config.op = DvfsTable::at(400_mV);
+            config.faultMapSeed = seed;
+            config.maxInstructions = kCap;
+            execs.push_back(simulateSystem(fx.module, &fx.bbrModule, config));
+            configs.push_back(config);
+        }
+        std::reverse(plainOrder.begin(), plainOrder.end());
+    }
+    const std::vector<SystemResult> mixed = fx.replayLanes(configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        expectSameResult(execs[i], mixed[i],
+                         std::string(schemeName(configs[i].scheme)) + " capped seed " +
+                             std::to_string(configs[i].faultMapSeed) + " (mixed batch)");
     }
 }
 

@@ -571,6 +571,37 @@ TEST(Protocol, LineReaderSplitsAndBounds) {
     ASSERT_TRUE(writer2.sendAll(std::string(100, 'x')));
     serve::LineReader bounded(reader2, 16);
     EXPECT_EQ(bounded.next(line), serve::LineReader::Status::Overflow);
+
+    // The bound holds even when the over-long line's newline arrives in the
+    // same read as the line itself.
+    int fds3[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds3), 0);
+    net::Socket reader3(fds3[0]);
+    net::Socket writer3(fds3[1]);
+    ASSERT_TRUE(writer3.sendAll(std::string(100, 'x') + "\n"));
+    serve::LineReader exact(reader3, 16);
+    EXPECT_EQ(exact.next(line), serve::LineReader::Status::Overflow);
+
+    // A ~1 MB line sent in small pieces reads back intact.
+    int fds4[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds4), 0);
+    net::Socket reader4(fds4[0]);
+    net::Socket writer4(fds4[1]);
+    std::string big;
+    for (std::size_t i = 0; big.size() < (1U << 20); ++i) big += std::to_string(i) + ',';
+    std::thread sender([&] {
+        for (std::size_t at = 0; at < big.size(); at += 1000) {
+            EXPECT_TRUE(writer4.sendAll(std::string_view(big).substr(at, 1000)));
+        }
+        EXPECT_TRUE(writer4.sendAll("\ntail\n"));
+    });
+    serve::LineReader large(reader4, serve::kMaxResponseLineBytes);
+    std::string got;
+    EXPECT_EQ(large.next(got), serve::LineReader::Status::Line);
+    EXPECT_TRUE(got == big) << "read " << got.size() << " of " << big.size() << " bytes";
+    EXPECT_EQ(large.next(line), serve::LineReader::Status::Line);
+    EXPECT_EQ(line, "tail");
+    sender.join();
 }
 
 // ---- socket layer ----

@@ -21,10 +21,9 @@
 //   * metrics named *efficiency* regress downward (higher is better), even
 //     though their unit is a fraction;
 //   * --speedup REF:FRESH:RATIO (repeatable) requires fresh[FRESH] >=
-//     RATIO * reference[REF], where the reference file defaults to
-//     --baseline and can be pinned to a historical snapshot with
-//     --speedup-baseline (e.g. the pre-batching release's execution-driven
-//     throughput).
+//     RATIO * baseline[REF]. With --baseline and --fresh naming the same
+//     fresh export, the ratio is within-run (e.g. replayed against
+//     execution-driven sweep legs/sec) and independent of the host.
 //
 // Exit 0 = no regressions, 1 = at least one, 2 = usage/parse error.
 #include <cmath>
@@ -91,9 +90,9 @@ std::map<std::string, Metric> loadMetrics(const std::string& path, std::string* 
 
 } // namespace
 
-/// A cross-release milestone: fresh[metric] must be at least `minRatio`
-/// times reference[metric2] from a (possibly historical) reference file.
-/// Spelled REF_METRIC:FRESH_METRIC:MIN_RATIO on the command line.
+/// A milestone ratio: fresh[freshMetric] must be at least `minRatio` times
+/// baseline[refMetric]. Spelled REF_METRIC:FRESH_METRIC:MIN_RATIO on the
+/// command line.
 struct SpeedupGate {
     std::string refMetric;
     std::string freshMetric;
@@ -103,7 +102,6 @@ struct SpeedupGate {
 int main(int argc, char** argv) {
     std::string baselinePath;
     std::string freshPath;
-    std::string speedupBaselinePath;
     std::vector<SpeedupGate> speedups;
     double relThreshold = 0.10;
     double ciMult = 3.0;
@@ -142,14 +140,11 @@ int main(int argc, char** argv) {
                 return 2;
             }
             speedups.push_back(gate);
-        } else if (arg == "--speedup-baseline") {
-            speedupBaselinePath = next();
         } else {
             std::fprintf(stderr,
                          "usage: bench_check --baseline FILE --fresh FILE\n"
                          "       [--rel-threshold %.2f] [--ci-mult %.1f]\n"
-                         "       [--speedup REF_METRIC:FRESH_METRIC:MIN_RATIO]...\n"
-                         "       [--speedup-baseline FILE]\n",
+                         "       [--speedup REF_METRIC:FRESH_METRIC:MIN_RATIO]...\n",
                          relThreshold, ciMult);
             return 2;
         }
@@ -212,20 +207,14 @@ int main(int argc, char** argv) {
             }
         }
 
-        // Milestone ratios against a (possibly historical) reference file:
-        // e.g. the batched sweep's legs/sec against the pre-batch release's
-        // execution-driven baseline. These only ever compare fresh values,
-        // so a stale regular baseline cannot mask a lost milestone.
+        // Milestone ratios: e.g. the batched sweep's legs/sec against the
+        // execution-driven legs/sec of the same export.
         int lostMilestones = 0;
         if (!speedups.empty()) {
-            std::string refArtifact;
-            const auto reference = loadMetrics(
-                speedupBaselinePath.empty() ? baselinePath : speedupBaselinePath,
-                &refArtifact);
             for (const SpeedupGate& gate : speedups) {
-                const auto ref = reference.find(gate.refMetric);
+                const auto ref = baseline.find(gate.refMetric);
                 const auto now = fresh.find(gate.freshMetric);
-                if (ref == reference.end() || now == fresh.end()) {
+                if (ref == baseline.end() || now == fresh.end()) {
                     std::fprintf(stderr, "MISSING  speedup gate %s -> %s: metric absent\n",
                                  gate.refMetric.c_str(), gate.freshMetric.c_str());
                     ++lostMilestones;
