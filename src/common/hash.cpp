@@ -3,8 +3,15 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
+#include "common/sha256_compress.h"
+
 namespace voltcache {
 
+namespace detail {
 namespace {
 
 // FIPS 180-4 section 4.2.2: first 32 bits of the fractional parts of the
@@ -31,53 +38,141 @@ std::uint32_t loadBigEndian32(const std::uint8_t* bytes) noexcept {
 
 } // namespace
 
+void sha256CompressPortable(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t blockCount) noexcept {
+    for (; blockCount > 0; --blockCount, blocks += 64) {
+        std::uint32_t w[64];
+        for (int t = 0; t < 16; ++t) w[t] = loadBigEndian32(blocks + 4 * t);
+        for (int t = 16; t < 64; ++t) {
+            const std::uint32_t s0 = std::rotr(w[t - 15], 7) ^ std::rotr(w[t - 15], 18) ^
+                                     (w[t - 15] >> 3);
+            const std::uint32_t s1 = std::rotr(w[t - 2], 17) ^ std::rotr(w[t - 2], 19) ^
+                                     (w[t - 2] >> 10);
+            w[t] = w[t - 16] + s0 + w[t - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (int t = 0; t < 64; ++t) {
+            const std::uint32_t bigSigma1 =
+                std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+            const std::uint32_t choose = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + bigSigma1 + choose + kRoundConstants[t] + w[t];
+            const std::uint32_t bigSigma0 =
+                std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+            const std::uint32_t majority = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = bigSigma0 + majority;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+namespace {
+
+// The same rounds on the SHA extensions: sha256rnds2 performs two rounds on
+// a state split into {A,B,E,F} / {C,D,G,H} halves; sha256msg1/msg2 extend
+// the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compressShaNi(std::uint32_t* state,
+                                                          const std::uint8_t* blocks,
+                                                          std::size_t blockCount) noexcept {
+    const __m128i byteSwap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    // {A,B,C,D} / {E,F,G,H} in memory order → the {A,B,E,F} / {C,D,G,H}
+    // register layout sha256rnds2 expects (word order high to low).
+    __m128i cdab = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+    __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; blockCount > 0; --blockCount, blocks += 64) {
+        const __m128i abefSaved = abef;
+        const __m128i cdghSaved = cdgh;
+        __m128i w[4]; // w[g % 4] holds schedule words 4g..4g+3
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            __m128i& words = w[g & 3];
+            if (g < 4) {
+                words = _mm_shuffle_epi8(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+                    byteSwap);
+            } else {
+                const __m128i& prev = w[(g + 3) & 3];
+                words = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32(words, w[(g + 1) & 3]),
+                                  _mm_alignr_epi8(prev, w[(g + 2) & 3], 4)),
+                    prev);
+            }
+            __m128i msg = _mm_add_epi32(
+                words,
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+            msg = _mm_shuffle_epi32(msg, 0x0E);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+        }
+        abef = _mm_add_epi32(abef, abefSaved);
+        cdgh = _mm_add_epi32(cdgh, cdghSaved);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+} // namespace
+
+Sha256CompressFn sha256CompressShaNi() noexcept {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") ? &compressShaNi
+                                                                              : nullptr;
+}
+
+#else
+
+Sha256CompressFn sha256CompressShaNi() noexcept { return nullptr; }
+
+#endif
+
+} // namespace detail
+
+namespace {
+
+/// The compression function every Sha256 uses, chosen on first use.
+void compress(std::uint32_t* state, const std::uint8_t* blocks,
+              std::size_t blockCount) noexcept {
+    static const detail::Sha256CompressFn selected = [] {
+        const detail::Sha256CompressFn shaNi = detail::sha256CompressShaNi();
+        return shaNi != nullptr ? shaNi : &detail::sha256CompressPortable;
+    }();
+    selected(state, blocks, blockCount);
+}
+
+} // namespace
+
 void Sha256::reset() noexcept {
     // Section 5.3.3: fractional parts of the square roots of the first 8 primes.
     state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
     bufferedBytes_ = 0;
     totalBytes_ = 0;
-}
-
-void Sha256::processBlock(const std::uint8_t* block) noexcept {
-    std::uint32_t w[64];
-    for (int t = 0; t < 16; ++t) w[t] = loadBigEndian32(block + 4 * t);
-    for (int t = 16; t < 64; ++t) {
-        const std::uint32_t s0 = std::rotr(w[t - 15], 7) ^ std::rotr(w[t - 15], 18) ^
-                                 (w[t - 15] >> 3);
-        const std::uint32_t s1 = std::rotr(w[t - 2], 17) ^ std::rotr(w[t - 2], 19) ^
-                                 (w[t - 2] >> 10);
-        w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-    }
-
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-    for (int t = 0; t < 64; ++t) {
-        const std::uint32_t bigSigma1 =
-            std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-        const std::uint32_t choose = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + bigSigma1 + choose + kRoundConstants[t] + w[t];
-        const std::uint32_t bigSigma0 =
-            std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-        const std::uint32_t majority = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = bigSigma0 + majority;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
 
 void Sha256::update(const void* data, std::size_t size) noexcept {
@@ -90,13 +185,14 @@ void Sha256::update(const void* data, std::size_t size) noexcept {
         bytes += take;
         size -= take;
         if (bufferedBytes_ < buffer_.size()) return;
-        processBlock(buffer_.data());
+        compress(state_.data(), buffer_.data(), 1);
         bufferedBytes_ = 0;
     }
-    while (size >= buffer_.size()) {
-        processBlock(bytes);
-        bytes += buffer_.size();
-        size -= buffer_.size();
+    const std::size_t blockCount = size / buffer_.size();
+    if (blockCount > 0) {
+        compress(state_.data(), bytes, blockCount);
+        bytes += blockCount * buffer_.size();
+        size -= blockCount * buffer_.size();
     }
     if (size > 0) {
         std::memcpy(buffer_.data(), bytes, size);
@@ -105,16 +201,22 @@ void Sha256::update(const void* data, std::size_t size) noexcept {
 }
 
 Digest256 Sha256::finish() noexcept {
+    // Section 5.1.1: a 0x80 byte, zeros up to 56 mod 64, then the message
+    // length in bits as a big-endian 64-bit integer.
     const std::uint64_t messageBits = totalBytes_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (bufferedBytes_ != 56) update(&zero, 1);
-    std::uint8_t length[8];
-    for (int i = 0; i < 8; ++i) {
-        length[i] = static_cast<std::uint8_t>(messageBits >> (8 * (7 - i)));
+    std::size_t used = bufferedBytes_;
+    buffer_[used++] = 0x80;
+    if (used > 56) {
+        std::memset(buffer_.data() + used, 0, buffer_.size() - used);
+        compress(state_.data(), buffer_.data(), 1);
+        used = 0;
     }
-    update(length, sizeof(length));
+    std::memset(buffer_.data() + used, 0, 56 - used);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[56 + i] = static_cast<std::uint8_t>(messageBits >> (8 * (7 - i)));
+    }
+    compress(state_.data(), buffer_.data(), 1);
+    bufferedBytes_ = 0;
 
     Digest256 digest;
     for (int i = 0; i < 8; ++i) {

@@ -6,6 +6,13 @@
 // streaming class hashes incrementally; HashWriter adds the field-tagged
 // framing the leg keys are built from (every field is hashed explicitly —
 // never raw struct bytes, which would bake padding and ABI into the key).
+//
+// Block compression is chosen once per process from CPUID: the x86-64 SHA
+// extensions (SHA-NI) where the CPU has them, otherwise the portable FIPS
+// 180-4 rounds, which are the reference and the only path on every other
+// CPU (common/sha256_compress.h; a differential test holds the two equal).
+// Either way the digests are bit-identical, so stored leg keys stay valid
+// across hosts.
 #pragma once
 
 #include <array>
@@ -38,8 +45,6 @@ public:
     }
 
 private:
-    void processBlock(const std::uint8_t* block) noexcept;
-
     std::array<std::uint32_t, 8> state_{};
     std::array<std::uint8_t, 64> buffer_{};
     std::size_t bufferedBytes_ = 0;

@@ -8,10 +8,18 @@
 
 namespace voltcache {
 
-std::string jsonEscape(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (const char c : raw) {
+namespace {
+
+/// Append `raw` to `out` escaped for a JSON string literal (quotes not
+/// included): quote, backslash and every control character are escaped;
+/// runs of other characters are appended as they are.
+void appendEscaped(std::string& out, std::string_view raw) {
+    std::size_t runStart = 0;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        const char c = raw[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+        out.append(raw.data() + runStart, i - runStart);
+        runStart = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
@@ -20,18 +28,25 @@ std::string jsonEscape(std::string_view raw) {
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        }
         }
     }
-    return out;
+    out.append(raw.data() + runStart, raw.size() - runStart);
 }
+
+template <typename Integer>
+void appendInteger(std::string& out, Integer v) {
+    char buf[24];
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    VC_ENSURES(ec == std::errc{});
+    out.append(buf, ptr);
+}
+
+} // namespace
 
 JsonWriter::JsonWriter() { stack_.push_back(Frame{}); }
 
@@ -87,7 +102,7 @@ void JsonWriter::key(std::string_view k) {
     VC_EXPECTS(top.scope == Scope::Object && !top.keyPending);
     if (top.items > 0) out_ += ',';
     out_ += '"';
-    out_ += jsonEscape(k);
+    appendEscaped(out_, k);
     out_ += "\":";
     top.keyPending = true;
 }
@@ -95,7 +110,7 @@ void JsonWriter::key(std::string_view k) {
 void JsonWriter::value(std::string_view v) {
     beforeValue();
     out_ += '"';
-    out_ += jsonEscape(v);
+    appendEscaped(out_, v);
     out_ += '"';
     afterValue();
 }
@@ -121,13 +136,13 @@ void JsonWriter::value(bool v) {
 
 void JsonWriter::value(std::uint64_t v) {
     beforeValue();
-    out_ += std::to_string(v);
+    appendInteger(out_, v);
     afterValue();
 }
 
 void JsonWriter::value(std::int64_t v) {
     beforeValue();
-    out_ += std::to_string(v);
+    appendInteger(out_, v);
     afterValue();
 }
 

@@ -15,10 +15,6 @@
 
 namespace voltcache {
 
-/// Escape `raw` for inclusion inside a JSON string literal (quotes not
-/// included). Handles quote, backslash, and all control characters.
-[[nodiscard]] std::string jsonEscape(std::string_view raw);
-
 class JsonWriter {
 public:
     JsonWriter();

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -71,6 +72,7 @@ struct BenchmarkContext {
     Module bbrModule;
     Digest256 digest{};                   ///< moduleDigest, when a store probes
     SystemResult ref760;                  ///< conventional cache at Vccmin
+    SystemResult bbrRef760;               ///< the BBR twin's recording run
     std::vector<SystemResult> defectFree; ///< one per operating point
     /// Recorded architectural traces (plain + BBR layout) every trial leg
     /// replays from; empty slots mean execution-driven fallback.
@@ -118,6 +120,12 @@ void runIndexed(std::size_t jobCount, unsigned threads,
         });
     }
     for (auto& worker : workers) worker.join();
+}
+
+void rethrowFirst(const std::vector<std::exception_ptr>& errors) {
+    for (const std::exception_ptr& error : errors) {
+        if (error) std::rethrow_exception(error);
+    }
 }
 
 /// How a leg got its result: simulated execution-driven, replayed from the
@@ -179,6 +187,27 @@ private:
 };
 
 } // namespace
+
+namespace detail {
+
+std::size_t replayUnitCap(std::uint32_t batchLanes, std::size_t replayableLegs,
+                          unsigned workers) {
+    constexpr std::size_t kDefaultBatchLanes = 32;
+    const std::size_t cap = batchLanes == 0 ? kDefaultBatchLanes : batchLanes;
+    const std::size_t units = 2 * static_cast<std::size_t>(std::max(workers, 1u));
+    return std::clamp<std::size_t>((replayableLegs + units - 1) / units, 1, cap);
+}
+
+std::vector<std::size_t> chunkSizes(std::size_t lanes, std::size_t cap) {
+    VC_EXPECTS(cap > 0);
+    if (lanes == 0) return {};
+    const std::size_t chunks = (lanes + cap - 1) / cap;
+    std::vector<std::size_t> sizes(chunks, lanes / chunks);
+    for (std::size_t i = 0; i < lanes % chunks; ++i) ++sizes[i];
+    return sizes;
+}
+
+} // namespace detail
 
 const SweepCell& SweepResult::cell(SchemeKind kind, Voltage v) const {
     const auto it = cells.find({kind, mv(v)});
@@ -316,7 +345,7 @@ SweepResult runSweep(const SweepConfig& config) {
                     [](SchemeKind kind) { return schemeNeedsBbrLinking(kind); });
 
     std::vector<BenchmarkContext> contexts(benchmarks.size());
-    std::vector<std::exception_ptr> contextErrors(benchmarks.size());
+    std::vector<std::exception_ptr> moduleErrors(benchmarks.size());
     const auto buildModules = [&](std::size_t b) {
         try {
             BenchmarkContext& ctx = contexts[b];
@@ -326,14 +355,12 @@ SweepResult runSweep(const SweepConfig& config) {
             applyBbrTransforms(ctx.bbrModule, config.systemTemplate.maxBlockWords);
             if (cacheEnabled) ctx.digest = moduleDigest(ctx.module);
         } catch (...) {
-            contextErrors[b] = std::current_exception();
+            moduleErrors[b] = std::current_exception();
         }
     };
     runIndexed(benchmarks.size(), std::min<unsigned>(requested, benchmarks.size()),
                buildModules);
-    for (const std::exception_ptr& error : contextErrors) {
-        if (error) std::rethrow_exception(error);
-    }
+    rethrowFirst(moduleErrors);
 
     // --- Phase 2: flatten the grid into legs, in canonical order. ---
     std::vector<Leg> legs;
@@ -378,76 +405,84 @@ SweepResult runSweep(const SweepConfig& config) {
         }
     }
 
-    // --- Phase 1b: heavy per-benchmark artifacts (trace recording, the
-    // 760mV reference, per-point defect-free runs), only where a leg will
-    // actually simulate. ---
-    const auto buildContext = [&](std::size_t b) {
+    // --- Phase 1b: heavy per-benchmark artifacts, only where a leg will
+    // actually simulate. Two tasks per benchmark run in parallel: the plain
+    // layout's (trace recording, the 760mV reference, per-point defect-free
+    // runs) and the BBR twin's recording. ---
+    // Conventional cache pinned at Vccmin = 760mV: the Fig. 12 normalization
+    // baseline (and the functional reference checksum). With replay enabled
+    // each layout's recording run doubles as its reference run.
+    SystemConfig ref = baseTemplate;
+    ref.scheme = SchemeKind::Conventional760;
+    ref.op = DvfsTable::vccminBaseline();
+    const auto recordLayout = [&](const BenchmarkContext& ctx, const Module& module,
+                                  const char* layout, SystemResult& outResult) {
+        std::unique_ptr<const ReplaySource> trace =
+            recordReplaySource(module, ref, config.traceByteCap, outResult);
+        if (trace == nullptr) {
+            std::fprintf(stderr,
+                         "sweep: %s trace for '%s' exceeded the %llu-byte cap; "
+                         "falling back to execution-driven legs\n",
+                         layout, ctx.name.c_str(),
+                         static_cast<unsigned long long>(config.traceByteCap));
+        }
+        return trace;
+    };
+    const auto buildPlainContext = [&](BenchmarkContext& ctx) {
+        if (replayEnabled) {
+            ctx.traces.plain = recordLayout(ctx, ctx.module, "plain-layout", ctx.ref760);
+        } else {
+            ctx.ref760 = simulateSystem(ctx.module, nullptr, ref);
+        }
+        VC_ENSURES(!ctx.ref760.linkFailed);
+
+        std::vector<BatchLane> lanes(points.size());
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            lanes[p].config = ref;
+            lanes[p].config.scheme = SchemeKind::DefectFree;
+            lanes[p].config.op = points[p];
+        }
+        if (ctx.traces.plain != nullptr) {
+            // One batch over the operating points: the defect-free runs
+            // share the plain trace, so its tape decodes once for all.
+            replayBatch(nullptr, ctx.traces, lanes);
+        } else {
+            for (BatchLane& lane : lanes) {
+                lane.result = simulateSystem(ctx.module, nullptr, lane.config);
+            }
+        }
+        ctx.defectFree.reserve(points.size());
+        for (BatchLane& lane : lanes) ctx.defectFree.push_back(std::move(lane.result));
+    };
+    // The BBR twin runs a different layout, so BBR legs replay their own
+    // recording (one extra execution-driven run, amortized over every
+    // FFW+BBR trial).
+    const bool recordBbr = replayEnabled && anyBbrScheme;
+    std::vector<std::exception_ptr> contextErrors(2 * benchmarks.size());
+    const auto buildContext = [&](std::size_t task) {
         const obs::Span span("context");
+        const std::size_t b = task / 2;
+        const bool bbrLayout = task % 2 == 1;
         try {
             if (needSimulation[b] == 0) return;
             BenchmarkContext& ctx = contexts[b];
-
-            // Conventional cache pinned at Vccmin = 760mV: the Fig. 12
-            // normalization baseline (and the functional reference checksum).
-            // With replay enabled this run doubles as the plain-layout trace
-            // recording — the reference results are the recording run's.
-            SystemConfig ref = baseTemplate;
-            ref.scheme = SchemeKind::Conventional760;
-            ref.op = DvfsTable::vccminBaseline();
-            if (replayEnabled) {
-                ctx.traces.plain =
-                    recordReplaySource(ctx.module, ref, config.traceByteCap, ctx.ref760);
-                if (ctx.traces.plain == nullptr) {
-                    std::fprintf(stderr,
-                                 "sweep: trace for '%s' exceeded the %llu-byte cap; "
-                                 "falling back to execution-driven legs\n",
-                                 ctx.name.c_str(),
-                                 static_cast<unsigned long long>(config.traceByteCap));
-                }
-            } else {
-                ctx.ref760 = simulateSystem(ctx.module, nullptr, ref);
+            if (!bbrLayout) {
+                buildPlainContext(ctx);
+            } else if (recordBbr) {
+                ctx.traces.bbr = recordLayout(ctx, ctx.bbrModule, "BBR-layout", ctx.bbrRef760);
             }
-            VC_ENSURES(!ctx.ref760.linkFailed);
-
-            // The BBR twin runs a different layout, so BBR legs replay their
-            // own recording (one extra execution-driven run, amortized over
-            // every FFW+BBR trial).
-            if (replayEnabled && anyBbrScheme && ctx.traces.plain != nullptr) {
-                SystemResult bbrRef;
-                ctx.traces.bbr =
-                    recordReplaySource(ctx.bbrModule, ref, config.traceByteCap, bbrRef);
-                if (ctx.traces.bbr != nullptr && bbrRef.run.halted &&
-                    ctx.ref760.run.halted) {
-                    // The transform must not change the program's answer.
-                    VC_CHECK(bbrRef.checksum == ctx.ref760.checksum);
-                }
-            }
-
-            std::vector<BatchLane> lanes(points.size());
-            for (std::size_t p = 0; p < points.size(); ++p) {
-                lanes[p].config = ref;
-                lanes[p].config.scheme = SchemeKind::DefectFree;
-                lanes[p].config.op = points[p];
-            }
-            if (ctx.traces.plain != nullptr) {
-                // One batch over the operating points: the defect-free runs
-                // share the plain trace, so its tape decodes once for all.
-                replayBatch(nullptr, ctx.traces, lanes);
-            } else {
-                for (BatchLane& lane : lanes) {
-                    lane.result = simulateSystem(ctx.module, nullptr, lane.config);
-                }
-            }
-            ctx.defectFree.reserve(points.size());
-            for (BatchLane& lane : lanes) ctx.defectFree.push_back(std::move(lane.result));
         } catch (...) {
-            contextErrors[b] = std::current_exception();
+            contextErrors[task] = std::current_exception();
         }
     };
-    runIndexed(benchmarks.size(), std::min<unsigned>(requested, benchmarks.size()),
+    runIndexed(contextErrors.size(), std::min<unsigned>(requested, contextErrors.size()),
                buildContext);
-    for (const std::exception_ptr& error : contextErrors) {
-        if (error) std::rethrow_exception(error);
+    rethrowFirst(contextErrors);
+    for (const BenchmarkContext& ctx : contexts) {
+        // The transform must not change the program's answer.
+        if (ctx.traces.bbr != nullptr && ctx.bbrRef760.run.halted && ctx.ref760.run.halted) {
+            VC_CHECK(ctx.bbrRef760.checksum == ctx.ref760.checksum);
+        }
     }
 
     {
@@ -463,23 +498,33 @@ SweepResult runSweep(const SweepConfig& config) {
 
     // --- Phase 2b: give every leg its path and group legs into work units. ---
     // A unit is a single execution-driven leg, a TrialBatch — consecutive
-    // replayable legs of one (benchmark, point, layout) group, capped at
-    // batchLanes, that stream the decoded tape together — or a cached group:
+    // replayable legs of one (benchmark, point, layout) group, split into
+    // near-equal chunks of at most detail::replayUnitCap lanes, that stream
+    // the decoded tape together — or a cached group:
     // store-served legs of one (benchmark, point) window, whose slots are
     // already filled. Unit composition only affects scheduling — every leg
     // still writes its own canonical slot, so the reduction (and the JSON) is
     // byte-identical to the execution-driven, uncached engine.
-    constexpr std::uint32_t kDefaultBatchLanes = 32;
-    const std::uint32_t laneCap =
-        config.batchLanes == 0 ? kDefaultBatchLanes : config.batchLanes;
     std::vector<LegPath> paths(legs.size(), LegPath::Executed);
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+        if (fromStore[i] != 0) {
+            paths[i] = LegPath::Cached;
+        } else if (contexts[legs[i].benchmark].traces.canReplay(schemes[legs[i].scheme])) {
+            paths[i] = LegPath::Replayed;
+        }
+    }
+    const std::size_t laneCap = detail::replayUnitCap(
+        config.batchLanes,
+        static_cast<std::size_t>(std::count(paths.begin(), paths.end(), LegPath::Replayed)),
+        requested);
     std::vector<std::vector<std::size_t>> units;
     {
         const auto pushChunked = [&](const std::vector<std::size_t>& group) {
-            for (std::size_t start = 0; start < group.size(); start += laneCap) {
-                const std::size_t end = std::min<std::size_t>(start + laneCap, group.size());
-                units.emplace_back(group.begin() + static_cast<std::ptrdiff_t>(start),
-                                   group.begin() + static_cast<std::ptrdiff_t>(end));
+            auto start = group.begin();
+            for (const std::size_t size : detail::chunkSizes(group.size(), laneCap)) {
+                const auto end = start + static_cast<std::ptrdiff_t>(size);
+                units.emplace_back(start, end);
+                start = end;
             }
         };
         std::size_t i = 0;
@@ -491,13 +536,11 @@ SweepResult runSweep(const SweepConfig& config) {
             for (; j < legs.size() && legs[j].benchmark == legs[i].benchmark &&
                    legs[j].point == legs[i].point;
                  ++j) {
-                const SchemeKind kind = schemes[legs[j].scheme];
-                if (fromStore[j] != 0) {
-                    paths[j] = LegPath::Cached;
+                if (paths[j] == LegPath::Cached) {
                     cachedGroup.push_back(j);
-                } else if (contexts[legs[j].benchmark].traces.canReplay(kind)) {
-                    paths[j] = LegPath::Replayed;
-                    (schemeNeedsBbrLinking(kind) ? bbrGroup : plainGroup).push_back(j);
+                } else if (paths[j] == LegPath::Replayed) {
+                    (schemeNeedsBbrLinking(schemes[legs[j].scheme]) ? bbrGroup : plainGroup)
+                        .push_back(j);
                 } else {
                     units.push_back({j});
                 }

@@ -10,7 +10,10 @@
 // Execution model: the grid is flattened into (benchmark, point, scheme,
 // trial) legs. Per-benchmark artifacts (built module, BBR twin, the 760mV
 // reference run, per-point defect-free runs) are prepared once in shared
-// immutable contexts; then N workers pull legs off an atomic queue and
+// immutable contexts — two parallel tasks per benchmark, one per layout: the
+// plain recording with the reference and defect-free runs, and the BBR
+// twin's recording. Then N workers pull work units (one executed leg, or a
+// batch of replayed legs; see detail::replayUnitCap) off an atomic queue and
 // write each leg's metrics into a pre-sized slot. The final reduction walks
 // the slots in canonical leg order, so the aggregated result — and its JSON
 // export — is bit-identical for every thread count.
@@ -137,8 +140,10 @@ struct SweepConfig {
     /// Cap on lanes (trials) per batch; 0 picks the engine default (32).
     /// The replayable legs of one (benchmark, point, layout) group stream
     /// one decoded tape through up to this many trials at once
-    /// (core/replay.h replayBatch); results are byte-identical for every
-    /// cap, 1 included. Execution-driven legs are never batched.
+    /// (core/replay.h replayBatch), in near-equal chunks that a small grid
+    /// shrinks further so every worker gets work (detail::replayUnitCap);
+    /// results are byte-identical for every cap, 1 included.
+    /// Execution-driven legs are never batched.
     /// Smaller batches trade decode amortization for scheduling grains and
     /// a smaller resident state footprint (~200KB per lane: two tag
     /// arrays, scheme state, L2 counters, pipeline scoreboard).
@@ -212,5 +217,21 @@ struct SweepResult {
 
 /// The scheme list of Figs. 10-12 (excluding the two baselines).
 [[nodiscard]] std::vector<SchemeKind> paperSchemes();
+
+namespace detail {
+
+/// Lane cap of one replay unit: `batchLanes` (0 = the default 32), lowered
+/// until the sweep's `replayableLegs` make at least two units per worker, so
+/// a small job (a serve miss) spreads over every worker instead of queueing
+/// behind one wide batch. Never below 1.
+[[nodiscard]] std::size_t replayUnitCap(std::uint32_t batchLanes, std::size_t replayableLegs,
+                                        unsigned workers);
+
+/// Sizes of the fewest chunks of at most `cap` lanes that split a group of
+/// `lanes` legs, as equal as possible (they differ by at most one, larger
+/// first): 33 lanes at cap 32 become 17 + 16, not 32 + 1.
+[[nodiscard]] std::vector<std::size_t> chunkSizes(std::size_t lanes, std::size_t cap);
+
+} // namespace detail
 
 } // namespace voltcache

@@ -37,6 +37,16 @@ TEST(JsonWriter, EscapesQuotesBackslashesAndControlChars) {
     json.value(std::string_view("a\"b\\c\nd\te\x01"
                                 "f"));
     EXPECT_EQ(json.str(), "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
+
+    // Keys escape the same way; integers print exactly at their extremes.
+    JsonWriter object;
+    object.beginObject();
+    object.member("k\"e\\y\n", std::numeric_limits<std::int64_t>::min());
+    object.member("plain", std::numeric_limits<std::uint64_t>::max());
+    object.member("", std::int64_t{0});
+    object.endObject();
+    EXPECT_EQ(object.str(), "{\"k\\\"e\\\\y\\n\":-9223372036854775808,"
+                          "\"plain\":18446744073709551615,\"\":0}");
 }
 
 TEST(JsonWriter, NonFiniteDoublesBecomeNull) {

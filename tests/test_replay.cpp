@@ -421,5 +421,77 @@ TEST(ReplaySweep, ByteCapOverflowFallsBackToExecution) {
     EXPECT_EQ(last.legsExecuted, last.legsTotal);
 }
 
+// A cap that holds the plain-layout trace but not the BBR twin's: the two
+// layouts record in separate tasks and fall back independently, so plain
+// legs replay, FFW+BBR legs execute, and the JSON must not change.
+TEST(ReplaySweep, ByteCapBetweenLayoutsReplaysPlainAndExecutesBbr) {
+    SweepConfig exec = sweepConfig();
+    exec.benchmarks = {"basicmath"}; // its BBR twin's trace is the larger one
+    exec.useReplay = false;
+    const std::string execJson = exportJson(runSweep(exec), exec);
+
+    SystemConfig ref;
+    ref.scheme = SchemeKind::Conventional760;
+    ref.op = DvfsTable::vccminBaseline();
+    const Module module = buildBenchmark("basicmath", exec.scale);
+    Module bbrModule = module;
+    applyBbrTransforms(bbrModule, ref.maxBlockWords);
+    SystemResult unused;
+    const std::uint64_t plainBytes =
+        recordReplaySource(module, ref, 0, unused)->trace.payloadBytes();
+    const std::uint64_t bbrBytes =
+        recordReplaySource(bbrModule, ref, 0, unused)->trace.payloadBytes();
+    ASSERT_LT(plainBytes, bbrBytes);
+
+    for (const unsigned threads : {1u, 4u}) {
+        SweepConfig capped = exec;
+        capped.useReplay = true;
+        capped.traceByteCap = plainBytes;
+        capped.threads = threads;
+        SweepProgress last;
+        capped.onProgress = [&last](const SweepProgress& p) { last = p; };
+        EXPECT_EQ(execJson, exportJson(runSweep(capped), capped)) << "threads " << threads;
+
+        // FFW+BBR legs: 3 trials at each of the 2 points.
+        EXPECT_EQ(last.legsExecuted, 2U * 3U);
+        EXPECT_EQ(last.legsReplayed, last.legsTotal - last.legsExecuted);
+        EXPECT_GT(last.legsReplayed, 0U);
+    }
+}
+
+// Unit planning: chunks cover the group exactly, differ by at most one lane
+// and never exceed the cap; the cap shrinks so small grids feed every worker.
+TEST(ReplaySweep, ReplayUnitsAreBalancedAndCapped) {
+    for (std::size_t cap = 1; cap <= 40; ++cap) {
+        for (std::size_t lanes = 0; lanes <= 100; ++lanes) {
+            const std::vector<std::size_t> sizes = detail::chunkSizes(lanes, cap);
+            std::size_t sum = 0;
+            for (const std::size_t size : sizes) {
+                EXPECT_GE(size, 1U);
+                EXPECT_LE(size, cap);
+                sum += size;
+            }
+            EXPECT_EQ(sum, lanes);
+            EXPECT_EQ(sizes.size(), (lanes + cap - 1) / cap) << lanes << " at cap " << cap;
+            if (!sizes.empty()) {
+                EXPECT_LE(*std::max_element(sizes.begin(), sizes.end()) -
+                              *std::min_element(sizes.begin(), sizes.end()),
+                          1U);
+            }
+        }
+    }
+    EXPECT_EQ(detail::chunkSizes(33, 32), (std::vector<std::size_t>{17, 16}));
+    EXPECT_EQ(detail::chunkSizes(8, 3), (std::vector<std::size_t>{3, 3, 2}));
+
+    // The paper grid keeps full batches; a 24-leg serve miss job on 4
+    // workers gets 3-lane units (8 units, two per worker).
+    EXPECT_EQ(detail::replayUnitCap(0, 2050, 4), 32U);
+    EXPECT_EQ(detail::replayUnitCap(8, 2050, 4), 8U);
+    EXPECT_EQ(detail::replayUnitCap(0, 24, 4), 3U);
+    EXPECT_EQ(detail::replayUnitCap(0, 25, 4), 4U);
+    EXPECT_EQ(detail::replayUnitCap(0, 24, 1), 12U);
+    EXPECT_EQ(detail::replayUnitCap(0, 0, 4), 1U);
+}
+
 } // namespace
 } // namespace voltcache

@@ -7,10 +7,13 @@
 // byte-identity against cold and plain sweeps, and an in-process end-to-end
 // server round trip with a warm second submission.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 
 #include "common/hash.h"
 #include "common/json_parse.h"
+#include "common/sha256_compress.h"
 #include "common/socket.h"
 #include "common/version.h"
 #include "core/report.h"
@@ -50,9 +54,145 @@ TEST(Sha256, Fips180Vectors) {
     EXPECT_EQ(digestToHex(Sha256::digest(
                   "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
               "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-    // Exactly one padding-boundary block (55/56/64 bytes).
-    EXPECT_EQ(digestToHex(Sha256::digest(std::string(56, 'a'))),
-              digestToHex(Sha256::digest(std::string(56, 'a'))));
+    // Padding boundaries: 55 bytes is the longest message whose padding fits
+    // its last block; 56..63 spill the length into an extra block; 64 and
+    // 120 end exactly on a block edge or its padding edge. Expected values
+    // computed with Python's hashlib.
+    const std::pair<std::size_t, const char*> boundaries[] = {
+        {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+        {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+        {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+        {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+        {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+        {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+    };
+    for (const auto& [length, hex] : boundaries) {
+        EXPECT_EQ(digestToHex(Sha256::digest(std::string(length, 'a'))), hex)
+            << length << " x 'a'";
+    }
+    // One million 'a' (FIPS 180-4 appendix B.3).
+    EXPECT_EQ(digestToHex(Sha256::digest(std::string(1'000'000, 'a'))),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The compression functions driven directly, through a minimal stream with
+// its own padding, so that every message length 0..1024 (every padding
+// position) is covered, whole and in ragged pieces.
+class CompressStream {
+public:
+    explicit CompressStream(detail::Sha256CompressFn compress) : compress_(compress) {}
+
+    void update(const std::uint8_t* data, std::size_t size) {
+        buffered_.insert(buffered_.end(), data, data + size);
+        total_ += size;
+        const std::size_t whole = buffered_.size() / 64;
+        if (whole > 0) {
+            compress_(state_.data(), buffered_.data(), whole);
+            buffered_.erase(buffered_.begin(),
+                            buffered_.begin() + static_cast<std::ptrdiff_t>(whole * 64));
+        }
+    }
+
+    std::array<std::uint32_t, 8> finish() {
+        const std::uint64_t bits = total_ * 8;
+        buffered_.push_back(0x80);
+        while (buffered_.size() % 64 != 56) buffered_.push_back(0);
+        for (int i = 7; i >= 0; --i) {
+            buffered_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+        }
+        compress_(state_.data(), buffered_.data(), buffered_.size() / 64);
+        return state_;
+    }
+
+private:
+    detail::Sha256CompressFn compress_;
+    std::array<std::uint32_t, 8> state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                           0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    std::vector<std::uint8_t> buffered_;
+    std::uint64_t total_ = 0;
+};
+
+/// Feed `message` to `update(data, size)` whole (`rng` null) or in ragged
+/// pieces of 1..97 bytes drawn from `rng`.
+template <typename Update>
+void feed(std::span<const std::uint8_t> message, std::mt19937_64* rng, Update update) {
+    for (std::size_t at = 0; at < message.size();) {
+        const std::size_t piece =
+            rng == nullptr ? message.size()
+                           : std::min<std::size_t>(1 + (*rng)() % 97, message.size() - at);
+        update(message.data() + at, piece);
+        at += piece;
+    }
+}
+
+std::array<std::uint32_t, 8> compressMessage(detail::Sha256CompressFn compress,
+                                             std::span<const std::uint8_t> message,
+                                             std::mt19937_64* rng) {
+    CompressStream stream(compress);
+    feed(message, rng, [&](const std::uint8_t* data, std::size_t size) {
+        stream.update(data, size);
+    });
+    return stream.finish();
+}
+
+std::vector<std::uint8_t> randomBytes(std::mt19937_64& rng, std::size_t count) {
+    std::vector<std::uint8_t> bytes(count);
+    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+    return bytes;
+}
+
+// The portable rounds through their detail entry point, on every host,
+// against Sha256 (whichever compression function this host selected), each
+// fed whole and in ragged pieces.
+TEST(Sha256, PortableCompressionMatchesSha256) {
+    std::mt19937_64 rng(0x5A256);
+    const std::vector<std::uint8_t> message = randomBytes(rng, 1024);
+    for (std::size_t length = 0; length <= message.size(); ++length) {
+        const std::span<const std::uint8_t> prefix(message.data(), length);
+        const auto state = compressMessage(&detail::sha256CompressPortable, prefix, nullptr);
+        ASSERT_EQ(compressMessage(&detail::sha256CompressPortable, prefix, &rng), state)
+            << "length " << length;
+        Digest256 expected;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            expected[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+        }
+        for (std::mt19937_64* pieces : {static_cast<std::mt19937_64*>(nullptr), &rng}) {
+            Sha256 sha;
+            feed(prefix, pieces,
+                 [&](const std::uint8_t* data, std::size_t size) { sha.update(data, size); });
+            ASSERT_EQ(sha.finish(), expected)
+                << "length " << length << (pieces == nullptr ? ", whole" : ", ragged");
+        }
+    }
+}
+
+TEST(Sha256, ShaNiCompressionMatchesPortable) {
+    const detail::Sha256CompressFn shaNi = detail::sha256CompressShaNi();
+    if (shaNi == nullptr) GTEST_SKIP() << "CPU has no SHA extensions";
+
+    std::mt19937_64 rng(0x5A256);
+    const std::vector<std::uint8_t> message = randomBytes(rng, 1024);
+    for (std::size_t length = 0; length <= message.size(); ++length) {
+        const std::span<const std::uint8_t> prefix(message.data(), length);
+        const auto reference =
+            compressMessage(&detail::sha256CompressPortable, prefix, nullptr);
+        ASSERT_EQ(compressMessage(shaNi, prefix, nullptr), reference)
+            << "length " << length << ", whole";
+        ASSERT_EQ(compressMessage(shaNi, prefix, &rng), reference)
+            << "length " << length << ", ragged";
+    }
+
+    // Raw multi-block calls from random chaining states.
+    for (std::size_t round = 0; round < 64; ++round) {
+        std::array<std::uint32_t, 8> portableState;
+        for (std::uint32_t& word : portableState) word = static_cast<std::uint32_t>(rng());
+        std::array<std::uint32_t, 8> shaNiState = portableState;
+        const std::size_t blocks = 1 + round % 8;
+        const std::vector<std::uint8_t> data = randomBytes(rng, blocks * 64);
+        detail::sha256CompressPortable(portableState.data(), data.data(), blocks);
+        shaNi(shaNiState.data(), data.data(), blocks);
+        ASSERT_EQ(shaNiState, portableState) << "round " << round;
+    }
 }
 
 TEST(Sha256, IncrementalUpdatesMatchOneShot) {
@@ -99,6 +239,14 @@ TEST(ContentKey, LegDigestSensitiveToEveryResultAffectingField) {
     const SystemConfig base;
     const Digest256 reference =
         legDigest(module, SchemeKind::FfwBbr, point, 42, base);
+
+    // The store key format, pinned: a change to SHA-256, HashWriter framing
+    // or the key fields fails here instead of silently orphaning the
+    // segments of every `serve --store` directory.
+    EXPECT_EQ(digestToHex(module),
+              "8c9b66e70e930c2c7325c164d4d2038e09eb8822d306854431d1c152b7e52386");
+    EXPECT_EQ(digestToHex(reference),
+              "6d43f85110df9194ae73e2c59fa03754e48627407d65a23348c08f9c009c423b");
 
     // Same inputs → same key, across independent computations.
     EXPECT_EQ(reference, legDigest(module, SchemeKind::FfwBbr, point, 42, base));

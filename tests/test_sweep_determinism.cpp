@@ -4,6 +4,7 @@
 //     (per-leg slots + reduction in canonical leg order), and
 //   * geometric gap-skipping generation produces exactly the map the coupled
 //     per-word Bernoulli reference does, over a (seed, voltage) grid.
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -56,35 +57,61 @@ TEST(SweepDeterminism, JsonBitIdenticalAcrossThreadCounts) {
     }
 }
 
+SweepConfig batchConfig(unsigned threads, bool useReplay, unsigned batchLanes,
+                        unsigned trials) {
+    SweepConfig config;
+    config.benchmarks = {"crc32"};
+    config.schemes = {SchemeKind::Robust8T, SchemeKind::SimpleWordDisable,
+                      SchemeKind::FfwBbr};
+    config.points = {DvfsTable::at(560_mV), DvfsTable::at(400_mV)};
+    config.trials = trials;
+    config.scale = WorkloadScale::Tiny;
+    config.threads = threads;
+    config.useReplay = useReplay;
+    config.batchLanes = batchLanes;
+    return config;
+}
+
 // The batched replay engine must be a pure scheduling change: streaming one
 // trace through B fault maps at once has to export the very bytes
-// execution-driven simulation exports, at every thread count and for batch
-// sizes below, at, and above the trial count (1 lane is per-leg replay, 7
-// splits a 9-trial group unevenly, 9 is exactly one batch, 64 clamps to the
-// trial group, 0 asks for the engine default).
+// execution-driven simulation exports, at every thread count and batch size.
+// The grid has 54 replayable legs (18 plain + 9 FFW+BBR per point), and a
+// unit never exceeds ceil(54 / (2 x threads)) lanes. At one thread (cap 27)
+// 1 lane is per-leg replay, 7 splits a group unevenly, 9 splits it evenly,
+// and 64 and 0 (the engine default) both give 18 + 9 per point. At 2
+// threads the cap (14) narrows only 64 and 0; at 8 threads (4) every
+// request but 1.
 TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
-    const auto batchConfig = [](unsigned threads, bool useReplay, unsigned batchLanes) {
-        SweepConfig config;
-        config.benchmarks = {"crc32"};
-        config.schemes = {SchemeKind::Robust8T, SchemeKind::SimpleWordDisable,
-                          SchemeKind::FfwBbr};
-        config.points = {DvfsTable::at(560_mV), DvfsTable::at(400_mV)};
-        config.trials = 9;
-        config.scale = WorkloadScale::Tiny;
-        config.threads = threads;
-        config.useReplay = useReplay;
-        config.batchLanes = batchLanes;
-        return config;
-    };
-    const SweepConfig ref = batchConfig(1, false, 0);
+    const SweepConfig ref = batchConfig(1, false, 0, 9);
     const std::string refJson = exportJson(runSweep(ref), ref);
     for (const unsigned threads : {1u, 2u, 8u}) {
         for (const unsigned lanes : {1u, 7u, 9u, 64u, 0u}) {
-            const SweepConfig config = batchConfig(threads, true, lanes);
+            const SweepConfig config = batchConfig(threads, true, lanes, 9);
             EXPECT_EQ(refJson, exportJson(runSweep(config), config))
                 << "batched sweep JSON diverges from execution at --threads "
                 << threads << " --batch " << lanes;
         }
+    }
+}
+
+// Wide batches under concurrency: 48 trials give 288 replayable legs
+// (96 plain + 48 FFW+BBR per point), enough that 16-lane units survive the
+// two-units-per-worker cap at 8 threads and 32-lane units at 2 threads, so
+// several wide batches run at once.
+TEST(SweepDeterminism, WideBatchesOnManyWorkersMatchUnbatched) {
+    constexpr unsigned kTrials = 48;
+    constexpr std::size_t kReplayableLegs = 288;
+    ASSERT_EQ(detail::replayUnitCap(16, kReplayableLegs, 8), 16U);
+    ASSERT_EQ(detail::replayUnitCap(32, kReplayableLegs, 2), 32U);
+    ASSERT_EQ(detail::replayUnitCap(0, kReplayableLegs, 2), 32U);
+
+    const SweepConfig ref = batchConfig(8, false, 0, kTrials);
+    const std::string refJson = exportJson(runSweep(ref), ref);
+    for (const auto& [threads, lanes] : {std::pair{8u, 16u}, {2u, 32u}, {2u, 0u}}) {
+        const SweepConfig config = batchConfig(threads, true, lanes, kTrials);
+        EXPECT_EQ(refJson, exportJson(runSweep(config), config))
+            << "batched sweep JSON diverges from execution at --threads " << threads
+            << " --batch " << lanes;
     }
 }
 
