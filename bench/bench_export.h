@@ -46,7 +46,7 @@ inline void writeBenchJson(const char* artifact, const SweepConfig& config,
     json.member("version", buildVersion());
     json.member("seed", config.baseSeed);
     json.member("trials", config.trials);
-    json.member("scale", scaleName(config.scale));
+    json.member("scale", workloadScaleName(config.scale));
     json.key("metrics");
     json.beginArray();
     for (const BenchMetric& metric : metrics) {

@@ -21,7 +21,7 @@ int main() {
     bench::printHeader("Figure 10", "Normalized runtime vs the defect-free baseline");
     std::printf("Processor: Table I (2-way superscalar, 32KB 4-way L1s @2cyc, 512KB L2 "
                 "@10cyc)\nworkload scale: %s, fault maps per point: %u (paper: 1000)\n\n",
-                bench::scaleName(config.scale), config.trials);
+                workloadScaleName(config.scale), config.trials);
 
     const SweepResult result = runSweep(config);
 

@@ -15,7 +15,7 @@ int main() {
     const SweepConfig config = bench::defaultSweepConfig();
     bench::printHeader("Figure 11", "L2 accesses per 1000 instructions");
     std::printf("workload scale: %s, fault maps per point: %u\n\n",
-                bench::scaleName(config.scale), config.trials);
+                workloadScaleName(config.scale), config.trials);
 
     const SweepResult result = runSweep(config);
 

@@ -39,7 +39,7 @@ int main() {
     bench::printHeader("Figure 12",
                        "Normalized EPI vs the conventional cache at Vccmin = 760mV");
     std::printf("workload scale: %s, fault maps per point: %u\n\n",
-                bench::scaleName(config.scale), config.trials);
+                workloadScaleName(config.scale), config.trials);
 
     SweepConfig withBaselines = config;
     withBaselines.schemes = paperSchemes();

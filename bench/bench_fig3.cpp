@@ -18,7 +18,7 @@ int main() {
     const WorkloadScale scale = bench::envScale();
     bench::printHeader("Figure 3",
                        "Spatial locality and word reuse per 10000-instruction interval");
-    std::printf("workload scale: %s\n\n", bench::scaleName(scale));
+    std::printf("workload scale: %s\n\n", workloadScaleName(scale));
 
     TextTable summary({"benchmark", "models", "mean spatial locality", "mean word reuse",
                        "intervals"});

@@ -592,10 +592,7 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
 } // namespace
 
 int main(int argc, char** argv) {
-    for (const SchemeKind kind :
-         {SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
-          SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
-          SchemeKind::IdcPlus, SchemeKind::FfwBbr}) {
+    for (const SchemeKind kind : kAllSchemes) {
         const std::string name = "BM_L1ReadLoop/" + std::string(schemeName(kind));
         benchmark::RegisterBenchmark(name.c_str(), BM_L1ReadLoop, kind);
     }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "core/sweep.h"
 #include "workload/workload.h"
 
@@ -34,18 +35,8 @@ inline WorkloadScale envScale(WorkloadScale fallback = WorkloadScale::Small) {
 }
 
 inline std::vector<std::string> envBenchmarks() {
-    std::vector<std::string> names;
-    if (const char* value = std::getenv("VOLTCACHE_BENCHMARKS")) {
-        std::string raw = value;
-        std::size_t pos = 0;
-        while (pos < raw.size()) {
-            const std::size_t comma = raw.find(',', pos);
-            const std::size_t end = comma == std::string::npos ? raw.size() : comma;
-            if (end > pos) names.push_back(raw.substr(pos, end - pos));
-            pos = end + 1;
-        }
-    }
-    return names;
+    const char* value = std::getenv("VOLTCACHE_BENCHMARKS");
+    return value != nullptr ? splitCsv(value) : std::vector<std::string>{};
 }
 
 inline SweepConfig defaultSweepConfig() {
@@ -61,15 +52,6 @@ inline void printHeader(const char* artifact, const char* caption) {
     std::printf("voltcache reproduction — %s\n", artifact);
     std::printf("%s\n", caption);
     std::printf("================================================================\n\n");
-}
-
-inline const char* scaleName(WorkloadScale scale) {
-    switch (scale) {
-        case WorkloadScale::Tiny: return "tiny";
-        case WorkloadScale::Small: return "small";
-        case WorkloadScale::Reference: return "reference";
-    }
-    return "?";
 }
 
 } // namespace voltcache::bench

@@ -99,4 +99,16 @@ std::string formatSci(double value, int precision) {
     return buf;
 }
 
+std::vector<std::string> splitCsv(std::string_view text) {
+    std::vector<std::string> parts;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        const std::size_t comma = text.find(',', pos);
+        const std::size_t end = comma == std::string_view::npos ? text.size() : comma;
+        if (end > pos) parts.emplace_back(text.substr(pos, end - pos));
+        pos = end + 1;
+    }
+    return parts;
+}
+
 } // namespace voltcache

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace voltcache {
@@ -41,5 +42,8 @@ private:
 
 /// Format in scientific notation ("1.0e-02").
 [[nodiscard]] std::string formatSci(double value, int precision = 1);
+
+/// Split "a,b,,c" into {"a", "b", "c"}: no quoting, empty fields dropped.
+[[nodiscard]] std::vector<std::string> splitCsv(std::string_view text);
 
 } // namespace voltcache

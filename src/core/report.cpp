@@ -1,6 +1,9 @@
 #include "core/report.h"
 
+#include "analysis/crosscheck.h"
+#include "common/version.h"
 #include "schemes/scheme.h"
+#include "workload/workload.h"
 
 namespace voltcache {
 
@@ -105,6 +108,26 @@ void writeJson(JsonWriter& json, const SweepCell& cell, double ciLevel) {
     json.key("branchFrac");
     writeJson(json, cell.branchFrac, ciLevel);
     json.endObject();
+}
+
+SweepExportMeta sweepExportMeta(const SweepConfig& config,
+                                const analysis::CrosscheckReport* analytic) {
+    SweepExportMeta meta;
+    meta.version = std::string(buildVersion());
+    meta.seed = config.baseSeed;
+    meta.trials = config.trials;
+    meta.scale = workloadScaleName(config.scale);
+    meta.benchmarks = config.benchmarks;
+    if (meta.benchmarks.empty()) {
+        for (const auto& info : benchmarkList()) meta.benchmarks.emplace_back(info.name);
+    }
+    if (analytic != nullptr) {
+        meta.extensions = [analytic](JsonWriter& json) {
+            json.key("analytic");
+            analysis::writeJson(json, *analytic);
+        };
+    }
+    return meta;
 }
 
 std::string sweepResultToJson(const SweepResult& result, const SweepExportMeta& meta) {

@@ -18,6 +18,10 @@
 
 namespace voltcache {
 
+namespace analysis {
+struct CrosscheckReport;
+} // namespace analysis
+
 /// Provenance attached to a sweep export. `version` defaults to the
 /// configure-time git describe (pass a fixed string for golden tests).
 struct SweepExportMeta {
@@ -31,6 +35,13 @@ struct SweepExportMeta {
     /// (e.g. the analytic cross-check report: `json.key("analytic"); ...`).
     std::function<void(JsonWriter&)> extensions;
 };
+
+/// The provenance of a sweep run with `config`: build version, seed, trials,
+/// scale, and the benchmark list (all ten when the config names none). A
+/// non-null `analytic` report is appended as the "analytic" member; it must
+/// outlive the returned meta.
+[[nodiscard]] SweepExportMeta sweepExportMeta(
+    const SweepConfig& config, const analysis::CrosscheckReport* analytic = nullptr);
 
 /// Emit {"n","mean","stddev","min","max","ciHalfWidth"} for one accumulator.
 void writeJson(JsonWriter& json, const RunningStats& stats, double ciLevel = 0.95);

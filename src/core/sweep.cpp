@@ -555,61 +555,31 @@ SweepResult runSweep(const SweepConfig& config) {
     const unsigned workers =
         std::min<unsigned>(requested, std::max<std::size_t>(units.size(), 1));
 
-    // Job tracing: observational only. Every leg event carries the owning
-    // job's (traceHi, traceLo) and a child span id derived deterministically
-    // from the canonical leg index, and finished legs feed the JobTraceStore
-    // when that job is collecting. None of it touches slots, scheduling
-    // decisions, or the reduction — the sweep JSON stays byte-identical.
-    const bool traced = config.trace.valid();
+    // Leg lifecycle events: observational only. None of it touches slots,
+    // scheduling decisions, or the reduction — the sweep JSON stays
+    // byte-identical with any hook attached.
     const bool hooked = static_cast<bool>(config.onLegEvent);
-    const auto legEvent = [&](std::size_t index, SweepLegEvent::Phase phase,
+    const auto legEvent = [&](std::size_t index, obs::LegEvent::Phase phase,
                               unsigned workerId) {
         const Leg& leg = legs[index];
-        SweepLegEvent event;
+        obs::LegEvent event;
         event.phase = phase;
-        event.leg = index;
+        event.leg = static_cast<std::uint32_t>(index);
         event.worker = workerId;
-        event.benchmark = contexts[leg.benchmark].name;
-        event.scheme = schemes[leg.scheme];
+        event.setBenchmark(contexts[leg.benchmark].name);
+        event.setScheme(schemeName(schemes[leg.scheme]));
         event.voltageMv = mv(points[leg.point].voltage);
         event.trial = leg.trial;
         event.replayed = paths[index] == LegPath::Replayed;
         event.cached = paths[index] == LegPath::Cached;
-        if (traced) {
-            event.traceHi = config.trace.traceHi;
-            event.traceLo = config.trace.traceLo;
-            event.spanId = obs::childSpanId(config.trace, index);
-        }
         return event;
-    };
-    const auto recordLegSpan = [&](std::size_t index, unsigned workerId,
-                                   std::uint64_t startNs, std::uint64_t durationNs,
-                                   bool linkFailed) {
-        if (!traced || !obs::JobTraceStore::collecting()) return;
-        const Leg& leg = legs[index];
-        obs::JobSpan span;
-        span.name = "leg";
-        span.spanId = obs::childSpanId(config.trace, index);
-        span.parentSpanId = config.trace.spanId;
-        span.startNs = startNs;
-        span.durationNs = durationNs;
-        span.worker = workerId;
-        span.leg = true;
-        span.benchmark = contexts[leg.benchmark].name;
-        span.scheme = std::string(schemeName(schemes[leg.scheme]));
-        span.voltageMv = mv(points[leg.point].voltage);
-        span.trial = leg.trial;
-        span.replayed = paths[index] == LegPath::Replayed;
-        span.cached = paths[index] == LegPath::Cached;
-        span.linkFailed = linkFailed;
-        obs::JobTraceStore::global().record(config.trace, std::move(span));
     };
 
     // Leg lifecycle: every leg is announced once, in canonical order, from
     // the coordinating thread before any worker starts.
     if (hooked) {
         for (std::size_t i = 0; i < legs.size(); ++i) {
-            config.onLegEvent(legEvent(i, SweepLegEvent::Phase::Enqueued, 0));
+            config.onLegEvent(legEvent(i, obs::LegEvent::Phase::Enqueued, 0));
         }
     }
 
@@ -714,8 +684,7 @@ SweepResult runSweep(const SweepConfig& config) {
     // The one per-leg finishing routine, whatever path the leg took: harvest
     // `res` into the leg's slot and the store (cached slots arrived filled;
     // a null `res` means the leg's unit failed before producing results),
-    // then count the leg, report it (Finished event, trace span), and
-    // advance progress.
+    // then count the leg, report it (Finished event), and advance progress.
     const auto finishLeg = [&](std::size_t index, const SystemResult* res,
                                unsigned workerId, LegCounters& counters,
                                std::uint64_t startNs, std::uint64_t durationNs) {
@@ -740,13 +709,13 @@ SweepResult runSweep(const SweepConfig& config) {
         legsCompleted.fetch_add(1, std::memory_order_relaxed);
         legsByPath[static_cast<std::size_t>(path)].fetch_add(1, std::memory_order_relaxed);
         if (hooked) {
-            SweepLegEvent event = legEvent(index, SweepLegEvent::Phase::Finished, workerId);
+            obs::LegEvent event = legEvent(index, obs::LegEvent::Phase::Finished, workerId);
+            event.startNs = startNs;
             event.durationNs = durationNs;
             event.linkFailed = metrics.linkFailed;
-            event.failCause = metrics.forensics.failCause;
+            event.setFailCause(linkFailCauseName(metrics.forensics.failCause));
             config.onLegEvent(event);
         }
-        recordLegSpan(index, workerId, startNs, durationNs, metrics.linkFailed);
         if (pendingPerBenchmark[leg.benchmark].fetch_sub(1, std::memory_order_acq_rel) ==
             1) {
             finishBenchmark(leg.benchmark);
@@ -770,7 +739,7 @@ SweepResult runSweep(const SweepConfig& config) {
         const std::uint64_t startedNs = steadyNowNs();
         if (hooked) {
             for (const std::size_t index : unit) {
-                config.onLegEvent(legEvent(index, SweepLegEvent::Phase::Started, workerId));
+                config.onLegEvent(legEvent(index, obs::LegEvent::Phase::Started, workerId));
             }
         }
         std::vector<BatchLane> lanes;

@@ -24,50 +24,20 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/stats.h"
 #include "core/system.h"
 #include "obs/progress.h"
-#include "obs/trace_context.h"
 #include "workload/workload.h"
 
 namespace voltcache {
 
-/// One progress tick of runSweep (defined in obs/progress.h so observers
-/// below core can consume it as is).
+/// One progress tick of runSweep. It and the leg lifecycle event
+/// (obs::LegEvent) are defined in obs/progress.h so observers below core can
+/// consume them as is.
 using SweepProgress = obs::SweepProgress;
-
-/// One leg lifecycle transition, delivered to SweepConfig::onLegEvent.
-/// Enqueued events fire from the coordinating thread after the grid is
-/// flattened (before any leg runs); Started/Finished fire concurrently from
-/// worker threads, so the callback must be thread-safe and cheap — the
-/// telemetry journal pushes into per-worker SPSC rings (obs/export/journal).
-struct SweepLegEvent {
-    enum class Phase : std::uint8_t { Enqueued, Started, Finished };
-
-    Phase phase = Phase::Enqueued;
-    std::size_t leg = 0;           ///< canonical leg index
-    unsigned worker = 0;           ///< dense worker id; 0 for Enqueued events
-    std::string_view benchmark;    ///< valid only for the callback's duration
-    SchemeKind scheme = SchemeKind::DefectFree;
-    int voltageMv = 0;
-    std::uint32_t trial = 0;
-    bool replayed = false;         ///< served by the trace-replay fast path
-    bool cached = false;           ///< served from the result store (no simulation)
-    std::uint64_t durationNs = 0;  ///< Finished only
-    bool linkFailed = false;       ///< Finished only
-    LinkFailCause failCause = LinkFailCause::None; ///< Finished only
-    /// Owning job's trace context (SweepConfig::trace); zero when the sweep
-    /// is untraced. spanId is the leg's deterministic child span —
-    /// obs::childSpanId(config.trace, leg index) — so a replayed job
-    /// reproduces the identical span tree.
-    std::uint64_t traceHi = 0;
-    std::uint64_t traceLo = 0;
-    std::uint64_t spanId = 0;
-};
 
 /// The per-leg result slot: exactly what the canonical reduction consumes,
 /// so a leg served from a result store is indistinguishable — byte for byte,
@@ -163,18 +133,15 @@ struct SweepConfig {
     /// reporting. Progress observation never changes the sweep result or
     /// its JSON export.
     std::function<void(const SweepProgress&)> onProgress;
-    /// Leg lifecycle hook (telemetry journal). Enqueued fires from the
-    /// coordinator; Started/Finished fire concurrently from workers — the
-    /// callback must be thread-safe and must not block (drop, don't stall).
-    /// Empty = zero overhead on the leg hot path.
-    std::function<void(const SweepLegEvent&)> onLegEvent;
-    /// Owning job's trace context (obs/trace_context.h). When valid, every
-    /// SweepLegEvent carries it plus the leg's deterministic child span id,
-    /// and finished legs are recorded into the JobTraceStore when that job
-    /// is collecting. Purely observational: tracing never disables replay,
-    /// batching, or the result store, and never touches the reduction — the
-    /// sweep JSON stays byte-identical with tracing on or off.
-    obs::TraceContext trace;
+    /// Leg lifecycle hook: one obs::LegEvent per transition (Enqueued,
+    /// Started, Finished). Enqueued fires from the coordinator, in canonical
+    /// leg order, before any leg runs; Started/Finished fire concurrently
+    /// from workers — the callback must be thread-safe and must not block
+    /// (drop, don't stall). A Finished event carries the leg's start stamp
+    /// and duration; batched legs tile their unit's wall window. Trace ids
+    /// are left zero: the job's telemetry scope (core/sweep_telemetry.h)
+    /// stamps them. Empty = zero overhead on the leg hot path.
+    std::function<void(const obs::LegEvent&)> onLegEvent;
     /// Fault-injection knob for the crash-handling negative control
     /// (ci.sh): when nonzero, the leg with canonical index failAtLeg-1
     /// deliberately fails a VC_CHECK before simulating, exercising the

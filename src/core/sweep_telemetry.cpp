@@ -1,40 +1,11 @@
 #include "core/sweep_telemetry.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <utility>
 
 namespace voltcache {
-
-obs::JournalEvent journalEventFrom(const SweepLegEvent& event) {
-    obs::JournalEvent line;
-    switch (event.phase) {
-        case SweepLegEvent::Phase::Enqueued:
-            line.phase = obs::JournalEvent::Phase::Enqueued;
-            break;
-        case SweepLegEvent::Phase::Started:
-            line.phase = obs::JournalEvent::Phase::Started;
-            break;
-        case SweepLegEvent::Phase::Finished:
-            line.phase = obs::JournalEvent::Phase::Finished;
-            break;
-    }
-    line.leg = static_cast<std::uint32_t>(event.leg);
-    line.worker = event.worker;
-    line.setBenchmark(event.benchmark);
-    line.setScheme(schemeName(event.scheme));
-    line.voltageMv = event.voltageMv;
-    line.trial = event.trial;
-    line.replayed = event.replayed;
-    line.cached = event.cached;
-    line.linkFailed = event.linkFailed;
-    line.durationNs = event.durationNs;
-    line.setFailCause(linkFailCauseName(event.failCause));
-    line.traceHi = event.traceHi;
-    line.traceLo = event.traceLo;
-    line.spanId = event.spanId;
-    return line;
-}
 
 std::size_t sweepJournalProducers(unsigned threads) {
     // runSweep's own sizing rule (it may clamp down to the unit count,
@@ -44,7 +15,13 @@ std::size_t sweepJournalProducers(unsigned threads) {
     return std::size_t{workers} + 1;
 }
 
-void attachTelemetry(SweepConfig& config, const SweepTelemetry& sinks) {
+SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,
+                             const SweepTelemetry& sinks)
+    : sinks_(sinks) {
+    if (sinks.board != nullptr) sinks.board->beginJob(std::string(label));
+    if (sinks.trace.valid()) obs::JobTraceStore::global().beginJob(std::string(label), sinks.trace);
+    if (sinks.flight != nullptr) sinks.flight->noteJob(label, sinks.trace);
+
     if (sinks.journal != nullptr) {
         const auto rings =
             static_cast<unsigned>(std::max<std::size_t>(sinks.journal->producers(), 2) - 1);
@@ -62,19 +39,40 @@ void attachTelemetry(SweepConfig& config, const SweepTelemetry& sinks) {
             if (next) next(tick);
         };
     }
-    if (sinks.journal != nullptr || sinks.flight != nullptr) {
+    if (sinks.journal != nullptr || sinks.flight != nullptr || sinks.trace.valid()) {
         config.onLegEvent = [sinks, next = std::move(config.onLegEvent)](
-                                const SweepLegEvent& event) {
-            const obs::JournalEvent line = journalEventFrom(event);
-            if (sinks.flight != nullptr) sinks.flight->noteLegEvent(line);
+                                const obs::LegEvent& event) {
+            const bool finished = event.phase == obs::LegEvent::Phase::Finished;
+            // The job trace keeps only Finished legs: with no other consumer,
+            // the Enqueued and Started phases cost nothing past this test.
+            if (!finished && sinks.journal == nullptr && sinks.flight == nullptr && !next) {
+                return;
+            }
+            obs::LegEvent stamped = event;
+            if (sinks.trace.valid()) {
+                stamped.traceHi = sinks.trace.traceHi;
+                stamped.traceLo = sinks.trace.traceLo;
+                stamped.spanId = obs::childSpanId(sinks.trace, event.leg);
+            }
+            if (sinks.flight != nullptr) sinks.flight->noteLegEvent(stamped);
             if (sinks.journal != nullptr) {
                 sinks.journal->emit(
-                    event.phase == SweepLegEvent::Phase::Enqueued ? 0 : event.worker + 1,
-                    line);
+                    event.phase == obs::LegEvent::Phase::Enqueued ? 0 : event.worker + 1,
+                    stamped);
             }
-            if (next) next(event);
+            if (finished && sinks.trace.valid()) {
+                obs::JobTraceStore::global().recordLeg(sinks.trace, stamped);
+            }
+            if (next) next(stamped);
         };
     }
+    traceScope_.emplace(sinks.trace);
+}
+
+SweepJobScope::~SweepJobScope() {
+    traceScope_.reset();
+    if (sinks_.trace.valid()) obs::JobTraceStore::global().endJob(sinks_.trace);
+    if (sinks_.board != nullptr) sinks_.board->finish();
 }
 
 } // namespace voltcache

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/json.h"
@@ -11,43 +10,12 @@
 
 namespace voltcache::obs {
 
-namespace {
-
-void copyTruncated(char* dest, std::size_t capacity, std::string_view src) noexcept {
-    const std::size_t n = std::min(src.size(), capacity - 1);
-    std::memcpy(dest, src.data(), n);
-    dest[n] = '\0';
-}
-
-const char* phaseName(JournalEvent::Phase phase) {
-    switch (phase) {
-    case JournalEvent::Phase::Enqueued: return "enqueued";
-    case JournalEvent::Phase::Started: return "started";
-    case JournalEvent::Phase::Finished: return "finished";
-    }
-    return "?";
-}
-
-} // namespace
-
-void JournalEvent::setBenchmark(std::string_view name) noexcept {
-    copyTruncated(benchmark, sizeof benchmark, name);
-}
-
-void JournalEvent::setScheme(std::string_view name) noexcept {
-    copyTruncated(scheme, sizeof scheme, name);
-}
-
-void JournalEvent::setFailCause(std::string_view name) noexcept {
-    copyTruncated(failCause, sizeof failCause, name);
-}
-
 namespace detail {
 
 SpscEventRing::SpscEventRing(std::size_t capacityPow2)
     : slots_(capacityPow2), mask_(capacityPow2 - 1) {}
 
-bool SpscEventRing::tryPush(const JournalEvent& event) noexcept {
+bool SpscEventRing::tryPush(const LegEvent& event) noexcept {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head >= slots_.size()) return false; // full
@@ -56,7 +24,7 @@ bool SpscEventRing::tryPush(const JournalEvent& event) noexcept {
     return true;
 }
 
-bool SpscEventRing::tryPop(JournalEvent& event) noexcept {
+bool SpscEventRing::tryPop(LegEvent& event) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     const std::uint64_t tail = tail_.load(std::memory_order_acquire);
     if (head == tail) return false; // empty
@@ -97,7 +65,7 @@ LegJournal::LegJournal(const std::string& path, std::size_t producers,
 
 LegJournal::~LegJournal() { close(); }
 
-void LegJournal::emit(std::size_t producer, JournalEvent event) noexcept {
+void LegJournal::emit(std::size_t producer, LegEvent event) noexcept {
     if (producer >= rings_.size()) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         droppedCounter_.add();
@@ -118,7 +86,7 @@ void LegJournal::emit(std::size_t producer, JournalEvent event) noexcept {
 
 std::size_t LegJournal::drainOnce() {
     std::size_t drained = 0;
-    JournalEvent event;
+    LegEvent event;
     for (const auto& ring : rings_) {
         while (ring->tryPop(event)) {
             writeLine(event);
@@ -138,8 +106,8 @@ void LegJournal::close() {
     out_.flush();
 }
 
-void LegJournal::writeLine(const JournalEvent& event) {
-    const std::string line = journalEventToJson(event);
+void LegJournal::writeLine(const LegEvent& event) {
+    const std::string line = legEventToJson(event);
     if (maxBytes_ != 0 && currentBytes_ != 0 &&
         currentBytes_ + line.size() + 1 > maxBytes_) {
         rotate();
@@ -162,10 +130,10 @@ void LegJournal::rotate() {
     rotationCounter_.add();
 }
 
-std::string journalEventToJson(const JournalEvent& event) {
+std::string legEventToJson(const LegEvent& event) {
     JsonWriter json;
     json.beginObject();
-    json.member("ev", phaseName(event.phase));
+    json.member("ev", legPhaseName(event.phase));
     json.member("seq", event.sequence);
     json.member("tNs", event.timestampNs);
     json.member("leg", event.leg);
@@ -183,7 +151,7 @@ std::string journalEventToJson(const JournalEvent& event) {
         json.member("trace", traceIdHex(context));
         json.member("span", spanIdHex(event.spanId));
     }
-    if (event.phase == JournalEvent::Phase::Finished) {
+    if (event.phase == LegEvent::Phase::Finished) {
         json.member("durationNs", event.durationNs);
         json.member("outcome", event.linkFailed ? "link_failed" : "ok");
         json.member("cause", std::string_view(event.failCause));

@@ -23,55 +23,25 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/progress.h"
 
 namespace voltcache::obs {
 
-/// Fixed-size leg lifecycle event. Strings are truncating copies so the
-/// ring slots stay POD (no allocation on the producer path).
-struct JournalEvent {
-    enum class Phase : std::uint8_t { Enqueued, Started, Finished };
-
-    Phase phase = Phase::Enqueued;
-    std::uint32_t leg = 0;     ///< canonical leg index
-    std::uint32_t worker = 0;  ///< dense worker id (coordinator events: 0)
-    char benchmark[24] = {};
-    char scheme[24] = {};
-    std::int32_t voltageMv = 0;
-    std::uint32_t trial = 0;
-    bool replayed = false;          ///< served by the trace-replay fast path
-    bool cached = false;            ///< slot filled from the content-addressed store
-    bool linkFailed = false;        ///< Finished only
-    char failCause[16] = {};        ///< Finished only ("none" when healthy)
-    std::uint64_t durationNs = 0;   ///< Finished only
-    std::uint64_t timestampNs = 0;  ///< stamped at emit(), relative to journal epoch
-    std::uint64_t sequence = 0;     ///< per-producer, stamped at emit()
-    // Owning job's trace context (obs/trace_context.h); all zero = untraced.
-    std::uint64_t traceHi = 0;
-    std::uint64_t traceLo = 0;
-    std::uint64_t spanId = 0; ///< the leg's deterministic child span id
-
-    /// Truncating copy helpers for the two name fields.
-    void setBenchmark(std::string_view name) noexcept;
-    void setScheme(std::string_view name) noexcept;
-    void setFailCause(std::string_view name) noexcept;
-};
-
 namespace detail {
 
-/// Single-producer / single-consumer bounded ring of JournalEvents.
+/// Single-producer / single-consumer bounded ring of LegEvents.
 class SpscEventRing {
 public:
     explicit SpscEventRing(std::size_t capacityPow2);
-    [[nodiscard]] bool tryPush(const JournalEvent& event) noexcept; ///< producer
-    [[nodiscard]] bool tryPop(JournalEvent& event) noexcept;        ///< consumer
+    [[nodiscard]] bool tryPush(const LegEvent& event) noexcept; ///< producer
+    [[nodiscard]] bool tryPop(LegEvent& event) noexcept;        ///< consumer
 
 private:
-    std::vector<JournalEvent> slots_;
+    std::vector<LegEvent> slots_;
     std::size_t mask_ = 0;
     alignas(64) std::atomic<std::uint64_t> head_{0}; ///< next pop
     alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< next push
@@ -99,7 +69,7 @@ public:
 
     /// Producer side: stamp timestamp + sequence and push. A full ring (or an
     /// out-of-range producer index) drops the event and bumps the counters.
-    void emit(std::size_t producer, JournalEvent event) noexcept;
+    void emit(std::size_t producer, LegEvent event) noexcept;
 
     /// Pop-and-write everything currently queued; returns events written.
     /// The drainer thread calls this continuously; with autoDrain=false the
@@ -123,7 +93,7 @@ public:
     }
 
 private:
-    void writeLine(const JournalEvent& event);
+    void writeLine(const LegEvent& event);
     void rotate();
 
     std::string path_;
@@ -146,6 +116,6 @@ private:
 
 /// Serialize one event as its NDJSON line (no trailing newline) — exposed
 /// for tests and for `voltcache top`'s journal tailing.
-[[nodiscard]] std::string journalEventToJson(const JournalEvent& event);
+[[nodiscard]] std::string legEventToJson(const LegEvent& event);
 
 } // namespace voltcache::obs

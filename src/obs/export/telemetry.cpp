@@ -57,9 +57,14 @@ void ProgressBoard::beginJob(const std::string& job) {
     lastTickLegs_ = 0;
 }
 
-double ProgressBoard::ewmaLegsPerSec() const {
+std::optional<double> ProgressBoard::etaSeconds() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return ewmaLegsPerSec_;
+    return etaSecondsLocked();
+}
+
+std::optional<double> ProgressBoard::etaSecondsLocked() const {
+    if (ewmaLegsPerSec_ <= 0.0 || latest_.legsTotal < latest_.legsCompleted) return {};
+    return static_cast<double>(latest_.legsTotal - latest_.legsCompleted) / ewmaLegsPerSec_;
 }
 
 std::string ProgressBoard::toJson() {
@@ -97,10 +102,8 @@ std::string ProgressBoard::toJson() {
     json.endObject();
     json.member("workers", latest_.workers);
     json.member("ewmaLegsPerSec", ewmaLegsPerSec_);
-    if (ewmaLegsPerSec_ > 0.0 && latest_.legsTotal >= latest_.legsCompleted) {
-        json.member("etaSeconds",
-                    static_cast<double>(latest_.legsTotal - latest_.legsCompleted) /
-                        ewmaLegsPerSec_);
+    if (const std::optional<double> eta = etaSecondsLocked()) {
+        json.member("etaSeconds", *eta);
     } else {
         json.key("etaSeconds");
         json.null();

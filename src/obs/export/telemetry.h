@@ -61,10 +61,13 @@ public:
     /// toJson() call.
     [[nodiscard]] std::string toJson();
 
-    /// EWMA legs/second estimate (0 until two ticks arrived).
-    [[nodiscard]] double ewmaLegsPerSec() const;
+    /// Seconds left for the current job's remaining legs at the EWMA
+    /// legs/second rate; empty until a tick has measured a rate.
+    [[nodiscard]] std::optional<double> etaSeconds() const;
 
 private:
+    [[nodiscard]] std::optional<double> etaSecondsLocked() const;
+
     mutable std::mutex mutex_;
     SweepProgress latest_;
     std::string job_;

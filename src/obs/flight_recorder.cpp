@@ -132,15 +132,6 @@ struct DumpWriter {
     }
 };
 
-const char* flightPhaseName(JournalEvent::Phase phase) noexcept {
-    switch (phase) {
-    case JournalEvent::Phase::Enqueued: return "enqueued";
-    case JournalEvent::Phase::Started: return "started";
-    case JournalEvent::Phase::Finished: return "finished";
-    }
-    return "?";
-}
-
 void copyBounded(char* dest, std::size_t capacity, std::string_view src) noexcept {
     const std::size_t n = src.size() < capacity - 1 ? src.size() : capacity - 1;
     std::memcpy(dest, src.data(), n);
@@ -151,7 +142,7 @@ void copyBounded(char* dest, std::size_t capacity, std::string_view src) noexcep
 
 struct FlightRecorder::Impl {
     int fd = -1;
-    std::vector<JournalEvent> ring;
+    std::vector<LegEvent> ring;
     std::size_t mask = 0;
     std::atomic<std::uint64_t> seq{0};
     std::uint64_t epochNs = 0; ///< steady_clock at install (event t=0)
@@ -282,9 +273,9 @@ void flightSpanExit() noexcept {
     if (depth > 0) stack->depth.store(depth - 1, std::memory_order_release);
 }
 
-void FlightRecorder::noteLegEvent(const JournalEvent& event) noexcept {
+void FlightRecorder::noteLegEvent(const LegEvent& event) noexcept {
     const std::uint64_t seq = impl_->seq.fetch_add(1, std::memory_order_relaxed);
-    JournalEvent& slot = impl_->ring[seq & impl_->mask];
+    LegEvent& slot = impl_->ring[seq & impl_->mask];
     slot = event;
     // The journal stamps sequence/timestamp at emit(); feeds reach this ring
     // before (or without) a journal, so stamp the recorder's own view here.
@@ -454,10 +445,10 @@ bool FlightRecorder::dumpNow(const char* reason, const char* detail) noexcept {
     w.u64(start);
     w.text(",\"events\":[");
     for (std::uint64_t i = start; i < noted; ++i) {
-        const JournalEvent& event = impl_->ring[i & impl_->mask];
+        const LegEvent& event = impl_->ring[i & impl_->mask];
         if (i != start) w.raw(',');
         w.text("{\"ev\":\"");
-        w.text(flightPhaseName(event.phase));
+        w.text(legPhaseName(event.phase));
         w.text("\",\"seq\":");
         w.u64(event.sequence);
         w.text(",\"tNs\":");
@@ -474,7 +465,7 @@ bool FlightRecorder::dumpNow(const char* reason, const char* detail) noexcept {
         w.i64(event.voltageMv);
         w.text(",\"trial\":");
         w.u64(event.trial);
-        if (event.phase == JournalEvent::Phase::Finished) {
+        if (event.phase == LegEvent::Phase::Finished) {
             w.text(",\"durationNs\":");
             w.u64(event.durationNs);
             w.text(",\"outcome\":\"");

@@ -1,9 +1,9 @@
 // Async-signal-safe black-box flight recorder.
 //
-// A preallocated, lock-light ring of recent leg journal events, a bounded
-// mirror of the metrics registry, the latest progress tick, and every live
-// thread's active span stack — all maintained as plain POD + atomics on the
-// normal path, and dumped WITHOUT any allocation from three failure paths:
+// A preallocated, lock-light ring of recent leg events (obs::LegEvent), a
+// bounded mirror of the metrics registry, the latest progress tick, and every
+// live thread's active span stack — all maintained as plain POD + atomics on
+// the normal path, and dumped WITHOUT any allocation from three failure paths:
 //   * SIGSEGV / SIGABRT (sigaction handlers installed by install()),
 //   * a VC_EXPECTS / VC_ENSURES / VC_CHECK failure (common/contracts.h hook,
 //     which fires at the failure site before the exception unwinds — the
@@ -26,7 +26,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/export/journal.h"
 #include "obs/progress.h"
 #include "obs/trace_context.h"
 
@@ -50,7 +49,7 @@ public:
     [[nodiscard]] static FlightRecorder* instance() noexcept;
 
     /// Normal-path feeds (thread-safe, allocation-free, never block).
-    void noteLegEvent(const JournalEvent& event) noexcept;
+    void noteLegEvent(const LegEvent& event) noexcept;
     /// Copies the tick's counters (not its benchmark name) into atomics.
     void noteProgress(const SweepProgress& progress) noexcept;
     void noteJob(std::string_view label, const TraceContext& context) noexcept;

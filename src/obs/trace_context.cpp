@@ -216,7 +216,7 @@ void JobTraceStore::endJob(const TraceContext& context) {
     impl_->refreshCollectingLocked();
 }
 
-void JobTraceStore::record(const TraceContext& context, JobSpan span) {
+void JobTraceStore::record(const TraceContext& context, const JobSpan& span) {
     if (!context.valid()) return;
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     Impl::JobTrace* job = impl_->findOpenLocked(context);
@@ -227,8 +227,15 @@ void JobTraceStore::record(const TraceContext& context, JobSpan span) {
         impl_->droppedCounter.add();
         return;
     }
-    job->spans.push_back(std::move(span));
+    job->spans.push_back(span);
     impl_->spanCounter.add();
+}
+
+void JobTraceStore::recordLeg(const TraceContext& context, const LegEvent& finished) {
+    JobSpan span;
+    span.parentSpanId = context.spanId;
+    span.event = finished;
+    record(context, span);
 }
 
 void JobTraceStore::recordCurrent(const char* name, std::uint64_t startNs,
@@ -237,47 +244,49 @@ void JobTraceStore::recordCurrent(const char* name, std::uint64_t startNs,
     const TraceContext context = currentTraceContext();
     if (!context.valid()) return;
     JobSpan span;
-    span.name = name;
+    span.phase = name;
     span.parentSpanId = context.spanId;
-    span.startNs = startNs;
-    span.durationNs = durationNs;
-    record(context, std::move(span));
+    span.event.startNs = startNs;
+    span.event.durationNs = durationNs;
+    record(context, span);
 }
 
 namespace {
 
 void writeSpanEvent(JsonWriter& json, const JobSpan& span, std::uint64_t epochNs) {
+    const LegEvent& event = span.event;
+    const bool leg = span.phase == nullptr;
     json.beginObject();
-    if (span.leg) {
-        json.member("name", "leg " + span.benchmark + "/" + span.scheme + "@" +
-                                std::to_string(span.voltageMv) + "mV#" +
-                                std::to_string(span.trial));
-        json.member("cat", span.cached ? "leg,cached" : "leg");
+    if (leg) {
+        json.member("name", "leg " + std::string(event.benchmark) + "/" + event.scheme + "@" +
+                                std::to_string(event.voltageMv) + "mV#" +
+                                std::to_string(event.trial));
+        json.member("cat", event.cached ? "leg,cached" : "leg");
     } else {
-        json.member("name", span.name);
+        json.member("name", span.phase);
         json.member("cat", "phase");
     }
     json.member("ph", "X");
-    const std::uint64_t rel = span.startNs > epochNs ? span.startNs - epochNs : 0;
+    const std::uint64_t rel = event.startNs > epochNs ? event.startNs - epochNs : 0;
     json.member("ts", static_cast<double>(rel) * 1e-3);
     // Store hits are zero-cost on the timeline: the leg did no simulation.
     // The actual lookup wall time survives in args.wallNs.
-    json.member("dur", span.cached ? 0.0 : static_cast<double>(span.durationNs) * 1e-3);
+    json.member("dur", event.cached ? 0.0 : static_cast<double>(event.durationNs) * 1e-3);
     json.member("pid", 1);
-    json.member("tid", static_cast<std::uint64_t>(span.worker));
+    json.member("tid", static_cast<std::uint64_t>(event.worker));
     json.key("args");
     json.beginObject();
-    if (span.spanId != 0) json.member("span", spanIdHex(span.spanId));
+    if (event.spanId != 0) json.member("span", spanIdHex(event.spanId));
     if (span.parentSpanId != 0) json.member("parent", spanIdHex(span.parentSpanId));
-    if (span.leg) {
-        json.member("benchmark", span.benchmark);
-        json.member("scheme", span.scheme);
-        json.member("mv", static_cast<std::int64_t>(span.voltageMv));
-        json.member("trial", span.trial);
-        json.member("replayed", span.replayed);
-        json.member("cached", span.cached);
-        if (span.cached) json.member("wallNs", span.durationNs);
-        if (span.linkFailed) json.member("linkFailed", true);
+    if (leg) {
+        json.member("benchmark", std::string_view(event.benchmark));
+        json.member("scheme", std::string_view(event.scheme));
+        json.member("mv", static_cast<std::int64_t>(event.voltageMv));
+        json.member("trial", event.trial);
+        json.member("replayed", event.replayed);
+        json.member("cached", event.cached);
+        if (event.cached) json.member("wallNs", event.durationNs);
+        if (event.linkFailed) json.member("linkFailed", true);
     }
     json.endObject();
     json.endObject();

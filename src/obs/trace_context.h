@@ -5,8 +5,8 @@
 // ids are well-mixed without a CSPRNG dependency. The id is minted once per
 // job — by `voltcache submit` on the client, or by the serve daemon when a
 // client did not choose one — and propagated through the NDJSON protocol,
-// the session queue, the executor, and into every sweep leg: each
-// SweepLegEvent carries (traceHi, traceLo, spanId) where spanId is the leg's
+// the session queue, the executor, and into every sweep leg: each leg's
+// obs::LegEvent carries (traceHi, traceLo, spanId) where spanId is the leg's
 // child span derived deterministically from (trace id, parent span, leg
 // index). Derivation, not random draws, keeps the sweep byte-identical and
 // replayable: the same job config always yields the same span tree.
@@ -27,6 +27,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/progress.h"
 
 namespace voltcache::obs {
 
@@ -89,24 +91,14 @@ private:
     TraceContext previous_;
 };
 
-/// One closed span inside a job's trace. Legs carry the grid coordinates;
-/// profiler phase spans carry just the name and timing.
+/// One closed span inside a job's trace. A leg span is the sweep's Finished
+/// LegEvent as is: its spanId, startNs (steady_clock since-epoch),
+/// durationNs and worker time the span, and its grid fields annotate it. A
+/// profiler phase span sets `phase` and only those four timing fields.
 struct JobSpan {
-    std::string name;               ///< "leg" or a phase span name
-    std::uint64_t spanId = 0;
+    const char* phase = nullptr;    ///< phase name (a string literal); nullptr = leg span
     std::uint64_t parentSpanId = 0; ///< 0 = child of the job root
-    std::uint64_t startNs = 0;      ///< steady_clock since-epoch at open
-    std::uint64_t durationNs = 0;
-    std::uint32_t worker = 0;
-    // Leg annotations (meaningful when leg == true).
-    bool leg = false;
-    std::string benchmark;
-    std::string scheme;
-    std::int32_t voltageMv = 0;
-    std::uint32_t trial = 0;
-    bool replayed = false;
-    bool cached = false;   ///< store hit: rendered as a zero-cost span
-    bool linkFailed = false;
+    LegEvent event;
 };
 
 /// Bounded collector of recent jobs' span trees. All methods are
@@ -132,7 +124,11 @@ public:
 
     /// Append one closed span to the job owning `context`'s trace id.
     /// No-op when the trace id matches no open job.
-    void record(const TraceContext& context, JobSpan span);
+    void record(const TraceContext& context, const JobSpan& span);
+
+    /// Record a finished leg (its Finished LegEvent, stamped with spanId and
+    /// startNs) as a child of `context`'s root span.
+    void recordLeg(const TraceContext& context, const LegEvent& finished);
 
     /// Convenience for obs::Span: attribute a closed phase span to the
     /// process-current context.

@@ -3,6 +3,9 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "common/table.h"
 
 namespace voltcache {
 
@@ -37,6 +40,14 @@ const OperatingPoint& DvfsTable::at(Voltage v) {
         if (std::abs(point.voltage.millivolts() - v.millivolts()) < 0.5) return point;
     }
     throw std::out_of_range("DvfsTable::at: voltage is not a Table II operating point");
+}
+
+std::vector<OperatingPoint> DvfsTable::parseMillivoltList(std::string_view csv) {
+    std::vector<OperatingPoint> points;
+    for (const std::string& mv : splitCsv(csv)) {
+        points.push_back(at(Voltage::fromMillivolts(std::stod(mv))));
+    }
+    return points;
 }
 
 } // namespace voltcache

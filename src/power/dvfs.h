@@ -7,6 +7,8 @@
 #pragma once
 
 #include <span>
+#include <string_view>
+#include <vector>
 
 #include "common/units.h"
 #include "faults/failure_model.h"
@@ -35,6 +37,9 @@ public:
     /// Operating point for a voltage (matches a Table II row within 0.5mV).
     /// Throws std::out_of_range for unsupported voltages.
     [[nodiscard]] static const OperatingPoint& at(Voltage v);
+
+    /// Operating points for a comma-separated millivolt list ("560,400").
+    [[nodiscard]] static std::vector<OperatingPoint> parseMillivoltList(std::string_view csv);
 };
 
 } // namespace voltcache

@@ -1,5 +1,8 @@
 #include "schemes/scheme.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace voltcache {
 
 std::string_view schemeName(SchemeKind kind) noexcept {
@@ -14,6 +17,13 @@ std::string_view schemeName(SchemeKind kind) noexcept {
         case SchemeKind::FfwBbr: return "ffw+bbr";
     }
     return "unknown";
+}
+
+SchemeKind parseSchemeKind(std::string_view name) {
+    for (const SchemeKind kind : kAllSchemes) {
+        if (schemeName(kind) == name) return kind;
+    }
+    throw std::runtime_error("unknown scheme '" + std::string(name) + "'");
 }
 
 } // namespace voltcache

@@ -6,6 +6,7 @@
 // scheme-agnostic: it calls read/write/fetch and consumes AccessResults.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -25,7 +26,16 @@ enum class SchemeKind : std::uint8_t {
     FfwBbr,            ///< this paper: FFW data cache + BBR instruction cache
 };
 
+/// Every SchemeKind, in declaration order.
+inline constexpr std::array<SchemeKind, 8> kAllSchemes = {
+    SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
+    SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
+    SchemeKind::IdcPlus, SchemeKind::FfwBbr};
+
 [[nodiscard]] std::string_view schemeName(SchemeKind kind) noexcept;
+
+/// Inverse of schemeName; throws std::runtime_error for unknown names.
+[[nodiscard]] SchemeKind parseSchemeKind(std::string_view name);
 
 /// Outcome of one L1 access, consumed by the timing simulator and the
 /// activity counters.

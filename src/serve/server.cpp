@@ -1,11 +1,12 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/json.h"
-#include "common/version.h"
+#include "common/table.h"
 #include "core/analytic_gate.h"
 #include "core/report.h"
 #include "core/sweep_telemetry.h"
@@ -23,61 +24,20 @@ namespace {
 /// least this often, which is what makes requestStop() prompt.
 constexpr std::chrono::milliseconds kPollInterval{200};
 
-std::vector<std::string> splitCsv(const std::string& text) {
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? text.size() : comma;
-        if (end > pos) parts.push_back(text.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    return parts;
-}
-
-WorkloadScale parseScale(const std::string& name) {
-    if (name == "tiny") return WorkloadScale::Tiny;
-    if (name == "small") return WorkloadScale::Small;
-    if (name == "reference") return WorkloadScale::Reference;
-    throw std::runtime_error("unknown scale '" + name + "' (tiny|small|reference)");
-}
-
-const char* scaleName(WorkloadScale scale) {
-    switch (scale) {
-        case WorkloadScale::Tiny: return "tiny";
-        case WorkloadScale::Small: return "small";
-        case WorkloadScale::Reference: return "reference";
-    }
-    return "?";
-}
-
-SchemeKind parseScheme(const std::string& name) {
-    for (const SchemeKind kind :
-         {SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
-          SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
-          SchemeKind::IdcPlus, SchemeKind::FfwBbr}) {
-        if (schemeName(kind) == name) return kind;
-    }
-    throw std::runtime_error("unknown scheme '" + name + "'");
-}
-
 /// Build the SweepConfig exactly the way cmdSweep does from its flags, so a
 /// served job and a direct `voltcache sweep` produce byte-identical JSON.
 SweepConfig configFromJob(const JobRequest& request) {
     SweepConfig config;
     config.trials = request.trials;
-    config.scale = parseScale(request.scale);
+    config.scale = parseWorkloadScale(request.scale);
     config.maxInstructions = request.maxInstructions;
     config.threads = request.threads;
     config.baseSeed = request.seed;
     config.benchmarks = splitCsv(request.benchmarks);
     for (const std::string& name : splitCsv(request.schemes)) {
-        config.schemes.push_back(parseScheme(name));
+        config.schemes.push_back(parseSchemeKind(name));
     }
-    for (const std::string& mv : splitCsv(request.mv)) {
-        config.points.push_back(
-            DvfsTable::at(Voltage::fromMillivolts(std::stod(mv))));
-    }
+    config.points = DvfsTable::parseMillivoltList(request.mv);
     return config;
 }
 
@@ -325,22 +285,18 @@ void Server::runJob(Session& session, const JobRequest& request) {
     auto& registry = obs::MetricsRegistry::global();
     registry.add("serve.jobs", {{"op", request.op}});
     registry.add("serve.session.jobs", {{"session", std::to_string(session.id)}});
+    SweepTelemetry sinks{options_.board, journal_.has_value() ? &*journal_ : nullptr,
+                         obs::FlightRecorder::instance(), {}};
     // Admission minted (or validated) the id, so this parse only fails for a
     // job queued by an older client path — tracing just stays off then.
-    obs::TraceContext trace;
-    const bool traced = obs::parseTraceIdHex(request.trace, trace);
+    (void)obs::parseTraceIdHex(request.trace, sinks.trace);
     const std::string jobLabel =
         request.op + ":" + (request.id.empty() ? "job" : request.id);
-    obs::FlightRecorder* flight = obs::FlightRecorder::instance();
     try {
         SweepConfig config = configFromJob(request);
         if (config.threads == 0) config.threads = options_.threads;
         config.resultSource = &store_;
-        if (traced) config.trace = trace;
         const LegStore::Stats before = store_.stats();
-        if (options_.board != nullptr) options_.board->beginJob(jobLabel);
-        if (traced) obs::JobTraceStore::global().beginJob(jobLabel, trace);
-        if (flight != nullptr) flight->noteJob(jobLabel, trace);
         // The last boundary tick carries the final sweep-wide counters.
         SweepProgress last;
         config.onProgress = [this, &session, &request, &last](const SweepProgress& progress) {
@@ -349,40 +305,18 @@ void Server::runJob(Session& session, const JobRequest& request) {
                 writeLine(session, progressEvent(request.id, progress));
             }
         };
-        attachTelemetry(config, {options_.board, journal_.has_value() ? &*journal_ : nullptr,
-                                 flight});
-
         SweepResult result;
         {
-            // obs::Span phase spans closed inside this scope attribute to
-            // this job's trace (the executor runs one job at a time).
-            const obs::ScopedTraceContext scope(traced ? trace
-                                                        : obs::TraceContext{});
+            // The executor runs one job at a time, so the scope's current
+            // trace context attributes obs::Span phase spans to this job.
+            const SweepJobScope scope(config, jobLabel, sinks);
             result = runSweep(config);
         }
-        if (traced) obs::JobTraceStore::global().endJob(trace);
-        if (options_.board != nullptr) options_.board->finish();
 
-        SweepExportMeta meta;
-        meta.version = std::string(buildVersion());
-        meta.seed = config.baseSeed;
-        meta.trials = config.trials;
-        meta.scale = scaleName(config.scale);
-        meta.benchmarks = config.benchmarks;
-        if (meta.benchmarks.empty()) {
-            for (const auto& info : benchmarkList()) {
-                meta.benchmarks.emplace_back(info.name);
-            }
-        }
         std::optional<analysis::CrosscheckReport> analytic;
-        if (request.op == "verify") {
-            analytic = analyticCrosscheck(result, config);
-            meta.extensions = [&analytic](JsonWriter& json) {
-                json.key("analytic");
-                analysis::writeJson(json, *analytic);
-            };
-        }
-        const std::string document = sweepResultToJson(result, meta);
+        if (request.op == "verify") analytic = analyticCrosscheck(result, config);
+        const std::string document = sweepResultToJson(
+            result, sweepExportMeta(config, analytic.has_value() ? &*analytic : nullptr));
 
         const LegStore::Stats after = store_.stats();
         ResultSummary summary;
@@ -404,7 +338,6 @@ void Server::runJob(Session& session, const JobRequest& request) {
         writeLines(session, {resultEvent(request.id, summary), document});
         jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
-        if (traced) obs::JobTraceStore::global().endJob(trace);
         jobErrors_.fetch_add(1, std::memory_order_relaxed);
         registry.add("serve.job_errors", {});
         writeLine(session, errorEvent(request.id, e.what()));

@@ -25,6 +25,24 @@ constexpr std::array<BenchmarkInfo, 10> kBenchmarks = {{
 
 std::span<const BenchmarkInfo> benchmarkList() noexcept { return kBenchmarks; }
 
+const char* workloadScaleName(WorkloadScale scale) noexcept {
+    switch (scale) {
+        case WorkloadScale::Tiny: return "tiny";
+        case WorkloadScale::Small: return "small";
+        case WorkloadScale::Reference: return "reference";
+    }
+    return "?";
+}
+
+WorkloadScale parseWorkloadScale(std::string_view name) {
+    for (const WorkloadScale scale :
+         {WorkloadScale::Tiny, WorkloadScale::Small, WorkloadScale::Reference}) {
+        if (name == workloadScaleName(scale)) return scale;
+    }
+    throw std::runtime_error("unknown scale '" + std::string(name) +
+                             "' (tiny|small|reference)");
+}
+
 Module buildBenchmark(std::string_view name, WorkloadScale scale) {
     if (name == "basicmath") return buildBasicmath(scale);
     if (name == "qsort") return buildQsort(scale);

@@ -40,6 +40,12 @@ namespace voltcache {
 /// (CI benches), Reference ~ a million+ (full experiments).
 enum class WorkloadScale : std::uint8_t { Tiny, Small, Reference };
 
+/// "tiny" / "small" / "reference".
+[[nodiscard]] const char* workloadScaleName(WorkloadScale scale) noexcept;
+
+/// Inverse of workloadScaleName; throws std::runtime_error for other names.
+[[nodiscard]] WorkloadScale parseWorkloadScale(std::string_view name);
+
 struct BenchmarkInfo {
     std::string_view name;
     std::string_view models; ///< the SPEC/MiBench program this stands in for

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 #include <span>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "common/json_parse.h"
 #include "common/sha256_compress.h"
 #include "common/socket.h"
+#include "common/table.h"
 #include "common/version.h"
 #include "core/report.h"
 #include "core/sweep.h"
@@ -691,6 +693,32 @@ TEST(Protocol, IntegerFieldsAreExactOrRejected) {
         EXPECT_EQ(request.job.id, "b") << bad;
         EXPECT_NE(request.error.find("integer"), std::string::npos) << bad;
     }
+}
+
+// `voltcache sweep` and a served job build their SweepConfig and export
+// meta with the same helpers, which is what keeps their JSON identical.
+TEST(SweepRequest, SharedParsersRoundTripAndRejectUnknownNames) {
+    for (const SchemeKind kind : kAllSchemes) {
+        EXPECT_EQ(parseSchemeKind(schemeName(kind)), kind);
+    }
+    EXPECT_THROW((void)parseSchemeKind("ffw"), std::runtime_error);
+    for (const WorkloadScale scale :
+         {WorkloadScale::Tiny, WorkloadScale::Small, WorkloadScale::Reference}) {
+        EXPECT_EQ(parseWorkloadScale(workloadScaleName(scale)), scale);
+    }
+    EXPECT_THROW((void)parseWorkloadScale("enormous"), std::runtime_error);
+    EXPECT_EQ(splitCsv("crc32,,qsort,"), (std::vector<std::string>{"crc32", "qsort"}));
+    const std::vector<OperatingPoint> points = DvfsTable::parseMillivoltList("560,400");
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[1].voltage.millivolts(), 400.0);
+    EXPECT_TRUE(DvfsTable::parseMillivoltList("").empty());
+
+    SweepConfig config;
+    config.scale = WorkloadScale::Tiny;
+    const SweepExportMeta meta = sweepExportMeta(config);
+    EXPECT_EQ(meta.scale, "tiny");
+    EXPECT_EQ(meta.benchmarks.size(), benchmarkList().size()); // empty = all ten
+    EXPECT_FALSE(meta.extensions);
 }
 
 TEST(Protocol, LineReaderSplitsAndBounds) {

@@ -144,7 +144,7 @@ TEST(SweepDeterminism, EveryLegPathFinishesEachLegOnce) {
     struct LegLog {
         std::vector<int> started;
         std::vector<int> finished;
-        std::vector<std::pair<bool, LinkFailCause>> outcome;
+        std::vector<std::pair<bool, std::string>> outcome;
         SweepProgress last;
     };
     const auto run = [](bool useReplay, LegResultSource* source) {
@@ -153,15 +153,15 @@ TEST(SweepDeterminism, EveryLegPathFinishesEachLegOnce) {
         config.resultSource = source;
         LegLog log;
         std::mutex mutex;
-        config.onLegEvent = [&](const SweepLegEvent& event) {
+        config.onLegEvent = [&](const obs::LegEvent& event) {
             const std::scoped_lock lock(mutex);
             if (event.leg >= log.started.size()) {
                 log.started.resize(event.leg + 1);
                 log.finished.resize(event.leg + 1);
                 log.outcome.resize(event.leg + 1);
             }
-            if (event.phase == SweepLegEvent::Phase::Started) ++log.started[event.leg];
-            if (event.phase == SweepLegEvent::Phase::Finished) {
+            if (event.phase == obs::LegEvent::Phase::Started) ++log.started[event.leg];
+            if (event.phase == obs::LegEvent::Phase::Finished) {
                 ++log.finished[event.leg];
                 log.outcome[event.leg] = {event.linkFailed, event.failCause};
             }

@@ -5,14 +5,20 @@
 // live in-process scrape against a real running sweep — which also proves
 // that attaching the whole plane leaves the sweep JSON byte-identical.
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/contracts.h"
 #include "common/json_parse.h"
 #include "common/socket.h"
 #include "core/report.h"
@@ -37,6 +43,13 @@ using obs::MetricSnapshot;
 
 std::string tempPath(const char* stem) {
     return testing::TempDir() + stem;
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 // ---- Prometheus renderer ----
@@ -322,16 +335,16 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
     {
         obs::LegJournal journal(path, 2, 64, /*autoDrain=*/false);
         for (int i = 0; i < 5; ++i) {
-            obs::JournalEvent event;
-            event.phase = obs::JournalEvent::Phase::Enqueued;
+            obs::LegEvent event;
+            event.phase = obs::LegEvent::Phase::Enqueued;
             event.leg = static_cast<std::uint32_t>(i);
             event.setBenchmark("crc32");
             event.setScheme("ffw+bbr");
             event.voltageMv = 400;
             journal.emit(0, event);
         }
-        obs::JournalEvent finished;
-        finished.phase = obs::JournalEvent::Phase::Finished;
+        obs::LegEvent finished;
+        finished.phase = obs::LegEvent::Phase::Finished;
         finished.leg = 2;
         finished.worker = 1;
         finished.setBenchmark("crc32");
@@ -370,7 +383,7 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
 TEST(LegJournal, DropsInsteadOfBlockingWhenTheRingSaturates) {
     const std::string path = tempPath("journal_drop.ndjson");
     obs::LegJournal journal(path, 1, /*ringCapacity=*/4, /*autoDrain=*/false);
-    obs::JournalEvent event;
+    obs::LegEvent event;
     event.setBenchmark("qsort");
     for (int i = 0; i < 10; ++i) journal.emit(0, event);
     // Capacity 4 ring, no drainer: 4 held, 6 dropped — never a stall.
@@ -391,15 +404,15 @@ TEST(LegJournal, StampsTraceContextAndCachedFlagOnLines) {
     obs::TraceContext context;
     ASSERT_TRUE(obs::parseTraceIdHex("0123456789abcdef0123456789abcdef", context));
 
-    obs::JournalEvent traced;
-    traced.phase = obs::JournalEvent::Phase::Finished;
+    obs::LegEvent traced;
+    traced.phase = obs::LegEvent::Phase::Finished;
     traced.setBenchmark("crc32");
     traced.cached = true;
     traced.traceHi = context.traceHi;
     traced.traceLo = context.traceLo;
     traced.spanId = obs::childSpanId(context, 0);
     journal.emit(0, traced);
-    obs::JournalEvent untraced;
+    obs::LegEvent untraced;
     untraced.setBenchmark("crc32");
     journal.emit(0, untraced);
     journal.close();
@@ -426,8 +439,8 @@ TEST(LegJournal, RotatesAtTheByteCapAndKeepsOneGeneration) {
     // ~150-byte lines against a 400-byte cap: every few writes rotate.
     obs::LegJournal journal(path, 1, 64, /*autoDrain=*/false,
                             /*maxBytes=*/400);
-    obs::JournalEvent event;
-    event.phase = obs::JournalEvent::Phase::Finished;
+    obs::LegEvent event;
+    event.phase = obs::LegEvent::Phase::Finished;
     event.setBenchmark("basicmath");
     event.setScheme("ffw+bbr");
     event.voltageMv = 400;
@@ -465,7 +478,7 @@ TEST(LegJournal, RotatesAtTheByteCapAndKeepsOneGeneration) {
 TEST(LegJournal, OutOfRangeProducerCountsAsDrop) {
     const std::string path = tempPath("journal_range.ndjson");
     obs::LegJournal journal(path, 1, 8, /*autoDrain=*/false);
-    obs::JournalEvent event;
+    obs::LegEvent event;
     journal.emit(5, event);
     EXPECT_EQ(journal.dropped(), 1u);
     journal.close();
@@ -523,18 +536,16 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
     bool scraped = false;
 
     SweepConfig instrumented = tinySweep(2);
-    instrumented.trace = obs::makeRootContext("live-test");
     obs::JobTraceStore::global().clear();
-    obs::JobTraceStore::global().beginJob("live-test", instrumented.trace);
-    instrumented.onLegEvent = [&](const SweepLegEvent& event) {
+    instrumented.onLegEvent = [&](const obs::LegEvent& event) {
         switch (event.phase) {
-        case SweepLegEvent::Phase::Enqueued:
+        case obs::LegEvent::Phase::Enqueued:
             enqueued.fetch_add(1, std::memory_order_relaxed);
             break;
-        case SweepLegEvent::Phase::Started:
+        case obs::LegEvent::Phase::Started:
             started.fetch_add(1, std::memory_order_relaxed);
             break;
-        case SweepLegEvent::Phase::Finished:
+        case obs::LegEvent::Phase::Finished:
             finished.fetch_add(1, std::memory_order_relaxed);
             break;
         }
@@ -550,11 +561,12 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
     };
     // The sinks run ahead of the hooks above: the board holds the tick
     // before the scrape reads it.
-    attachTelemetry(instrumented, {&board, &journal, &flight});
-
-    const SweepResult result = runSweep(instrumented);
-    obs::JobTraceStore::global().endJob(instrumented.trace);
-    board.finish();
+    SweepResult result;
+    {
+        const SweepJobScope scope(instrumented, "live-test",
+                                  {&board, &journal, &flight, obs::makeRootContext("live-test")});
+        result = runSweep(instrumented);
+    }
     journal.close();
 
     // The plane observed the run...
@@ -595,11 +607,180 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
     // ...and observation never changed the result: byte-identical export.
     EXPECT_EQ(exportJson(result, instrumented), referenceJson);
 
-    // The finished board reports done with an up-to-date leg count.
+    // The scope's end marked the board done, under the job's label.
     const JsonValue finalDoc = parseJson(board.toJson());
     const JsonValue* done = finalDoc.find("done");
     ASSERT_NE(done, nullptr);
     EXPECT_TRUE(done->asBool());
+    EXPECT_EQ(finalDoc.stringOr("job", ""), "live-test");
+}
+
+// The fixed-size name fields of LegEvent hold every name a sweep writes
+// into them without truncation, so /trace, the journal and the flight dump
+// all print whole names.
+TEST(LegEvent, NameFieldsHoldEveryBenchmarkSchemeAndFailCause) {
+    obs::LegEvent event;
+    for (const BenchmarkInfo& info : benchmarkList()) {
+        event.setBenchmark(info.name);
+        EXPECT_EQ(std::string_view(event.benchmark), info.name);
+    }
+    for (const SchemeKind kind : kAllSchemes) {
+        event.setScheme(schemeName(kind));
+        EXPECT_EQ(std::string_view(event.scheme), schemeName(kind));
+    }
+    for (auto cause = static_cast<std::uint8_t>(LinkFailCause::None);
+         cause <= static_cast<std::uint8_t>(LinkFailCause::Other); ++cause) {
+        const char* name = linkFailCauseName(static_cast<LinkFailCause>(cause));
+        event.setFailCause(name);
+        EXPECT_EQ(std::string_view(event.failCause), name);
+    }
+}
+
+/// Keeps every other leg it is asked to store (a single-threaded priming
+/// run stores in canonical order), so a later run mixes hits and misses.
+class HalfStore : public LegResultSource {
+public:
+    bool lookup(const Digest256& key, LegResult& out) override {
+        const std::scoped_lock lock(mutex_);
+        const auto it = results_.find(key);
+        if (it == results_.end()) return false;
+        out = it->second;
+        return true;
+    }
+    void store(const Digest256& key, const LegResult& value) override {
+        const std::scoped_lock lock(mutex_);
+        if (stores_++ % 2 == 0) results_[key] = value;
+    }
+
+private:
+    std::mutex mutex_;
+    std::size_t stores_ = 0;
+    std::map<Digest256, LegResult> results_;
+};
+
+/// One finished leg as every sink reports it: grid coordinates, path flags
+/// and span id.
+std::string legKey(const JsonValue& line, const char* replayedKey) {
+    const JsonValue* replayed = line.find(replayedKey);
+    const JsonValue* cached = line.find("cached");
+    return line.stringOr("benchmark", "?") + "/" + line.stringOr("scheme", "?") + "@" +
+           std::to_string(static_cast<int>(line.numberOr("mv", -1.0))) + "#" +
+           std::to_string(static_cast<int>(line.numberOr("trial", -1.0))) +
+           (replayed != nullptr && replayed->asBool() ? " replayed" : "") +
+           (cached != nullptr && cached->asBool() ? " cached" : "") + " span " +
+           line.stringOr("span", "?");
+}
+
+// The journal, the job trace and the flight recorder are fed the same
+// LegEvent, so each finished leg reads the same in all three.
+TEST(SweepJobScope, JournalTraceAndFlightRecorderAgreeOnEveryFinishedLeg) {
+    const std::string journalPath = tempPath("journal_agree.ndjson");
+    const std::string flightPath = tempPath("flight_agree.json");
+    obs::LegJournal journal(journalPath, 1 + 2, 4096);
+    obs::FlightRecorder::Options flightOptions;
+    flightOptions.path = flightPath;
+    flightOptions.eventCapacity = 512;
+    obs::FlightRecorder& flight = obs::FlightRecorder::install(flightOptions);
+    obs::JobTraceStore::global().clear();
+    const obs::TraceContext trace = obs::makeRootContext("agree");
+
+    // A store primed with every other leg mixes cached and replayed legs.
+    HalfStore store;
+    SweepConfig priming = tinySweep(1);
+    priming.resultSource = &store;
+    (void)runSweep(priming);
+    SweepConfig config = tinySweep(2);
+    config.resultSource = &store;
+    std::size_t legsRun = 0;
+    config.onProgress = [&legsRun](const SweepProgress& tick) { legsRun = tick.legsTotal; };
+    {
+        const SweepJobScope scope(config, "agree", {nullptr, &journal, &flight, trace});
+        (void)runSweep(config);
+    }
+    journal.close();
+    ASSERT_GT(legsRun, 0u);
+    ASSERT_TRUE(flight.dumpNow("test", "agree"));
+
+    // Journal: leg index -> key; every span id is the leg's child span.
+    std::map<std::uint32_t, std::string> journalLegs;
+    std::ifstream in(journalPath);
+    std::string line;
+    while (std::getline(in, line)) {
+        const JsonValue doc = parseJson(line);
+        if (doc.stringOr("ev", "") != "finished") continue;
+        const auto leg = static_cast<std::uint32_t>(doc.numberOr("leg", -1.0));
+        EXPECT_EQ(doc.stringOr("span", ""), obs::spanIdHex(obs::childSpanId(trace, leg)));
+        EXPECT_TRUE(journalLegs.emplace(leg, legKey(doc, "replay")).second) << line;
+    }
+    EXPECT_EQ(journalLegs.size(), legsRun);
+
+    // Job trace: the same legs, keyed by span id.
+    std::set<std::string> journalKeys;
+    for (const auto& [leg, key] : journalLegs) journalKeys.insert(key);
+    std::set<std::string> traceKeys;
+    std::size_t cachedSpans = 0;
+    const JsonValue traceDoc = parseJson(obs::JobTraceStore::global().toChromeJson("agree"));
+    const JsonValue* events = traceDoc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    for (const JsonValue& event : events->items) {
+        if (event.stringOr("cat", "").rfind("leg", 0) != 0) continue;
+        const JsonValue* args = event.find("args");
+        ASSERT_NE(args, nullptr);
+        traceKeys.insert(legKey(*args, "replayed"));
+        if (event.stringOr("cat", "") == "leg,cached") ++cachedSpans;
+    }
+    EXPECT_EQ(traceKeys, journalKeys);
+    EXPECT_GT(cachedSpans, 0u);
+    EXPECT_LT(cachedSpans, legsRun);
+
+    // Flight ring: every resident finished entry matches the journal's leg
+    // (the dump carries grid coordinates, not path flags or span ids).
+    const JsonValue dump = parseJson(slurp(flightPath));
+    const JsonValue* ring = dump.find("events");
+    ASSERT_NE(ring, nullptr);
+    std::size_t flightFinished = 0;
+    for (const JsonValue& entry : ring->items) {
+        if (entry.stringOr("ev", "") != "finished") continue;
+        ++flightFinished;
+        const auto leg = static_cast<std::uint32_t>(entry.numberOr("leg", -1.0));
+        ASSERT_TRUE(journalLegs.contains(leg)) << leg;
+        const std::string coordinates = legKey(entry, "replay");
+        EXPECT_EQ(journalLegs[leg].substr(0, journalLegs[leg].find(' ')),
+                  coordinates.substr(0, coordinates.find(' ')));
+    }
+    EXPECT_EQ(flightFinished, legsRun); // the 512-slot ring kept every event
+    obs::JobTraceStore::global().clear();
+    std::remove(journalPath.c_str());
+    std::remove(flightPath.c_str());
+}
+
+// The scope closes a job's observers on the exception path too: after a
+// leg fails inside runSweep, trace collection has stopped, the current
+// context is restored, and the board reports the job done.
+TEST(SweepJobScope, AJobThatThrowsInsideRunSweepStillClosesItsObservers) {
+    obs::JobTraceStore::global().clear();
+    obs::ProgressBoard board;
+    SweepConfig config = tinySweep(2);
+    config.failAtLeg = 3;
+    const obs::TraceContext trace = obs::makeRootContext("throws");
+    EXPECT_THROW(
+        {
+            const SweepJobScope scope(config, "throws", {.board = &board, .trace = trace});
+            EXPECT_TRUE(obs::JobTraceStore::collecting());
+            (void)runSweep(config);
+        },
+        ContractViolation);
+    EXPECT_FALSE(obs::JobTraceStore::collecting());
+    EXPECT_FALSE(obs::currentTraceContext().valid());
+    const JsonValue traceDoc = parseJson(obs::JobTraceStore::global().toChromeJson("throws"));
+    const JsonValue* open = traceDoc.find("open");
+    ASSERT_NE(open, nullptr);
+    EXPECT_FALSE(open->asBool());
+    const JsonValue boardDoc = parseJson(board.toJson());
+    const JsonValue* done = boardDoc.find("done");
+    ASSERT_NE(done, nullptr);
+    EXPECT_TRUE(done->asBool());
+    obs::JobTraceStore::global().clear();
 }
 
 } // namespace

@@ -4,8 +4,8 @@
 // the identical span tree), the bounded JobTraceStore collector behind
 // /trace/<job>, zero-cost rendering of cached legs, and the
 // async-signal-safe dump path including the VC_CHECK contract hook — plus
-// the headline guarantee that a fully traced sweep exports byte-identical
-// JSON.
+// the headline guarantee that a sweep traced through its SweepJobScope
+// exports byte-identical JSON.
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -105,24 +105,23 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     store.beginJob("job-1", context);
     EXPECT_TRUE(obs::JobTraceStore::collecting());
 
-    obs::JobSpan executed;
-    executed.name = "leg";
+    obs::LegEvent executed;
+    executed.phase = obs::LegEvent::Phase::Finished;
     executed.spanId = obs::childSpanId(context, 0);
-    executed.parentSpanId = context.spanId;
     executed.startNs = 1'000'000;
     executed.durationNs = 2'000'000;
-    executed.leg = true;
-    executed.benchmark = "crc32";
-    executed.scheme = "ffw+bbr";
+    executed.setBenchmark("crc32");
+    executed.setScheme("ffw+bbr");
     executed.voltageMv = 400;
-    store.record(context, executed);
+    store.recordLeg(context, executed);
 
-    obs::JobSpan cached = executed;
+    obs::LegEvent cached = executed;
+    cached.leg = 1;
     cached.spanId = obs::childSpanId(context, 1);
     cached.trial = 1;
     cached.cached = true;
     cached.durationNs = 5'000; // store-lookup wall time
-    store.record(context, cached);
+    store.recordLeg(context, cached);
 
     store.endJob(context);
     EXPECT_FALSE(obs::JobTraceStore::collecting());
@@ -145,6 +144,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     // The executed leg renders its real duration (µs); the cached leg is
     // zero-cost on the timeline with the wall time preserved in args.
     const JsonValue& hot = events->items[0];
+    EXPECT_EQ(hot.stringOr("name", ""), "leg crc32/ffw+bbr@400mV#0");
     EXPECT_EQ(hot.numberOr("dur", 0.0), 2000.0);
     const JsonValue& hit = events->items[1];
     EXPECT_EQ(hit.numberOr("dur", -1.0), 0.0);
@@ -204,7 +204,7 @@ TEST(JobTraceStore, BoundsJobsAndSpansWithDropAccounting) {
     const std::uint64_t droppedBefore = store.dropped();
     for (std::size_t i = 0; i < obs::JobTraceStore::kMaxSpansPerJob + 10; ++i) {
         obs::JobSpan span;
-        span.name = "leg";
+        span.phase = "filler";
         store.record(context, span);
     }
     store.endJob(context);
@@ -244,23 +244,28 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     obs::JobTraceStore& store = obs::JobTraceStore::global();
     store.clear();
     SweepConfig traced = plain;
-    traced.trace = obs::makeRootContext("sweep-test");
+    const obs::TraceContext trace = obs::makeRootContext("sweep-test");
     // Workers fire leg events concurrently.
     std::atomic<std::size_t> finishedLegs{0};
     std::atomic<std::uint64_t> wrongSpanIds{0};
-    traced.onLegEvent = [&](const SweepLegEvent& event) {
-        if (event.phase != SweepLegEvent::Phase::Finished) return;
+    traced.onLegEvent = [&](const obs::LegEvent& event) {
+        if (event.phase != obs::LegEvent::Phase::Finished) return;
         ++finishedLegs;
         // Every event carries the owning trace and its deterministic span.
-        if (event.traceHi != traced.trace.traceHi ||
-            event.traceLo != traced.trace.traceLo ||
-            event.spanId != obs::childSpanId(traced.trace, event.leg)) {
+        if (event.traceHi != trace.traceHi || event.traceLo != trace.traceLo ||
+            event.spanId != obs::childSpanId(trace, event.leg)) {
             ++wrongSpanIds;
         }
     };
-    store.beginJob("sweep-test", traced.trace);
-    const SweepResult result = runSweep(traced);
-    store.endJob(traced.trace);
+    SweepResult result;
+    {
+        const SweepJobScope scope(traced, "sweep-test", {.trace = trace});
+        EXPECT_TRUE(obs::JobTraceStore::collecting());
+        EXPECT_EQ(obs::currentTraceContext(), trace);
+        result = runSweep(traced);
+    }
+    EXPECT_FALSE(obs::JobTraceStore::collecting());
+    EXPECT_FALSE(obs::currentTraceContext().valid());
 
     EXPECT_GT(finishedLegs.load(), 0u);
     EXPECT_EQ(wrongSpanIds.load(), 0u);
@@ -292,8 +297,8 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
     recorder.noteProgress(progress);
     recorder.noteMetrics();
     for (std::uint32_t i = 0; i < 12; ++i) { // > capacity: ring wraps
-        obs::JournalEvent event;
-        event.phase = obs::JournalEvent::Phase::Finished;
+        obs::LegEvent event;
+        event.phase = obs::LegEvent::Phase::Finished;
         event.leg = i;
         event.setBenchmark("crc32");
         event.setScheme("ffw+bbr");
@@ -371,9 +376,16 @@ TEST(FlightRecorder, InducedLegFailureLeavesADumpAndFailsTheSweep) {
     config.scale = WorkloadScale::Tiny;
     config.threads = 1;
     config.failAtLeg = 2; // 1-based: the second leg trips VC_CHECK
-    attachTelemetry(config, {.flight = &recorder});
 
-    EXPECT_THROW((void)runSweep(config), ContractViolation);
+    EXPECT_THROW(
+        {
+            const SweepJobScope scope(
+                config, "failing",
+                {.flight = &recorder, .trace = obs::makeRootContext("failing")});
+            (void)runSweep(config);
+        },
+        ContractViolation);
+    EXPECT_FALSE(obs::JobTraceStore::collecting());
 
     const JsonValue doc = parseJson(slurp(path));
     EXPECT_EQ(doc.stringOr("kind", ""), "flight");

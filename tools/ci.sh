@@ -251,6 +251,24 @@ assert doc.get("kind") == "trace", doc.get("kind")
 assert doc.get("spanCount", 0) > 0, "trace collected no spans"
 assert doc.get("traceEvents"), "trace has no Chrome trace events"
 EOF
+    # The journal and the job trace are fed the same leg events: their
+    # finished legs name the same legs under the same span ids, one per leg
+    # the sweep ran (the cells' run counts sum to the grid's legs).
+    python3 - "$tele_journal" "$tele_trace" "$tele_json" << 'EOF'
+import json, sys
+journal = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+trace = json.load(open(sys.argv[2]))
+sweep = json.load(open(sys.argv[3]))
+def leg(e):
+    return (e["span"], e["benchmark"], e["scheme"], e["mv"], e["trial"])
+finished = [leg(e) for e in journal if e["ev"] == "finished"]
+spans = [leg(e["args"]) for e in trace["traceEvents"] if e["cat"].startswith("leg")]
+legs = sum(cell["stats"]["runs"] for cell in sweep["cells"])
+assert len(finished) == len(set(finished)) == legs, (len(finished), legs)
+assert len(spans) == len(set(spans)) == legs, (len(spans), legs)
+assert set(finished) == set(spans), "journal and trace disagree on %r" % (
+    set(finished) ^ set(spans))
+EOF
 fi
 "$build_dir/tools/voltcache" trace "$tele_trace" > /dev/null
 # The recorder pre-opens its file at install (dumping must be allocation-

@@ -89,13 +89,6 @@ double parseNumber(const std::string& flag, const std::string& value) {
     return parsed;
 }
 
-WorkloadScale scaleByName(const std::string& name) {
-    if (name == "tiny") return WorkloadScale::Tiny;
-    if (name == "small") return WorkloadScale::Small;
-    if (name == "reference") return WorkloadScale::Reference;
-    throw std::runtime_error("unknown scale '" + name + "'");
-}
-
 Module loadProgram(const std::string& source, WorkloadScale scale) {
     for (const auto& info : benchmarkList()) {
         if (info.name == source) return buildBenchmark(source, scale);
@@ -130,7 +123,7 @@ int usage() {
 }
 
 int run(const Args& args) {
-    Module module = loadProgram(args.positional, scaleByName(args.get("scale", "tiny")));
+    Module module = loadProgram(args.positional, parseWorkloadScale(args.get("scale", "tiny")));
     const bool bbr = !args.has("conventional");
     if (!args.has("no-transform")) applyBbrTransforms(module);
 

@@ -136,16 +136,6 @@ Args parseArgs(int argc, char** argv, int first) {
     return args;
 }
 
-std::optional<SchemeKind> schemeByName(const std::string& name) {
-    for (const SchemeKind kind :
-         {SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
-          SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
-          SchemeKind::IdcPlus, SchemeKind::FfwBbr}) {
-        if (schemeName(kind) == name) return kind;
-    }
-    return std::nullopt;
-}
-
 bool isBenchmarkName(const std::string& name) {
     for (const auto& info : benchmarkList()) {
         if (info.name == name) return true;
@@ -162,56 +152,16 @@ Module loadProgram(const std::string& source) {
     return assemble(text.str());
 }
 
-WorkloadScale parseScale(const std::string& name) {
-    if (name == "tiny") return WorkloadScale::Tiny;
-    if (name == "small") return WorkloadScale::Small;
-    if (name == "reference") return WorkloadScale::Reference;
-    throw std::runtime_error("unknown scale '" + name + "' (tiny|small|reference)");
-}
-
-const char* scaleName(WorkloadScale scale) {
-    switch (scale) {
-        case WorkloadScale::Tiny: return "tiny";
-        case WorkloadScale::Small: return "small";
-        case WorkloadScale::Reference: return "reference";
-    }
-    return "?";
-}
-
 void writeTextFile(const std::string& path, const std::string& content) {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write '" + path + "'");
     out << content << "\n";
 }
 
-std::vector<std::string> splitCsv(const std::string& text) {
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? text.size() : comma;
-        if (end > pos) parts.push_back(text.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    return parts;
-}
-
-/// Parse "560,520,400" into DVFS operating points (Table II lookup).
-std::vector<OperatingPoint> parseMvList(const std::string& text) {
-    std::vector<OperatingPoint> points;
-    for (const std::string& mv : splitCsv(text)) {
-        points.push_back(DvfsTable::at(Voltage::fromMillivolts(std::stod(mv))));
-    }
-    return points;
-}
-
 /// Parse run/stats leg flags shared by cmdRun and cmdStats.
 SystemConfig legConfigFromArgs(const Args& args) {
     SystemConfig config;
-    const std::string schemeText = args.get("scheme", "ffw+bbr");
-    const auto kind = schemeByName(schemeText);
-    if (!kind) throw std::runtime_error("unknown scheme '" + schemeText + "'");
-    config.scheme = *kind;
+    config.scheme = parseSchemeKind(args.get("scheme", "ffw+bbr"));
     config.op = DvfsTable::at(Voltage::fromMillivolts(std::stod(args.get("mv", "400"))));
     config.faultMapSeed = std::stoull(args.get("seed", "1"));
     config.maxInstructions = std::stoull(args.get("max-instructions", "0"));
@@ -234,12 +184,7 @@ int cmdList() {
         std::printf("  %-14s (models %s)\n", info.name.data(), info.models.data());
     }
     std::printf("schemes:\n");
-    for (const SchemeKind kind :
-         {SchemeKind::DefectFree, SchemeKind::Conventional760, SchemeKind::Robust8T,
-          SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
-          SchemeKind::IdcPlus, SchemeKind::FfwBbr}) {
-        std::printf("  %s\n", schemeName(kind).data());
-    }
+    for (const SchemeKind kind : kAllSchemes) std::printf("  %s\n", schemeName(kind).data());
     std::printf("voltages (Table II): 760 560 520 480 440 400 mV\n");
     return 0;
 }
@@ -373,11 +318,11 @@ int cmdYield(const Args& args) {
 int cmdSweep(const Args& args) {
     SweepConfig config;
     config.trials = static_cast<std::uint32_t>(std::stoul(args.get("trials", "3")));
-    config.scale = parseScale(args.get("scale", "small"));
+    config.scale = parseWorkloadScale(args.get("scale", "small"));
     config.maxInstructions = std::stoull(args.get("max-instructions", "0"));
     config.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
     config.benchmarks = splitCsv(args.get("benchmarks", ""));
-    if (args.flags.contains("mv")) config.points = parseMvList(args.get("mv", ""));
+    config.points = DvfsTable::parseMillivoltList(args.get("mv", ""));
     // --corrupt-mapgen scales the sampled fault rate while the analytic
     // check keeps predicting from the physical model: the gate's negative
     // control (any value != 1 must make --analytic-check fail).
@@ -398,45 +343,35 @@ int cmdSweep(const Args& args) {
         flight = &obs::FlightRecorder::install(flightOptions);
     }
 
-    // --trace-job FILE: end-to-end job tracing for this sweep — mint a root
-    // context, stamp every leg event with its deterministic child span, and
-    // write the collected span tree as Chrome trace JSON after the run.
-    obs::TraceContext traceContext;
+    // --trace-job FILE: end-to-end job tracing for this sweep — the job scope
+    // stamps every leg event with its deterministic child span, and the
+    // collected span tree is written as Chrome trace JSON after the run.
     const bool traceJob = args.flags.contains("trace-job");
-    if (traceJob) {
-        traceContext = obs::makeRootContext("sweep");
-        config.trace = traceContext;
-    }
-    if (flight != nullptr) flight->noteJob("sweep", traceContext);
 
+    // --telemetry-port: live exporter (GET /metrics, /progress, /healthz) on
+    // a dedicated thread, started *before* the sweep so `voltcache top` and
+    // Prometheus can watch it run. Port 0 binds an ephemeral port; the
+    // chosen one is announced on stderr. --progress reads its ETA off the
+    // same board.
+    std::optional<obs::ProgressBoard> board;
+    std::optional<obs::TelemetryServer> telemetry;
+    if (args.flags.contains("progress") || args.flags.contains("telemetry-port")) {
+        board.emplace();
+    }
+    if (args.flags.contains("telemetry-port")) {
+        telemetry.emplace(
+            static_cast<std::uint16_t>(std::stoul(args.get("telemetry-port", "0"))),
+            *board);
+        std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
+                     static_cast<unsigned>(telemetry->port()));
+    }
     if (args.flags.contains("progress")) {
-        // ETA from an EWMA of the sweep's legs/sec; ticks are serialized
-        // under the progress lock, so the mutable lambda state is safe.
-        const auto started = std::chrono::steady_clock::now();
-        double ewmaLegsPerSec = 0.0;
-        double lastElapsed = 0.0;
-        std::size_t lastLegs = 0;
-        config.onProgress = [started, ewmaLegsPerSec, lastElapsed,
-                             lastLegs](const SweepProgress& progress) mutable {
-            const double elapsed =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-                    .count();
-            const double dt = elapsed - lastElapsed;
-            if (dt > 0.0 && progress.legsCompleted > lastLegs) {
-                const double instantaneous =
-                    static_cast<double>(progress.legsCompleted - lastLegs) / dt;
-                ewmaLegsPerSec = ewmaLegsPerSec == 0.0
-                                     ? instantaneous
-                                     : 0.7 * ewmaLegsPerSec + 0.3 * instantaneous;
-                lastElapsed = elapsed;
-                lastLegs = progress.legsCompleted;
-            }
+        // The job scope updates the board before this hook runs, so the ETA
+        // already counts this tick.
+        config.onProgress = [&board](const SweepProgress& progress) {
             char eta[32] = "--";
-            if (ewmaLegsPerSec > 0.0 && progress.legsTotal >= progress.legsCompleted) {
-                std::snprintf(eta, sizeof(eta), "%.0fs",
-                              static_cast<double>(progress.legsTotal -
-                                                  progress.legsCompleted) /
-                                  ewmaLegsPerSec);
+            if (const std::optional<double> seconds = board->etaSeconds()) {
+                std::snprintf(eta, sizeof(eta), "%.0fs", *seconds);
             }
             if (progress.boundary) {
                 std::fprintf(stderr,
@@ -458,68 +393,47 @@ int cmdSweep(const Args& args) {
             }
         };
     }
-
-    // --telemetry-port: live exporter (GET /metrics, /progress, /healthz) on
-    // a dedicated thread, started *before* the sweep so `voltcache top` and
-    // Prometheus can watch it run. Port 0 binds an ephemeral port; the
-    // chosen one is announced on stderr.
-    std::optional<obs::ProgressBoard> board;
-    std::optional<obs::TelemetryServer> telemetry;
-    if (args.flags.contains("telemetry-port")) {
-        board.emplace();
-        telemetry.emplace(
-            static_cast<std::uint16_t>(std::stoul(args.get("telemetry-port", "0"))),
-            *board);
-        std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
-                     static_cast<unsigned>(telemetry->port()));
-    }
     // --journal: bounded NDJSON leg lifecycle journal (--journal-max-bytes
     // caps the file; at the cap it rotates to <path>.1). The board, the
-    // journal, and the flight recorder all see the same tick/event stream.
+    // journal, the flight recorder and the job trace all see the same
+    // tick/event stream.
     std::optional<obs::LegJournal> journal;
     if (args.flags.contains("journal")) {
         journal.emplace(args.get("journal", ""), sweepJournalProducers(config.threads),
                         /*ringCapacity=*/4096, /*autoDrain=*/true,
                         std::stoull(args.get("journal-max-bytes", "0")));
     }
-    attachTelemetry(config, {board.has_value() ? &*board : nullptr,
-                             journal.has_value() ? &*journal : nullptr, flight});
 
     obs::TraceSink sink;
     std::optional<obs::ScopedTraceSink> traceGuard;
     if (args.flags.contains("trace")) traceGuard.emplace(&sink);
 
     const bool profiling = args.flags.contains("profile");
-    if (profiling || board.has_value()) {
+    if (profiling || telemetry.has_value()) {
         // Spans feed --profile and the exporter's /progress attribution.
         obs::Profiler::reset();
         obs::Profiler::setEnabled(true);
     }
     const auto wallStart = std::chrono::steady_clock::now();
 
-    // The trace scope makes obs::Span phase spans attribute to this job; it
-    // must close before endJob so late spans never land in a closed trace.
-    std::optional<obs::ScopedTraceContext> traceScope;
-    if (traceJob) {
-        obs::JobTraceStore::global().beginJob("sweep", traceContext);
-        traceScope.emplace(traceContext);
+    SweepResult result;
+    {
+        const SweepJobScope scope(
+            config, "sweep",
+            {board.has_value() ? &*board : nullptr, journal.has_value() ? &*journal : nullptr,
+             flight, traceJob ? obs::makeRootContext("sweep") : obs::TraceContext{}});
+        result = runSweep(config);
     }
-
-    const SweepResult result = runSweep(config);
-
     if (traceJob) {
-        traceScope.reset();
-        obs::JobTraceStore::global().endJob(traceContext);
         writeTextFile(args.get("trace-job", ""),
                       obs::JobTraceStore::global().toChromeJson("sweep"));
     }
-    if (board.has_value()) board->finish();
     if (journal.has_value()) journal->close();
 
     const double wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart)
             .count();
-    if (profiling || board.has_value()) obs::Profiler::setEnabled(false);
+    if (profiling || telemetry.has_value()) obs::Profiler::setEnabled(false);
     if (profiling) {
         ProfileExportMeta profileMeta;
         profileMeta.version = std::string(buildVersion());
@@ -543,22 +457,10 @@ int cmdSweep(const Args& args) {
     }
 
     if (args.flags.contains("json")) {
-        SweepExportMeta meta;
-        meta.version = std::string(buildVersion());
-        meta.seed = config.baseSeed;
-        meta.trials = config.trials;
-        meta.scale = scaleName(config.scale);
-        meta.benchmarks = config.benchmarks;
-        if (meta.benchmarks.empty()) {
-            for (const auto& info : benchmarkList()) meta.benchmarks.emplace_back(info.name);
-        }
-        if (analytic.has_value()) {
-            meta.extensions = [&analytic](JsonWriter& json) {
-                json.key("analytic");
-                analysis::writeJson(json, *analytic);
-            };
-        }
-        writeTextFile(args.get("json", ""), sweepResultToJson(result, meta));
+        writeTextFile(args.get("json", ""),
+                      sweepResultToJson(result, sweepExportMeta(config, analytic.has_value()
+                                                                            ? &*analytic
+                                                                            : nullptr)));
     }
 
     TextTable table({"scheme", "voltage", "norm runtime", "L2/1k", "norm EPI",
@@ -612,7 +514,7 @@ int cmdModel(const Args& args) {
 
     std::vector<OperatingPoint> points;
     if (args.flags.contains("mv")) {
-        points = parseMvList(args.get("mv", ""));
+        points = DvfsTable::parseMillivoltList(args.get("mv", ""));
     } else {
         const auto paper = DvfsTable::paperPoints();
         points.assign(paper.begin(), paper.end());
