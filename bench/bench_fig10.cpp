@@ -25,13 +25,14 @@ int main() {
 
     const SweepResult result = runSweep(config);
 
-    const auto points = DvfsTable::lowVoltagePoints();
+    const SweepGrid grid = sweepGrid(config);
+    const std::vector<OperatingPoint>& points = grid.points;
     std::vector<std::string> header = {"scheme"};
     for (const auto& point : points) {
         header.push_back(formatDouble(point.voltage.millivolts(), 0) + "mV");
     }
     TextTable table(header);
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         std::vector<std::string> row = {std::string(schemeName(scheme))};
         for (const auto& point : points) {
             const SweepCell& cell = result.cell(scheme, point.voltage);
@@ -49,7 +50,7 @@ int main() {
     std::printf("\nRuntime decomposition at 400mV (fractions of cycles, method of [35]):\n");
     TextTable decomposition({"scheme", "busy", "I-fetch stall", "D-mem stall",
                              "branch stall"});
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         const SweepCell& cell = result.cell(scheme, points.back().voltage);
         if (cell.runs == 0) continue;
         decomposition.addRow({std::string(schemeName(scheme)),
@@ -61,7 +62,7 @@ int main() {
     std::fputs(decomposition.render().c_str(), stdout);
 
     std::printf("\n95%% CI half-widths (normalized runtime, 400mV):\n");
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         const SweepCell& cell = result.cell(scheme, points.back().voltage);
         if (cell.runs == 0) continue;
         const auto ci = confidenceInterval(cell.normRuntime);
@@ -71,7 +72,7 @@ int main() {
     }
 
     std::vector<bench::BenchMetric> metrics;
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         for (const auto& point : points) {
             const SweepCell& cell = result.cell(scheme, point.voltage);
             if (cell.runs == 0) continue;

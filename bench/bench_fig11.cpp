@@ -19,13 +19,14 @@ int main() {
 
     const SweepResult result = runSweep(config);
 
-    const auto points = DvfsTable::lowVoltagePoints();
+    const SweepGrid grid = sweepGrid(config);
+    const std::vector<OperatingPoint>& points = grid.points;
     std::vector<std::string> header = {"scheme"};
     for (const auto& point : points) {
         header.push_back(formatDouble(point.voltage.millivolts(), 0) + "mV");
     }
     TextTable table(header);
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         std::vector<std::string> row = {std::string(schemeName(scheme))};
         for (const auto& point : points) {
             const SweepCell& cell = result.cell(scheme, point.voltage);
@@ -44,7 +45,7 @@ int main() {
                 wdis.l2PerKilo.mean() / ffw.l2PerKilo.mean());
 
     std::vector<bench::BenchMetric> metrics;
-    for (const SchemeKind scheme : paperSchemes()) {
+    for (const SchemeKind scheme : grid.schemes) {
         for (const auto& point : points) {
             const SweepCell& cell = result.cell(scheme, point.voltage);
             if (cell.runs == 0) continue;

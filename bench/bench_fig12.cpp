@@ -46,7 +46,7 @@ int main() {
     withBaselines.schemes.push_back(SchemeKind::DefectFree);
     const SweepResult result = runSweep(withBaselines);
 
-    const auto points = DvfsTable::lowVoltagePoints();
+    const std::vector<OperatingPoint> points = sweepGrid(withBaselines).points;
     std::vector<std::string> header = {"scheme"};
     for (const auto& point : points) {
         header.push_back(formatDouble(point.voltage.millivolts(), 0) + "mV");

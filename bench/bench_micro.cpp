@@ -184,11 +184,7 @@ SweepConfig tinySweepConfig(unsigned threads) {
 }
 
 std::size_t sweepLegCount(const SweepConfig& config) {
-    std::size_t perPoint = 0;
-    for (const SchemeKind scheme : config.schemes) {
-        perPoint += scheme == SchemeKind::Robust8T ? 1 : config.trials;
-    }
-    return config.benchmarks.size() * config.points.size() * perPoint;
+    return detail::planSweep(config).legs.size();
 }
 
 /// Arg(0) = hardware concurrency (runSweep's own default); Arg(1) = serial.

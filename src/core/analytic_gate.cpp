@@ -16,12 +16,7 @@ analysis::CrosscheckReport analyticCrosscheck(const SweepResult& result,
     // Rebuild each benchmark's BBR twin to recover the largest section the
     // linker had to place — deterministic, so the reconstruction matches the
     // modules the sweep actually linked.
-    std::vector<std::string> names = config.benchmarks;
-    if (names.empty()) {
-        for (const BenchmarkInfo& info : benchmarkList()) {
-            names.emplace_back(info.name);
-        }
-    }
+    const std::vector<std::string> names = sweepGrid(config).benchmarks;
     std::map<std::string, std::uint32_t> needWords;
     for (const std::string& name : names) {
         Module module = buildBenchmark(name, config.scale);

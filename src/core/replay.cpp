@@ -5,7 +5,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "analysis/verify.h"
 #include "common/contracts.h"
 #include "cpu/branch_predictor.h"
 #include "cpu/timing_kernel.h"
@@ -184,15 +183,12 @@ struct LaneRef {
 /// for the batch's lifetime.
 struct LaneRuntime {
     BatchLane* lane = nullptr;
-    bool alive = false;
-    std::optional<detail::LegFaultMaps> localMaps;
-    const detail::LegFaultMaps* maps = nullptr;
+    std::optional<detail::LegSetup> setup;
     std::unique_ptr<L2Cache> l2;
     SchemePair pair;
     std::optional<LinkOutput> trialLink;
     std::vector<std::uint32_t> table;
     std::optional<BbrLaneState> bbr;
-    PipelineConfig pipeline;
     /// Points into replayBatch's dense state array: the op-major loop
     /// walks every lane's scoreboard per op, so the states must sit
     /// shoulder to shoulder rather than strided across LaneRuntimes.
@@ -312,9 +308,9 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
     VC_EXPECTS(source->trace.imageWords() == source->link.image.sizeWords());
 
     // --- Per-lane setup: maps, L2, schemes, (BBR) link + translation. ---
-    // Identical, per lane, to simulateSystem's preamble; a lane whose BBR
-    // link fails is finished here with the same yield-loss accounting and
-    // sits out the replay.
+    // simulateSystem's set-up (detail::LegSetup), with a pooled L2 and the
+    // plain layout's recorded link; a lane whose BBR link fails is finished
+    // there as a yield loss and sits out the replay.
     std::vector<LaneRuntime> rts(lanes.size());
     std::vector<timing::PipelineState> states(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -328,36 +324,16 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
         VC_EXPECTS(config.observers.empty());
 
         lane.result = SystemResult{};
-        if (lane.chipMaps == nullptr || detail::schemeIsDefectFree(config.scheme)) {
-            rt.localMaps.emplace(detail::generateLegFaultMaps(config));
-        }
-        rt.maps = rt.localMaps.has_value() ? &*rt.localMaps : lane.chipMaps;
-
-        L2Cache::Config l2Config;
-        l2Config.dramLatencyCycles =
-            dramLatencyCycles(config.dramLatencyNs, config.op.frequency);
-        rt.l2 = L2Pool::acquire(l2Config);
-        rt.pair =
-            makeSchemes(config.scheme, config.l1Org, rt.maps->dcache, rt.maps->icache,
-                        *rt.l2);
+        const detail::LegSetup& setup = rt.setup.emplace(config, lane.chipMaps);
+        rt.l2 = L2Pool::acquire(setup.l2);
+        rt.pair = makeSchemes(config.scheme, config.l1Org, setup.maps().dcache,
+                              setup.maps().icache, *rt.l2);
         VC_CHECK(rt.pair.needsBbrLinking == needsBbr);
 
-        rt.pipeline = config.pipeline;
-        rt.pipeline.maxInstructions = config.maxInstructions;
         if (needsBbr) {
             VC_EXPECTS(bbrModule != nullptr);
-            LinkOptions options;
-            options.bbrPlacement = true;
-            options.icacheFaultMap = &rt.maps->icache;
-            try {
-                rt.trialLink = analysis::linkVerified(*bbrModule, options);
-            } catch (const LinkError& e) {
-                lane.result.linkFailed = true;
-                lane.result.forensics.failCause = e.cause();
-                detail::publishLegMetrics(config, lane.result);
-                continue;
-            }
-            lane.result.linkStats = rt.trialLink->stats;
+            rt.trialLink = setup.link(*bbrModule, config, lane.result);
+            if (!rt.trialLink.has_value()) continue;
             rt.table = buildAddressTranslation(source->link.image, rt.trialLink->image);
             const AddressTranslator xlate{rt.table.data(),
                                           static_cast<std::uint32_t>(rt.table.size()),
@@ -367,14 +343,13 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
         } else {
             lane.result.linkStats = source->link.stats;
         }
-        rt.alive = true;
     }
 
     // Scheme-homogeneous groups (lane order within a group never affects
     // results — lanes share no state).
     std::vector<std::pair<SchemeKind, std::vector<LaneRuntime*>>> groups;
     for (LaneRuntime& rt : rts) {
-        if (!rt.alive) continue;
+        if (rt.lane->result.linkFailed) continue;
         const SchemeKind kind = rt.lane->config.scheme;
         auto it = std::find_if(groups.begin(), groups.end(),
                                [kind](const auto& g) { return g.first == kind; });
@@ -406,7 +381,7 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
                     for (LaneRuntime* rt : group) {
                         refs.push_back(LaneRef<IC, DC>{
                             rt->st, static_cast<IC*>(rt->pair.icache.get()),
-                            static_cast<DC*>(rt->pair.dcache.get()), &rt->pipeline,
+                            static_cast<DC*>(rt->pair.dcache.get()), &rt->setup->pipeline,
                             rt->bbr.has_value() ? &*rt->bbr : nullptr});
                     }
                     for (std::uint32_t i = 0; i < count; ++i) {
@@ -434,13 +409,13 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
     // --- Per-lane finish: the replayed run must retrace the recording
     // exactly, then shares simulateSystem's finalization. ---
     for (LaneRuntime& rt : rts) {
-        if (!rt.alive) continue;
+        if (rt.lane->result.linkFailed) continue;
         SystemResult& result = rt.lane->result;
         result.run = timing::finalizePipeline(*rt.st);
         VC_CHECK(result.run.instructions == source->trace.instructions());
         VC_CHECK(result.run.halted == source->trace.halted());
         result.checksum = source->trace.checksum();
-        detail::finalizeLegResult(rt.lane->config, rt.pair, *rt.maps, result);
+        detail::finalizeLegResult(rt.lane->config, rt.pair, rt.setup->maps(), result);
     }
 
     // Return the lanes' L2s for the next batch. The schemes in rt.pair hold

@@ -117,10 +117,7 @@ SweepExportMeta sweepExportMeta(const SweepConfig& config,
     meta.seed = config.baseSeed;
     meta.trials = config.trials;
     meta.scale = workloadScaleName(config.scale);
-    meta.benchmarks = config.benchmarks;
-    if (meta.benchmarks.empty()) {
-        for (const auto& info : benchmarkList()) meta.benchmarks.emplace_back(info.name);
-    }
+    meta.benchmarks = sweepGrid(config).benchmarks;
     if (analytic != nullptr) {
         meta.extensions = [analytic](JsonWriter& json) {
             json.key("analytic");

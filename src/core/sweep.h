@@ -7,14 +7,17 @@
 // The same seed produces the same fault maps for every scheme, so schemes
 // are compared on identical chips (paired samples).
 //
-// Execution model: the grid is flattened into (benchmark, point, scheme,
-// trial) legs. Per-benchmark artifacts (built module, BBR twin, the 760mV
-// reference run, per-point defect-free runs) are prepared once in shared
-// immutable contexts — two parallel tasks per benchmark, one per layout: the
-// plain recording with the reference and defect-free runs, and the BBR
-// twin's recording. Then N workers pull work units (one executed leg, or a
-// batch of replayed legs; see detail::replayUnitCap) off an atomic queue and
-// write each leg's metrics into a pre-sized slot. The final reduction walks
+// Execution model: plan → execute → reduce. The plan (detail::planSweep,
+// pure) resolves the grid, flattens it into (benchmark, point, scheme,
+// trial) legs in canonical order and draws one chip seed per (point,
+// trial). Execute builds the modules, probes the result store, then
+// prepares shared immutable contexts where a leg will simulate — two
+// parallel tasks per benchmark, one per layout: the plain recording with the
+// reference and defect-free runs, and the BBR twin's recording. N workers
+// pull work units (one executed leg, a batch of replayed legs — see
+// detail::replayUnitCap — or a group of store hits) off an atomic queue and
+// write each leg's metrics into a pre-sized slot; a failure surfaces as the
+// error of the lowest canonical index. Reduce (detail::reduceSweep) walks
 // the slots in canonical leg order, so the aggregated result — and its JSON
 // export — is bit-identical for every thread count.
 #pragma once
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,18 +95,19 @@ struct SweepConfig {
     std::uint32_t trials = 5;               ///< fault maps per operating point
     std::uint64_t baseSeed = 0xC0FFEE;
     std::uint64_t maxInstructions = 0;
-    /// Worker threads; 0 = hardware concurrency. Clamped to the number of
-    /// schedulable work units (batches plus single legs — not benchmarks),
-    /// so many-core hosts stay busy to the end.
+    /// Worker threads; 0 = hardware concurrency (4 when unknown). Each step
+    /// is clamped to its task count, the leg step to the work units (not
+    /// benchmarks), so many-core hosts stay busy to the end.
     unsigned threads = 0;
-    SystemConfig systemTemplate = {};       ///< org / energy / pipeline knobs
+    /// Org / energy / pipeline knobs. Observers must be empty: replayed and
+    /// stored legs do not execute (attach them through simulateSystem).
+    SystemConfig systemTemplate = {};
     /// Record-once / replay-many fast path: each benchmark context records
     /// one architectural trace per layout (plain + BBR twin) and every trial
     /// leg replays it through the trial's fault maps and scheme state.
     /// Results are bit-identical to execution-driven legs (core/replay.h);
-    /// `--no-replay` / false falls back to full execution. Automatically
-    /// disabled when systemTemplate.observers is non-empty (observers must
-    /// see real execution) or when a trace overflows traceByteCap.
+    /// `--no-replay` / false falls back to full execution, as does a
+    /// benchmark whose trace overflows traceByteCap.
     bool useReplay = true;
     /// Per-trace payload cap in bytes; an overflowing benchmark logs once
     /// and runs execution-driven instead of holding an unbounded trace.
@@ -119,13 +124,13 @@ struct SweepConfig {
     /// arrays, scheme state, L2 counters, pipeline scoreboard).
     std::uint32_t batchLanes = 0;
     /// Content-addressed result source (`voltcache serve`'s store). When
-    /// set, every leg's digest is probed before phase 1 commits to any
-    /// heavy work: hits skip record/replay/execution entirely (benchmarks
-    /// whose legs all hit never even record their traces), misses simulate
-    /// as usual and populate the source. Cached legs feed the reduction the
-    /// exact slots a cold run would have produced, so the sweep JSON stays
-    /// byte-identical. Ignored when observers are attached (observers must
-    /// watch real execution). The source outlives the call; nullptr = off.
+    /// set, every leg's digest is probed once the modules are built, before
+    /// any heavy work: hits skip record/replay/execution entirely
+    /// (benchmarks whose legs all hit never even record their traces),
+    /// misses simulate as usual and populate the source. Cached legs feed
+    /// the reduction the exact slots a cold run would have produced, so the
+    /// sweep JSON stays byte-identical. The source outlives the call;
+    /// nullptr = off.
     LegResultSource* resultSource = nullptr;
     /// Invoked after each benchmark's last leg completes (boundary ticks)
     /// and on leg completion at most every ~200ms (leg ticks), serialized
@@ -185,7 +190,45 @@ struct SweepResult {
 /// The scheme list of Figs. 10-12 (excluding the two baselines).
 [[nodiscard]] std::vector<SchemeKind> paperSchemes();
 
+/// The grid a config resolves to: an empty list means its default — all
+/// ten benchmarks, paperSchemes(), Table II 560..400mV.
+struct SweepGrid {
+    std::vector<std::string> benchmarks;
+    std::vector<SchemeKind> schemes;
+    std::vector<OperatingPoint> points;
+};
+[[nodiscard]] SweepGrid sweepGrid(const SweepConfig& config);
+
 namespace detail {
+
+/// One Monte Carlo leg: indices into the plan's grid plus a trial.
+struct SweepLeg {
+    std::uint32_t benchmark = 0;
+    std::uint32_t point = 0;
+    std::uint32_t scheme = 0;
+    std::uint32_t trial = 0;
+};
+
+/// Everything runSweep decides before any work runs.
+struct SweepPlan {
+    SweepGrid grid;
+    /// Canonical order: benchmark, point, scheme, trial; the deterministic
+    /// 8T scheme gets at most one trial.
+    std::vector<SweepLeg> legs;
+    /// chipSeeds[point][trial], shared by every scheme and benchmark so
+    /// comparisons are paired.
+    std::vector<std::vector<std::uint64_t>> chipSeeds;
+    SystemConfig legTemplate; ///< systemTemplate under config.maxInstructions
+    unsigned workers = 1;     ///< sweepWorkers(config.threads)
+};
+
+/// Most workers a sweep asking for `threads` runs (see SweepConfig::threads).
+[[nodiscard]] unsigned sweepWorkers(unsigned threads);
+
+[[nodiscard]] SweepPlan planSweep(const SweepConfig& config);
+
+/// Fold one slot per plan leg, in canonical leg order.
+[[nodiscard]] SweepResult reduceSweep(const SweepPlan& plan, std::span<const LegResult> slots);
 
 /// Lane cap of one replay unit: `batchLanes` (0 = the default 32), lowered
 /// until the sweep's `replayableLegs` make at least two units per worker, so

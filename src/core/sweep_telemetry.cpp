@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 
 namespace voltcache {
 
 std::size_t sweepJournalProducers(unsigned threads) {
-    // runSweep's own sizing rule (it may clamp down to the unit count,
-    // never up).
-    unsigned workers = threads != 0 ? threads : std::thread::hardware_concurrency();
-    if (workers == 0) workers = 4;
-    return std::size_t{workers} + 1;
+    // runSweep may clamp its workers down to the unit count, never up.
+    return std::size_t{detail::sweepWorkers(threads)} + 1;
 }
 
 SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,

@@ -138,6 +138,34 @@ void finalizeLegResult(const SystemConfig& config, const SchemePair& pair,
     publishLegMetrics(config, result);
 }
 
+LegSetup::LegSetup(const SystemConfig& config, const LegFaultMaps* chipMaps)
+    : chipMaps(chipMaps), pipeline(config.pipeline) {
+    if (chipMaps == nullptr || schemeIsDefectFree(config.scheme)) {
+        ownMaps.emplace(generateLegFaultMaps(config));
+    }
+    l2.dramLatencyCycles = dramLatencyCycles(config.dramLatencyNs, config.op.frequency);
+    pipeline.maxInstructions = config.maxInstructions;
+}
+
+std::optional<LinkOutput> LegSetup::link(const Module& module, const SystemConfig& config,
+                                         SystemResult& result) const {
+    LinkOptions bbr;
+    bbr.bbrPlacement = true;
+    bbr.icacheFaultMap = &maps().icache;
+    try {
+        LinkOutput linked = schemeNeedsBbrLinking(config.scheme)
+                                ? analysis::linkVerified(module, bbr)
+                                : voltcache::link(module);
+        result.linkStats = linked.stats;
+        return linked;
+    } catch (const LinkError& e) {
+        result.linkFailed = true;
+        result.forensics.failCause = e.cause();
+        publishLegMetrics(config, result);
+        return std::nullopt;
+    }
+}
+
 } // namespace detail
 
 std::uint32_t dramLatencyCycles(double dramLatencyNs, Frequency f) noexcept {
@@ -149,49 +177,18 @@ SystemResult simulateSystem(const Module& module, const Module* bbrModule,
                             const SystemConfig& config,
                             const detail::LegFaultMaps* chipMaps) {
     SystemResult result;
-    const CacheOrganization& org = config.l1Org;
+    const detail::LegSetup setup(config, chipMaps);
+    const detail::LegFaultMaps& maps = setup.maps();
+    L2Cache l2(setup.l2);
+    SchemePair pair = makeSchemes(config.scheme, config.l1Org, maps.dcache, maps.icache, l2);
 
-    std::optional<detail::LegFaultMaps> local;
-    if (chipMaps == nullptr || detail::schemeIsDefectFree(config.scheme)) {
-        local.emplace(detail::generateLegFaultMaps(config));
-    }
-    const detail::LegFaultMaps& maps = local.has_value() ? *local : *chipMaps;
-
-    L2Cache::Config l2Config;
-    l2Config.dramLatencyCycles = dramLatencyCycles(config.dramLatencyNs, config.op.frequency);
-    L2Cache l2(l2Config);
-
-    SchemePair pair = makeSchemes(config.scheme, org, maps.dcache, maps.icache, l2);
-
-    std::optional<LinkOutput> linked;
-    try {
-        if (pair.needsBbrLinking) {
-            VC_EXPECTS(bbrModule != nullptr);
-            LinkOptions options;
-            options.bbrPlacement = true;
-            options.icacheFaultMap = &maps.icache;
-            // Statically prove the placement before any simulation: the
-            // runtime PlacementViolation path never fires on verified images.
-            linked = analysis::linkVerified(*bbrModule, options);
-        } else {
-            linked = link(module);
-        }
-    } catch (const LinkError& e) {
-        // No fault-free chunk large enough for some basic block: this chip
-        // cannot run BBR at this voltage — a yield loss the Monte Carlo
-        // aggregation counts (attributed by cause) rather than a simulation
-        // result.
-        result.linkFailed = true;
-        result.forensics.failCause = e.cause();
-        detail::publishLegMetrics(config, result);
-        return result;
-    }
-    result.linkStats = linked->stats;
-
-    PipelineConfig pipeline = config.pipeline;
-    pipeline.maxInstructions = config.maxInstructions;
+    VC_EXPECTS(!pair.needsBbrLinking || bbrModule != nullptr);
     const Module& running = pair.needsBbrLinking ? *bbrModule : module;
-    Simulator simulator(linked->image, running.data, *pair.icache, *pair.dcache, pipeline);
+    const std::optional<LinkOutput> linked = setup.link(running, config, result);
+    if (!linked.has_value()) return result;
+
+    Simulator simulator(linked->image, running.data, *pair.icache, *pair.dcache,
+                        setup.pipeline);
     for (TraceObserver* observer : config.observers) simulator.addObserver(observer);
     result.run = simulator.run();
     result.checksum = simulator.reg(1);

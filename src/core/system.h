@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -112,6 +113,30 @@ struct LegFaultMaps {
 
 /// Absorb the leg's stat structs into the global metrics registry.
 void publishLegMetrics(const SystemConfig& config, const SystemResult& result);
+
+/// The set-up of one leg, shared by simulateSystem and each replayBatch
+/// lane: its fault maps (`chipMaps` for a defect-tolerant scheme when given,
+/// else its own draw), its L2 and pipeline configuration, and its link.
+struct LegSetup {
+    LegSetup(const SystemConfig& config, const LegFaultMaps* chipMaps);
+
+    [[nodiscard]] const LegFaultMaps& maps() const {
+        return ownMaps.has_value() ? *ownMaps : *chipMaps;
+    }
+
+    /// Link `module` into result.linkStats: a BBR scheme places it on the
+    /// chip's I-cache map and proves the placement statically; others link
+    /// it plainly. A LinkError is a yield loss, counted by cause: `result`
+    /// records it, its metrics are published, and nullopt returns.
+    [[nodiscard]] std::optional<LinkOutput> link(const Module& module,
+                                                 const SystemConfig& config,
+                                                 SystemResult& result) const;
+
+    std::optional<LegFaultMaps> ownMaps;
+    const LegFaultMaps* chipMaps = nullptr;
+    L2Cache::Config l2;
+    PipelineConfig pipeline; ///< config.pipeline under config.maxInstructions
+};
 
 /// Fill the scheme/energy/runtime tail of a SystemResult (run + checksum +
 /// linkStats already set), harvest its forensic distributions from the

@@ -619,19 +619,6 @@ TEST(CachedSweep, PartialOverlapStaysByteIdentical) {
     EXPECT_LT(last.legsCached, last.legsTotal);
 }
 
-TEST(CachedSweep, ObserversDisableTheStore) {
-    struct NullObserver : TraceObserver {};
-    NullObserver observer;
-    serve::LegStore store({.byteBudget = 64 << 20, .directory = ""});
-    SweepConfig config = tinyConfig();
-    config.resultSource = &store;
-    config.systemTemplate.observers.push_back(&observer);
-    config.threads = 1; // observers are not thread-safe
-    (void)runSweep(config);
-    // Observers must watch real execution: the store is never consulted.
-    EXPECT_EQ(store.stats().hits + store.stats().misses + store.stats().inserts, 0u);
-}
-
 // ---- protocol ----
 
 TEST(Protocol, ParsesJobsWithPerOpDefaults) {

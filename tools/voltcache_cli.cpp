@@ -158,6 +158,39 @@ void writeTextFile(const std::string& path, const std::string& content) {
     out << content << "\n";
 }
 
+/// A TCP port, rejected unless it is a whole number in 0..65535 (a cast
+/// would wrap 65545 to 9).
+std::uint16_t parsePort(const std::string& text) {
+    std::size_t used = 0;
+    const unsigned long port = std::stoul(text, &used);
+    if (used != text.size() || port > 65535) {
+        throw std::runtime_error("port '" + text + "' is not in 0..65535");
+    }
+    return static_cast<std::uint16_t>(port);
+}
+
+/// Split a `host:port` target; nullopt when it has no port part.
+std::optional<std::pair<std::string, std::uint16_t>> parseEndpoint(const std::string& target) {
+    const std::size_t colon = target.rfind(':');
+    if (colon == std::string::npos || colon + 1 >= target.size()) return std::nullopt;
+    return std::pair{target.substr(0, colon), parsePort(target.substr(colon + 1))};
+}
+
+/// The per-span self-time table of a profile document or a /progress board
+/// (`spans` null = no rows).
+void printSpanTable(const JsonValue* spans) {
+    TextTable table({"span", "count", "total ms", "self ms", "self %"});
+    for (std::size_t i = 0; spans != nullptr && i < spans->items.size(); ++i) {
+        const JsonValue& span = spans->items[i];
+        table.addRow({span.stringOr("name", "?"),
+                      std::to_string(static_cast<std::uint64_t>(span.numberOr("count", 0.0))),
+                      formatDouble(span.numberOr("totalNs", 0.0) * 1e-6, 1),
+                      formatDouble(span.numberOr("selfNs", 0.0) * 1e-6, 1),
+                      formatDouble(100.0 * span.numberOr("selfFrac", 0.0), 1)});
+    }
+    std::fputs(table.render().c_str(), stdout);
+}
+
 /// Parse run/stats leg flags shared by cmdRun and cmdStats.
 SystemConfig legConfigFromArgs(const Args& args) {
     SystemConfig config;
@@ -359,9 +392,7 @@ int cmdSweep(const Args& args) {
         board.emplace();
     }
     if (args.flags.contains("telemetry-port")) {
-        telemetry.emplace(
-            static_cast<std::uint16_t>(std::stoul(args.get("telemetry-port", "0"))),
-            *board);
+        telemetry.emplace(parsePort(args.get("telemetry-port", "0")), *board);
         std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
                      static_cast<unsigned>(telemetry->port()));
     }
@@ -465,15 +496,9 @@ int cmdSweep(const Args& args) {
 
     TextTable table({"scheme", "voltage", "norm runtime", "L2/1k", "norm EPI",
                      "yield losses"});
-    const std::vector<SchemeKind> schemes =
-        config.schemes.empty() ? paperSchemes() : config.schemes;
-    std::vector<OperatingPoint> points = config.points;
-    if (points.empty()) {
-        const auto low = DvfsTable::lowVoltagePoints();
-        points.assign(low.begin(), low.end());
-    }
-    for (const SchemeKind scheme : schemes) {
-        for (const auto& point : points) {
+    const SweepGrid grid = sweepGrid(config);
+    for (const SchemeKind scheme : grid.schemes) {
+        for (const auto& point : grid.points) {
             const SweepCell& cell = result.cell(scheme, point.voltage);
             table.addRow({std::string(schemeName(scheme)),
                           formatDouble(point.voltage.millivolts(), 0) + "mV",
@@ -696,18 +721,7 @@ int cmdProfile(const Args& args) {
         std::printf("profile: wall %.3fs, self-time coverage %.1f%% (%u threads)\n", wall,
                     100.0 * doc.numberOr("coverage", 0.0),
                     static_cast<unsigned>(doc.numberOr("threads", 0.0)));
-        TextTable table({"span", "count", "total ms", "self ms", "self %"});
-        if (const JsonValue* spans = doc.find("spans"); spans != nullptr) {
-            for (const JsonValue& span : spans->items) {
-                table.addRow({span.stringOr("name", "?"),
-                              std::to_string(static_cast<std::uint64_t>(
-                                  span.numberOr("count", 0.0))),
-                              formatDouble(span.numberOr("totalNs", 0.0) * 1e-6, 1),
-                              formatDouble(span.numberOr("selfNs", 0.0) * 1e-6, 1),
-                              formatDouble(100.0 * span.numberOr("selfFrac", 0.0), 1)});
-            }
-        }
-        std::fputs(table.render().c_str(), stdout);
+        printSpanTable(doc.find("spans"));
         return 0;
     }
 
@@ -777,18 +791,15 @@ int cmdTrace(const Args& args) {
         text << in.rdbuf();
         body = text.str();
     } else {
-        const std::size_t colon = args.positional.rfind(':');
-        if (colon == std::string::npos || colon + 1 >= args.positional.size()) {
+        const auto target = parseEndpoint(args.positional);
+        if (!target.has_value()) {
             throw std::runtime_error("trace: '" + args.positional +
                                      "' is neither a readable file nor host:port");
         }
-        const std::string host = args.positional.substr(0, colon);
-        const auto port = static_cast<std::uint16_t>(
-            std::stoul(args.positional.substr(colon + 1)));
         const std::string path = args.flags.contains("job")
                                      ? "/trace/" + args.get("job", "")
                                      : "/trace";
-        body = net::httpGet(host, port, path);
+        body = net::httpGet(target->first, target->second, path);
     }
     const JsonValue doc = parseJson(body);
     const std::string kind = doc.stringOr("kind", "");
@@ -988,13 +999,9 @@ int cmdTop(const Args& args) {
     if (args.positional.empty()) {
         throw std::runtime_error("top: need host:port (e.g. 127.0.0.1:9090)");
     }
-    const std::size_t colon = args.positional.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= args.positional.size()) {
-        throw std::runtime_error("top: target must be host:port");
-    }
-    const std::string host = args.positional.substr(0, colon);
-    const auto port =
-        static_cast<std::uint16_t>(std::stoul(args.positional.substr(colon + 1)));
+    const auto target = parseEndpoint(args.positional);
+    if (!target.has_value()) throw std::runtime_error("top: target must be host:port");
+    const auto& [host, port] = *target;
     const auto interval =
         std::chrono::milliseconds(std::stoul(args.get("interval", "1000")));
     std::uint64_t iterations = std::stoull(args.get("iterations", "0"));
@@ -1046,16 +1053,7 @@ int cmdTop(const Args& args) {
                         : "--");
         if (const JsonValue* spans = doc.find("spans");
             spans != nullptr && !spans->items.empty()) {
-            TextTable table({"span", "count", "total ms", "self ms", "self %"});
-            for (const JsonValue& span : spans->items) {
-                table.addRow({span.stringOr("name", "?"),
-                              std::to_string(static_cast<std::uint64_t>(
-                                  span.numberOr("count", 0.0))),
-                              formatDouble(span.numberOr("totalNs", 0.0) * 1e-6, 1),
-                              formatDouble(span.numberOr("selfNs", 0.0) * 1e-6, 1),
-                              formatDouble(100.0 * span.numberOr("selfFrac", 0.0), 1)});
-            }
-            std::fputs(table.render().c_str(), stdout);
+            printSpanTable(spans);
         }
         if (const JsonValue* rates = doc.find("rates");
             rates != nullptr && !rates->items.empty()) {
@@ -1093,7 +1091,7 @@ void handleStopSignal(int /*signum*/) {
 
 int cmdServe(const Args& args) {
     serve::ServeOptions options;
-    options.port = static_cast<std::uint16_t>(std::stoul(args.get("port", "0")));
+    options.port = parsePort(args.get("port", "0"));
     options.storeDirectory = args.get("store", "");
     options.storeBudgetBytes =
         std::stoull(args.get("store-budget", "256")) << 20; // MB → bytes
@@ -1113,9 +1111,7 @@ int cmdServe(const Args& args) {
     std::optional<obs::TelemetryServer> telemetry;
     if (args.flags.contains("telemetry-port")) {
         board.emplace();
-        telemetry.emplace(
-            static_cast<std::uint16_t>(std::stoul(args.get("telemetry-port", "0"))),
-            *board);
+        telemetry.emplace(parsePort(args.get("telemetry-port", "0")), *board);
         options.board = &*board;
         obs::Profiler::reset();
         obs::Profiler::setEnabled(true);
@@ -1158,13 +1154,9 @@ int cmdSubmit(const Args& args) {
     if (args.positional.empty()) {
         throw std::runtime_error("submit: need host:port (e.g. 127.0.0.1:7420)");
     }
-    const std::size_t colon = args.positional.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= args.positional.size()) {
-        throw std::runtime_error("submit: target must be host:port");
-    }
-    const std::string host = args.positional.substr(0, colon);
-    const auto port =
-        static_cast<std::uint16_t>(std::stoul(args.positional.substr(colon + 1)));
+    const auto target = parseEndpoint(args.positional);
+    if (!target.has_value()) throw std::runtime_error("submit: target must be host:port");
+    const auto& [host, port] = *target;
 
     serve::JobRequest job;
     job.op = args.get("op", "sweep");
