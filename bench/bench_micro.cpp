@@ -75,14 +75,26 @@ void BM_L1ReadLoop(benchmark::State& state, SchemeKind kind) {
     state.SetItemsProcessed(state.iterations());
 }
 
+/// An open job whose timeline takes instant events, for the traced benches.
+/// The store is cleared on exit, so repeated runs retain no full rings.
+class InstantTraceJob {
+public:
+    InstantTraceJob() { obs::JobTraceStore::global().beginJob("bench", trace_, true); }
+    ~InstantTraceJob() { obs::JobTraceStore::global().clear(); }
+    InstantTraceJob(const InstantTraceJob&) = delete;
+    InstantTraceJob& operator=(const InstantTraceJob&) = delete;
+
+private:
+    obs::TraceContext trace_ = obs::makeRootContext("bench");
+};
+
 // The trace-enabled twin of BM_L1ReadLoop/ffw+bbr: same access pattern with
-// a sink attached, so `(traced - plain) / plain` bounds the tracing
-// overhead. With NO sink attached the only cost on this path is one relaxed
-// atomic load (see BM_ObsTraceDisabled) plus the recenter counter — the
-// acceptance bar is <= 1% there.
+// instant events collected, so `(traced - plain) / plain` bounds the tracing
+// overhead. With nothing collecting the only cost on this path is one
+// relaxed atomic load (see BM_ObsTraceDisabled) plus the recenter counter —
+// the acceptance bar is <= 1% there.
 void BM_FfwReadLoopTraced(benchmark::State& state) {
-    obs::TraceSink sink;
-    const obs::ScopedTraceSink guard(&sink);
+    const InstantTraceJob job;
     BM_L1ReadLoop(state, SchemeKind::FfwBbr);
 }
 BENCHMARK(BM_FfwReadLoopTraced);
@@ -211,27 +223,22 @@ void BM_ObsCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsCounterAdd);
 
-// Cost of the trace-point guard when no sink is attached: a single relaxed
-// atomic load and a branch. This is what every instrumented path pays in a
-// production sweep.
+// Cost of the trace-point guard when nothing collects instant events: a
+// single relaxed atomic load and a branch. This is what every instrumented
+// path pays in a production sweep.
 void BM_ObsTraceDisabled(benchmark::State& state) {
     for (auto _ : state) {
-        if (obs::TraceSink* sink = obs::traceSink()) {
-            sink->record("bench.never", "bench", {});
-        }
+        if (obs::instantEventsOn()) obs::traceInstant("bench.never", "bench");
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsTraceDisabled);
 
-// Cost of an armed trace point: ring-slot write under the sink mutex.
+// Cost of an armed trace point: ring-slot write under the store mutex.
 void BM_ObsTraceRecord(benchmark::State& state) {
-    obs::TraceSink sink;
-    const obs::ScopedTraceSink guard(&sink);
+    const InstantTraceJob job;
     for (auto _ : state) {
-        if (obs::TraceSink* active = obs::traceSink()) {
-            active->record("bench.event", "bench", {{"i", 1}});
-        }
+        if (obs::instantEventsOn()) obs::traceInstant("bench.event", "bench", {{"i", 1}});
     }
     state.SetItemsProcessed(state.iterations());
 }

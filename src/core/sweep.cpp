@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <memory>
@@ -18,6 +17,7 @@
 #include "common/contracts.h"
 #include "common/rng.h"
 #include "core/replay.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
@@ -27,14 +27,9 @@ namespace voltcache {
 
 namespace {
 
-int mv(Voltage v) { return static_cast<int>(std::lround(v.millivolts())); }
+using obs::steadyNowNs;
 
-std::uint64_t steadyNowNs() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
+int mv(Voltage v) { return static_cast<int>(std::lround(v.millivolts())); }
 
 /// Leg-granular progress ticks are throttled to at most one per this period
 /// (~5 Hz), so a single-benchmark sweep still reports while it runs without
@@ -380,11 +375,12 @@ private:
         }
 
         // Worker-utilization / queue-depth sampler, attached only when
-        // someone is watching (profiling enabled or a trace sink installed):
+        // someone is watching (profiling enabled or the current job takes
+        // instant events; a traced job alone does not start one):
         // its background thread reads the executor's atomics and never
         // touches leg state, so it cannot perturb the deterministic result.
         std::optional<obs::UtilizationSampler> sampler;
-        if (obs::Profiler::enabled() || obs::traceSink() != nullptr) {
+        if (obs::Profiler::enabled() || obs::instantEventsOn()) {
             sampler.emplace([this, totalLegs = static_cast<std::uint64_t>(legs.size())] {
                 const std::uint64_t active = activeWorkers_.load(std::memory_order_relaxed);
                 const std::uint64_t inFlight =

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace voltcache {
 
 std::size_t sweepJournalProducers(unsigned threads) {
@@ -15,7 +17,7 @@ SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,
                              const SweepTelemetry& sinks)
     : sinks_(sinks) {
     if (sinks.board != nullptr) sinks.board->beginJob(std::string(label));
-    if (sinks.trace.valid()) obs::JobTraceStore::global().beginJob(std::string(label), sinks.trace);
+    obs::JobTraceStore::global().beginJob(std::string(label), sinks.trace, sinks.instants);
     if (sinks.flight != nullptr) sinks.flight->noteJob(label, sinks.trace);
 
     if (sinks.journal != nullptr) {
@@ -57,16 +59,14 @@ SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,
                     stamped);
             }
             if (finished && sinks.trace.valid()) {
-                obs::JobTraceStore::global().recordLeg(sinks.trace, stamped);
+                obs::JobTraceStore::global().recordLeg(stamped);
             }
             if (next) next(stamped);
         };
     }
-    traceScope_.emplace(sinks.trace);
 }
 
 SweepJobScope::~SweepJobScope() {
-    traceScope_.reset();
     if (sinks_.trace.valid()) obs::JobTraceStore::global().endJob(sinks_.trace);
     if (sinks_.board != nullptr) sinks_.board->finish();
 }

@@ -1,13 +1,12 @@
 // The one place that joins runSweep's observation hooks to the obs telemetry
 // plane: the /progress board, the NDJSON leg journal, the flight recorder and
-// the job trace store. `voltcache sweep` and `voltcache serve` both run a job
+// the job's timeline. `voltcache sweep` and `voltcache serve` both run a job
 // inside a SweepJobScope, so a leg's obs::LegEvent reaches every sink in the
 // same shape on both paths, and the job's observers open and close in one
 // order whether the sweep returns or throws.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string_view>
 
 #include "core/sweep.h"
@@ -29,22 +28,23 @@ struct SweepTelemetry {
     obs::LegJournal* journal = nullptr;    ///< NDJSON leg lifecycle lines
     obs::FlightRecorder* flight = nullptr; ///< crash black box
     obs::TraceContext trace;               ///< the job's trace; invalid = untraced
+    bool instants = false;                 ///< the timeline also takes instant events
 };
 
 /// One sweep job's observation scope. The constructor labels the board,
-/// opens the job's trace in the JobTraceStore, names the job in the flight
-/// recorder, routes `config`'s hooks into the sinks, and makes the job's
-/// trace the current context (so obs::Span phase spans attribute to it).
-/// The destructor undoes it in order: it restores the previous context
-/// before closing the trace — so no late span lands in a closed trace —
-/// then marks the board finished. It runs on the exception path too.
+/// opens the job's timeline in the JobTraceStore (the current job from then
+/// on, so obs::Span phase spans and sampler counters land in it), names the
+/// job in the flight recorder and routes `config`'s hooks into the sinks.
+/// The destructor closes the timeline — so no late span lands in it — then
+/// marks the board finished. It runs on the exception path too.
 ///
 /// Routing: hooks the config already carries still run, after the sinks,
 /// and see each LegEvent stamped with the job's trace id and the leg's
 /// childSpanId(trace, leg). Journal producer 0 is the coordinator (Enqueued
 /// events) and worker w writes ring 1 + w; the rings are single-producer, so
 /// with a journal attached the sweep runs at most as many workers as the
-/// journal has worker rings. Finished legs are recorded into the job trace.
+/// journal has worker rings. Finished legs are recorded into the job's
+/// timeline.
 class SweepJobScope {
 public:
     SweepJobScope(SweepConfig& config, std::string_view label, const SweepTelemetry& sinks);
@@ -54,7 +54,6 @@ public:
 
 private:
     SweepTelemetry sinks_;
-    std::optional<obs::ScopedTraceContext> traceScope_;
 };
 
 } // namespace voltcache

@@ -122,7 +122,7 @@ public:
     }
 
     /// Attach an additional observer; observers fire in attach order, so a
-    /// LocalityProfiler and a TraceSinkObserver can watch the same run.
+    /// LocalityProfiler and a TimelineObserver can watch the same run.
     void addObserver(TraceObserver* observer) {
         if (observer != nullptr) observers_.push_back(observer);
     }

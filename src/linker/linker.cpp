@@ -71,11 +71,11 @@ private:
         std::uint32_t restarts = 0;
         while (true) {
             if (word - startWord > cacheWords_ + size) {
-                if (obs::TraceSink* sink = obs::traceSink()) {
-                    sink->record("link.fail", "linker",
-                                 {{"size", size},
-                                  {"scanned", word - startWord},
-                                  {"restarts", restarts}});
+                if (obs::instantEventsOn()) {
+                    obs::traceInstant("link.fail", "linker",
+                                      {{"size", size},
+                                       {"scanned", word - startWord},
+                                       {"restarts", restarts}});
                 }
                 obs::MetricsRegistry::global().add("link.failures", {}, 1);
                 throw LinkError("no fault-free chunk of " + std::to_string(size) +
@@ -173,13 +173,13 @@ private:
                 : std::min<std::size_t>(std::bit_width(displacement), stats_.scanHist.size() - 1);
         ++stats_.scanHist[bucket];
         scanWords_.observe(displacement);
-        if (obs::TraceSink* sink = obs::traceSink()) {
-            sink->record("link.place", "linker",
-                         {{"block", stats_.blocksPlaced},
-                          {"size", size},
-                          {"scanned", fit.word - startWord},
-                          {"restarts", fit.restarts},
-                          {"wraps", fit.wraps}});
+        if (obs::instantEventsOn()) {
+            obs::traceInstant("link.place", "linker",
+                              {{"block", stats_.blocksPlaced},
+                               {"size", size},
+                               {"scanned", fit.word - startWord},
+                               {"restarts", fit.restarts},
+                               {"wraps", fit.wraps}});
         }
     }
 

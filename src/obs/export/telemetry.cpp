@@ -1,30 +1,18 @@
 #include "obs/export/telemetry.h"
 
-#include <chrono>
-
 #include "common/json.h"
 #include "common/version.h"
+#include "obs/clock.h"
 #include "obs/export/prometheus.h"
 #include "obs/span.h"
-#include "obs/trace_context.h"
+#include "obs/trace.h"
 
 namespace voltcache::obs {
 
-namespace {
-
-std::uint64_t nowNs() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-} // namespace
-
-ProgressBoard::ProgressBoard() : startNs_(nowNs()), lastTickNs_(startNs_) {}
+ProgressBoard::ProgressBoard() : startNs_(steadyNowNs()), lastTickNs_(startNs_) {}
 
 void ProgressBoard::update(const SweepProgress& tick) {
-    const std::uint64_t now = nowNs();
+    const std::uint64_t now = steadyNowNs();
     const std::lock_guard<std::mutex> lock(mutex_);
     // EWMA of the instantaneous legs/s between ticks: robust to the bursty
     // tick cadence (leg ticks are throttled, boundary ticks are not).
@@ -47,7 +35,7 @@ void ProgressBoard::finish() {
 }
 
 void ProgressBoard::beginJob(const std::string& job) {
-    const std::uint64_t now = nowNs();
+    const std::uint64_t now = steadyNowNs();
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = job;
     done_ = false;
@@ -78,7 +66,7 @@ std::string ProgressBoard::toJson() {
     if (prevScrape_.has_value()) rates = metricsDelta(*prevScrape_, fresh);
     prevScrape_ = std::move(fresh);
 
-    const std::uint64_t now = nowNs();
+    const std::uint64_t now = steadyNowNs();
     JsonWriter json;
     json.beginObject();
     json.member("tool", "voltcache");
@@ -159,7 +147,7 @@ TelemetryServer::TelemetryServer(std::uint16_t port, ProgressBoard& board)
         response.body = board.toJson();
         return response;
     });
-    const std::uint64_t bootNs = nowNs();
+    const std::uint64_t bootNs = steadyNowNs();
     server_.route("/healthz", [bootNs] {
         // Build identity + uptime + store occupancy: enough for a probe to
         // tell a fresh daemon from a wedged one and an empty store from a
@@ -175,7 +163,7 @@ TelemetryServer::TelemetryServer(std::uint16_t port, ProgressBoard& board)
         json.member("status", "ok");
         json.member("version", buildVersion());
         json.member("uptimeSeconds",
-                    static_cast<double>(nowNs() - bootNs) * 1e-9);
+                    static_cast<double>(steadyNowNs() - bootNs) * 1e-9);
         json.key("store");
         json.beginObject();
         json.member("entries", storeEntries);
@@ -187,8 +175,8 @@ TelemetryServer::TelemetryServer(std::uint16_t port, ProgressBoard& board)
         response.body = json.str() + "\n";
         return response;
     });
-    // Per-job span trees from the PR 10 trace collector: /trace lists the
-    // recent jobs, /trace/<job-or-trace-id> renders Chrome trace JSON.
+    // Per-job timelines (obs/trace.h): /trace lists the recent jobs,
+    // /trace/<job-or-trace-id> renders one as Chrome trace JSON.
     server_.route("/trace", [] {
         HttpServer::Response response;
         response.contentType = "application/json";

@@ -6,13 +6,13 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
 #include "common/contracts.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 
 namespace voltcache::obs {
@@ -182,10 +182,7 @@ FlightRecorder::FlightRecorder(const Options& options) : path_(options.path), im
         std::bit_ceil(options.eventCapacity < 2 ? std::size_t{2} : options.eventCapacity);
     impl_->ring.resize(capacity);
     impl_->mask = capacity - 1;
-    impl_->epochNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    impl_->epochNs = steadyNowNs();
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -280,9 +277,7 @@ void FlightRecorder::noteLegEvent(const LegEvent& event) noexcept {
     // The journal stamps sequence/timestamp at emit(); feeds reach this ring
     // before (or without) a journal, so stamp the recorder's own view here.
     slot.sequence = seq;
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    const auto nowNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
+    const std::uint64_t nowNs = steadyNowNs();
     slot.timestampNs = nowNs > impl_->epochNs ? nowNs - impl_->epochNs : 0;
 }
 

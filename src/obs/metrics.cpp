@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <deque>
 #include <unordered_map>
 
 #include "common/contracts.h"
 #include "common/json.h"
+#include "obs/clock.h"
 
 namespace voltcache::obs {
 namespace {
@@ -212,10 +212,7 @@ std::size_t MetricsRegistry::cells() const {
 
 TimedMetricsSnapshot MetricsRegistry::snapshotTimed() const {
     TimedMetricsSnapshot timed;
-    timed.monotonicNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    timed.monotonicNs = steadyNowNs();
     timed.metrics = snapshot();
     return timed;
 }

@@ -34,13 +34,11 @@ void UtilizationSampler::emitSample() {
     activeGauge_.set(static_cast<double>(sample.activeWorkers));
     queueGauge_.set(static_cast<double>(sample.queueDepth));
     activeHist_.observe(sample.activeWorkers);
-    if (TraceSink* sink = traceSink()) {
-        sink->recordCounter("sweep.workers_active", "sampler",
-                            {{"active", static_cast<std::int64_t>(sample.activeWorkers)},
-                             {"workers", static_cast<std::int64_t>(sample.workers)}});
-        sink->recordCounter("sweep.queue_depth", "sampler",
-                            {{"legs_pending", static_cast<std::int64_t>(sample.queueDepth)}});
-    }
+    traceCounter("sweep.workers_active", "sampler",
+                 {{"active", static_cast<std::int64_t>(sample.activeWorkers)},
+                  {"workers", static_cast<std::int64_t>(sample.workers)}});
+    traceCounter("sweep.queue_depth", "sampler",
+                 {{"legs_pending", static_cast<std::int64_t>(sample.queueDepth)}});
     samples_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -4,14 +4,17 @@
 // the executor's atomics) and publishes each sample three ways: gauges in
 // the metrics registry ("sweep.workers_active", "sweep.queue_depth"), a
 // log2 histogram of the active-worker count ("sweep.active_workers", whose
-// mean estimates utilization over the run), and — when a TraceSink is
-// attached — Chrome "ph":"C" counter events, so Perfetto draws the worker
-// occupancy and backlog as counter tracks under the span timeline.
+// mean estimates utilization over the run), and — while a job is open —
+// "ph":"C" counter events in the current job's timeline (obs/trace.h), so
+// Perfetto draws the worker occupancy and backlog as counter tracks under
+// the span timeline.
 //
 // One sample is taken synchronously on construction and one on destruction,
 // so even a sweep shorter than the period leaves counters in the trace. The
 // sampler only ever *reads* executor state; attaching it cannot perturb the
-// sweep's results.
+// sweep's results. The sweep starts one only when profiling is on or the
+// current job takes instant events, never just because a job is traced:
+// every serve job is traced, and each sampler is one more thread.
 #pragma once
 
 #include <atomic>

@@ -2,28 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 
 namespace voltcache::obs {
 namespace {
 
 std::atomic<bool> g_profilingEnabled{false};
-
-std::uint64_t nowNs() noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 struct Agg {
     std::uint64_t count = 0;
@@ -137,13 +129,18 @@ Span::Span(const char* name) noexcept {
     ThreadShard& shard = threadShard();
     parent_ = shard.top;
     shard.top = this;
-    startNs_ = nowNs();
+    startNs_ = steadyNowNs();
 }
 
 Span::~Span() {
     if (flight_) flightSpanExit();
-    if (name_ == nullptr) return;
-    const std::uint64_t end = nowNs();
+    if (name_ != nullptr) close();
+}
+
+// Out of line, so a disabled span's destructor stays a test and a return
+// rather than paying this body's prologue (BM_SpanDisabled).
+[[gnu::noinline]] void Span::close() noexcept {
+    const std::uint64_t end = steadyNowNs();
     const std::uint64_t total = end > startNs_ ? end - startNs_ : 0;
     const std::uint64_t self = total > childNs_ ? total - childNs_ : 0;
     ThreadShard& shard = threadShard();
@@ -167,12 +164,7 @@ Span::~Span() {
                  .first;
     }
     it->second.observe(total);
-    if (TraceSink* sink = traceSink()) {
-        sink->recordSpan(name_, "prof", startNs_, total);
-    }
-    if (JobTraceStore::collecting()) {
-        JobTraceStore::global().recordCurrent(name_, startNs_, total);
-    }
+    traceSpan(name_, "phase", startNs_, total); // into the current job's timeline
 }
 
 } // namespace voltcache::obs

@@ -11,12 +11,15 @@
 //
 // Profiling is globally off by default: a disabled Span construction is one
 // relaxed atomic load and a branch (the zero-overhead guard bench_micro
-// enforces, like the PR 2 no-sink check). When enabled, every closing span
-// also feeds the registry ("prof.span_ns"{span=name} log2 histograms) and,
-// when a TraceSink is attached, emits a Chrome "ph":"X" duration event — so
-// one sweep yields both the aggregate profile and the per-leg timeline.
+// enforces). When enabled, a closing span reaches two consumers: the
+// profiler aggregates (per-thread shards, plus the registry's
+// "prof.span_ns"{span=name} log2 histograms) and, while a job is open, the
+// current job's timeline (obs/trace.h) as a "phase" duration event on the
+// closing thread's track — so one sweep yields both the aggregate profile
+// and the per-leg timeline.
 //
-// Span names must be string literals (stored by pointer, like TraceSink's).
+// Span names must be string literals (stored by pointer, like every
+// timeline event name).
 #pragma once
 
 #include <cstdint>
@@ -53,11 +56,8 @@ public:
 /// the span. Non-copyable and non-movable: the per-thread stack stores raw
 /// parent pointers into enclosing stack frames.
 ///
-/// Two optional observers ride the same scope: the flight recorder's active
-/// span stack (obs/flight_recorder.h — one extra relaxed load when no
-/// recorder is installed), and the per-job trace collector
-/// (obs/trace_context.h — closed spans are attributed to the current job's
-/// trace context when a collection is open).
+/// The flight recorder's active span stack (obs/flight_recorder.h) rides
+/// the same scope: one extra relaxed load when no recorder is installed.
 class Span {
 public:
     explicit Span(const char* name) noexcept;
@@ -66,6 +66,8 @@ public:
     Span& operator=(const Span&) = delete;
 
 private:
+    void close() noexcept; ///< the end of a span opened with profiling on
+
     const char* name_ = nullptr; ///< nullptr == profiling was off at construction
     Span* parent_ = nullptr;
     std::uint64_t startNs_ = 0;

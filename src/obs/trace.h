@@ -1,127 +1,193 @@
-// Structured event tracing: a bounded ring-buffer sink + Chrome trace export.
+// The one timeline: every traced event of a job — profiler phase spans,
+// finished sweep legs, worker-utilization counters and the simulator's
+// instant events — lands in one bounded ring of one event type per job and
+// is rendered by one Chrome trace-event writer (JobTraceStore::toChromeJson).
+// `sweep --trace`, `sweep --trace-job`, `run`/`stats --trace`, the telemetry
+// plane's GET /trace/<job> and `voltcache trace` all read that document.
 //
-// Instrumentation points call `if (TraceSink* s = traceSink()) s->record(...)`;
-// with no sink attached the cost is one relaxed atomic load and a branch, so
-// tracing can stay compiled in everywhere. Event names and categories are
-// `const char*` by design — they must be string literals (or otherwise outlive
-// the sink); the sink stores the pointers, never copies.
+// A job is open from JobTraceStore::beginJob to endJob; the newest open job
+// is the current one, and every event goes to the current job's ring:
+//   - Span    ("ph":"X", cat "phase"): an obs::Span closing with profiling on;
+//   - Leg     ("ph":"X", cat "leg" / "leg,cached"): a Finished obs::LegEvent;
+//   - Counter ("ph":"C"): a UtilizationSampler reading;
+//   - Instant ("ph":"i"): a scheme / linker / simulator trace point — only
+//     when the job was opened with instant events on.
+// With nothing collecting, a trace point costs one relaxed atomic load and a
+// branch: instant sites test instantEventsOn(), obs::Span tests
+// JobTraceStore::collecting(), before either builds an event.
 //
-// Three event phases share the ring: instant events ('i', the simulation
-// instrumentation), complete spans ('X', emitted by obs::Span when profiling
-// is on), and counter samples ('C', emitted by the worker-utilization
-// sampler). Span and counter events carry wall-clock microseconds relative to
-// sink construction, so Perfetto lays them out on a real timeline.
+// Every event carries the recording thread's dense id as its tid and an
+// obs::steadyNowNs() start stamp, rendered in µs relative to the job's open.
+// A ring grows on demand to its capacity — kMaxEventsWithInstants with
+// instant events on, kMaxSpansPerJob otherwise — and then overwrites its
+// oldest event, so a long job keeps its most recent window. Each job counts
+// its overwrites (the document's droppedSpans) and every overwrite also bumps
+// the process-wide "obs.trace_dropped_total" counter.
 //
-// The ring is fixed-capacity and overwrites the oldest event, so a trace of a
-// billion-instruction run is bounded memory and ends with the most recent
-// window of activity — which is what one debugs. Overwrites are counted into
-// the process-wide "obs.trace_dropped_total" metric, so a truncated trace is
-// detectable from the registry snapshot alone.
+// Event names, categories and arg keys must be string literals (or otherwise
+// outlive the store): events store the pointers, never copies.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/progress.h"
+#include "obs/trace_context.h"
 
 namespace voltcache::obs {
 
-/// One key/value argument attached to a trace event.
+/// One key/value argument attached to an event.
 struct TraceArg {
     const char* key = nullptr; ///< string literal
     std::int64_t value = 0;
 };
 
-inline constexpr std::size_t kMaxTraceArgs = 8;
+inline constexpr std::size_t kMaxTraceArgs = 7;
 
-/// Chrome trace-event phase of a recorded event.
+/// What an event is, and how the writer renders it.
 enum class TracePhase : std::uint8_t {
     Instant, ///< "ph":"i" — a point event
-    Span,    ///< "ph":"X" — a complete duration event
+    Span,    ///< "ph":"X" — a complete duration event (a profiler phase)
     Counter, ///< "ph":"C" — a counter sample (args are the series values)
+    Leg,     ///< "ph":"X" — a finished sweep leg (fields in TraceEvent::leg)
 };
 
+/// A Leg event's grid fields, copied from its Finished LegEvent. No member
+/// initializers: it shares TraceEvent's union, and recordLeg writes it whole.
+struct TraceLeg {
+    std::uint64_t spanId;
+    char benchmark[sizeof(LegEvent::benchmark)];
+    char scheme[sizeof(LegEvent::scheme)];
+    std::int32_t voltageMv;
+    std::uint32_t trial;
+    std::uint32_t worker; ///< sweep worker index (rendered in args)
+    bool replayed;
+    bool cached;
+    bool linkFailed;
+};
+
+/// The one timeline event.
 struct TraceEvent {
-    const char* name = nullptr;     ///< string literal
-    const char* category = nullptr; ///< string literal
-    std::uint64_t ts = 0;           ///< sink-local sequence number (monotonic)
-    std::uint64_t tid = 0;          ///< dense per-thread id
+    const char* name = nullptr;     ///< string literal (Leg: unused)
+    const char* category = nullptr; ///< string literal (Leg: unused)
+    std::uint64_t startNs = 0;      ///< steadyNowNs() stamp
+    std::uint64_t durationNs = 0;   ///< Span and Leg events
+    std::uint32_t tid = 0;          ///< recording thread's dense id
     TracePhase phase = TracePhase::Instant;
-    std::uint64_t wallUs = 0;       ///< µs since sink construction
-    std::uint64_t durUs = 0;        ///< Span events: duration in µs
-    std::size_t argCount = 0;
-    std::array<TraceArg, kMaxTraceArgs> args{};
+    std::uint8_t argCount = 0;
+    union {
+        std::array<TraceArg, kMaxTraceArgs> args{}; ///< Instant, Span, Counter
+        TraceLeg leg;                               ///< Leg
+    };
 };
 
-class TraceSink {
+static_assert(std::is_trivially_copyable_v<TraceEvent>, "ring slots copy events by value");
+static_assert(sizeof(TraceEvent) <= 152, "every serve job records its legs into this ring");
+
+/// A bounded event ring: storage grows on demand up to `capacity`, then each
+/// new event overwrites the oldest. Unsynchronized: JobTraceStore's lock
+/// guards every job's ring.
+class TraceRing {
 public:
-    explicit TraceSink(std::size_t capacity = std::size_t{1} << 16);
+    explicit TraceRing(std::size_t capacity);
 
-    /// Record one instant event. Args beyond kMaxTraceArgs are dropped.
-    void record(const char* name, const char* category,
-                std::initializer_list<TraceArg> args = {});
-
-    /// Record a complete span ("ph":"X"). `startNs` is a steady_clock
-    /// since-epoch stamp (obs::Span's clock); spans started before the sink
-    /// existed clamp to the sink's construction instant.
-    void recordSpan(const char* name, const char* category, std::uint64_t startNs,
-                    std::uint64_t durationNs, std::initializer_list<TraceArg> args = {});
-
-    /// Record a counter sample ("ph":"C"); each arg is one series value.
-    void recordCounter(const char* name, const char* category,
-                       std::initializer_list<TraceArg> args);
+    /// The slot for the next event, to be filled in place: a new slot while
+    /// the ring grows, then the oldest event's.
+    [[nodiscard]] TraceEvent& claim();
 
     /// Events oldest-first (at most `capacity` of them).
     [[nodiscard]] std::vector<TraceEvent> events() const;
 
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-    /// Total record() calls, including those whose slot was later overwritten.
-    [[nodiscard]] std::uint64_t recorded() const;
-    /// Events lost to ring overwrite.
-    [[nodiscard]] std::uint64_t dropped() const;
-
-    /// steady_clock since-epoch nanoseconds at construction (the trace's t=0).
-    [[nodiscard]] std::uint64_t epochNs() const noexcept { return epochNs_; }
-
-    /// Render as Chrome trace-event JSON (load in Perfetto / chrome://tracing).
-    [[nodiscard]] std::string toChromeJson() const;
+    [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+    /// Events lost to overwrite.
+    [[nodiscard]] std::uint64_t dropped() const noexcept { return next_ - slots_.size(); }
 
 private:
-    /// Claim the next ring slot (caller must hold mutex_) and stamp the
-    /// sequence/thread/wall fields; bumps the dropped-total counter when an
-    /// old event is overwritten.
-    TraceEvent& claimSlotLocked(std::uint64_t tid);
-
-    const std::size_t capacity_;
-    const std::uint64_t epochNs_;
-    Counter droppedTotal_; ///< process-wide "obs.trace_dropped_total"
-    mutable std::mutex mutex_;
-    std::vector<TraceEvent> ring_;
-    std::uint64_t next_ = 0; ///< sequence number of the next event
+    std::size_t capacity_;
+    std::vector<TraceEvent> slots_;
+    std::uint64_t next_ = 0; ///< claims so far; slot next_ % capacity_ is the oldest
+    Counter droppedTotal_;   ///< process-wide "obs.trace_dropped_total"
 };
 
-/// Currently attached process-wide sink, or nullptr (the common case).
-[[nodiscard]] TraceSink* traceSink() noexcept;
-
-/// Attach/detach the process-wide sink. Returns the previous sink. The caller
-/// owns the sink and must keep it alive while attached.
-TraceSink* setTraceSink(TraceSink* sink) noexcept;
-
-/// RAII attach: restores the previous sink on destruction.
-class ScopedTraceSink {
+/// Bounded collector of recent jobs' timelines. All methods are thread-safe.
+class JobTraceStore {
 public:
-    explicit ScopedTraceSink(TraceSink* sink) noexcept : previous_(setTraceSink(sink)) {}
-    ~ScopedTraceSink() { setTraceSink(previous_); }
-    ScopedTraceSink(const ScopedTraceSink&) = delete;
-    ScopedTraceSink& operator=(const ScopedTraceSink&) = delete;
+    static constexpr std::size_t kMaxJobs = 16;
+    /// Ring capacity of a job without instant events.
+    static constexpr std::size_t kMaxSpansPerJob = 8192;
+    /// Ring capacity of a job with instant events on.
+    static constexpr std::size_t kMaxEventsWithInstants = std::size_t{1} << 16;
+
+    [[nodiscard]] static JobTraceStore& global();
+
+    /// True while some job is open (one relaxed load — the hot-path guard
+    /// for span, leg and counter events).
+    [[nodiscard]] static bool collecting() noexcept;
+
+    /// Open a job keyed by both `job` (label) and the context's trace id and
+    /// make it the current job; evicts the oldest job beyond kMaxJobs. An
+    /// invalid context opens nothing.
+    void beginJob(const std::string& job, const TraceContext& context, bool instants = false);
+
+    /// Close the job owning `context`'s trace id (its timeline stays
+    /// queryable); the newest job still open becomes current.
+    void endJob(const TraceContext& context);
+
+    /// Append an event to the current job's ring, filled in place and
+    /// stamped with the calling thread's tid. No-op when no job is open.
+    /// Args beyond kMaxTraceArgs are dropped.
+    void record(TracePhase phase, const char* name, const char* category, std::uint64_t startNs,
+                std::uint64_t durationNs, std::initializer_list<TraceArg> args);
+
+    /// Append a Finished leg (stamped with its spanId and startNs) to the
+    /// current job's ring. Cached legs render at duration 0 with their
+    /// store-lookup wall time in args.wallNs.
+    void recordLeg(const LegEvent& finished);
+
+    /// Chrome trace-event JSON for a job by label or by 32-hex trace id
+    /// (the newest match); empty string when unknown. The header carries
+    /// kind "trace", job, trace, open, spanCount (events in the ring) and
+    /// droppedSpans (events overwritten).
+    [[nodiscard]] std::string toChromeJson(std::string_view jobOrTraceId) const;
+
+    /// One-line-per-job index: [{"job":..., "trace":..., "spans":N,
+    /// "droppedSpans":N, "open":bool}, ...] newest first.
+    [[nodiscard]] std::string indexJson() const;
+
+    /// Forget every job (tests).
+    void clear();
 
 private:
-    TraceSink* previous_;
+    JobTraceStore();
+    ~JobTraceStore();
+
+    struct Impl;
+    Impl* impl_; ///< leaked with the singleton; spans may close at exit
 };
+
+/// True while the current job takes instant events (one relaxed load).
+[[nodiscard]] bool instantEventsOn() noexcept;
+
+/// Record an instant event, stamped now, into the current job when it takes
+/// instant events.
+void traceInstant(const char* name, const char* category,
+                  std::initializer_list<TraceArg> args = {});
+
+/// Record a complete span that started at `startNs` (a steadyNowNs() stamp)
+/// into the current job.
+void traceSpan(const char* name, const char* category, std::uint64_t startNs,
+               std::uint64_t durationNs, std::initializer_list<TraceArg> args = {});
+
+/// Record a counter sample, stamped now, into the current job; each arg is
+/// one series value.
+void traceCounter(const char* name, const char* category,
+                  std::initializer_list<TraceArg> args);
 
 } // namespace voltcache::obs

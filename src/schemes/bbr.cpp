@@ -27,16 +27,17 @@ void BbrPolicy::fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag,
                      std::uint32_t /*word*/, AccessResult& /*result*/) {
     fetchMisses_.add();
     if (mode_ == Mode::SetAssociative) {
-        if (obs::TraceSink* sink = obs::traceSink()) {
-            sink->record("bbr.fetch_miss", "icache", {{"addr", addr}, {"set", set}, {"dm", 0}});
+        if (obs::instantEventsOn()) {
+            obs::traceInstant("bbr.fetch_miss", "icache",
+                              {{"addr", addr}, {"set", set}, {"dm", 0}});
         }
         tags_.fill(set, tag);
         return;
     }
     const std::uint32_t way = mapper_.directWay(addr);
-    if (obs::TraceSink* sink = obs::traceSink()) {
-        sink->record("bbr.fetch_miss", "icache",
-                     {{"addr", addr}, {"set", set}, {"way", way}, {"dm", 1}});
+    if (obs::instantEventsOn()) {
+        obs::traceInstant("bbr.fetch_miss", "icache",
+                          {{"addr", addr}, {"set", set}, {"way", way}, {"dm", 1}});
     }
     tags_.fillAt(set, way, tag);
 }
@@ -44,9 +45,9 @@ void BbrPolicy::fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag,
 void BbrPolicy::switchMode(Mode mode) {
     if (mode == mode_) return;
     mode_ = mode;
-    if (obs::TraceSink* sink = obs::traceSink()) {
-        sink->record("bbr.mode_switch", "icache",
-                     {{"dm", mode_ == Mode::DirectMapped ? 1 : 0}});
+    if (obs::instantEventsOn()) {
+        obs::traceInstant("bbr.mode_switch", "icache",
+                          {{"dm", mode_ == Mode::DirectMapped ? 1 : 0}});
     }
     tags_.invalidateAll();
 }

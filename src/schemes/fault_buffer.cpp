@@ -146,9 +146,9 @@ FaultBufferPolicy::FaultBufferPolicy(const CacheOrganization& org, FaultMap faul
 bool FaultBufferPolicy::probeAux(std::uint32_t addr, AccessResult& result) {
     result.auxProbe = true;
     result.auxHit = buffer_.probe(addr / 4);
-    if (obs::TraceSink* sink = obs::traceSink()) {
-        sink->record(probeEvent_, "fault-buffer",
-                     {{"word_addr", addr / 4}, {"hit", result.auxHit ? 1 : 0}});
+    if (obs::instantEventsOn()) {
+        obs::traceInstant(probeEvent_, "fault-buffer",
+                          {{"word_addr", addr / 4}, {"hit", result.auxHit ? 1 : 0}});
     }
     return result.auxHit;
 }

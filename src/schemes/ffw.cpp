@@ -79,15 +79,15 @@ void FfwPolicy::onWordMiss(std::uint32_t set, std::uint32_t way, std::uint32_t w
     const std::uint32_t frame = frameOf(set, way);
     const LineState& state = lineState_[frame];
     const Window next = recentered(frame, word);
-    if (obs::TraceSink* sink = obs::traceSink()) {
-        sink->record("ffw.recenter", "dcache",
-                     {{"set", set},
-                      {"way", way},
-                      {"word", word},
-                      {"old_start", state.windowStart},
-                      {"old_len", state.windowLength},
-                      {"new_start", next.start},
-                      {"new_len", next.length}});
+    if (obs::instantEventsOn()) {
+        obs::traceInstant("ffw.recenter", "dcache",
+                          {{"set", set},
+                           {"way", way},
+                           {"word", word},
+                           {"old_start", state.windowStart},
+                           {"old_len", state.windowLength},
+                           {"new_start", next.start},
+                           {"new_len", next.length}});
     }
     recenters_.add();
     const std::uint32_t oldStart = state.windowStart;

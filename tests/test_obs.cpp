@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: the JSON writer, the metrics
-// registry (handles, sharding, histograms), the trace sink ring, the
-// instrumentation points in the schemes / linker, observer multiplexing,
+// registry (handles, sharding, histograms), the timeline's event ring and
+// Chrome-trace writer, the instrumentation points in the schemes / linker, observer multiplexing,
 // the L2-read reconciliation invariant, and the sweep JSON golden file.
 #include <cstdlib>
 #include <cstring>
@@ -13,11 +13,13 @@
 
 #include "common/contracts.h"
 #include "common/json.h"
+#include "common/json_parse.h"
 #include "compiler/passes.h"
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/system.h"
 #include "linker/linker.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schemes/bbr.h"
@@ -215,7 +217,7 @@ TEST(Metrics, SnapshotRendersAsJson) {
     EXPECT_NE(text.find("3"), std::string::npos);
 }
 
-// ---- Trace sink ----
+// ---- The timeline ring and its writer ----
 
 /// Current count of a (label-free) counter in the global registry, or 0.
 std::uint64_t globalCounterValue(const char* name) {
@@ -225,150 +227,199 @@ std::uint64_t globalCounterValue(const char* name) {
     return 0;
 }
 
+/// Runs `body` as a job whose timeline takes instant events, and returns the
+/// job's parsed Chrome trace document.
+template <class Body>
+JsonValue tracedJob(const char* label, Body&& body) {
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    const obs::TraceContext trace = obs::makeRootContext(label);
+    store.beginJob(label, trace, /*instants=*/true);
+    body();
+    store.endJob(trace);
+    const JsonValue doc = parseJson(store.toChromeJson(label));
+    store.clear();
+    return doc;
+}
+
+const std::vector<JsonValue>& traceEvents(const JsonValue& doc) {
+    const JsonValue* events = doc.find("traceEvents");
+    VC_CHECK(events != nullptr);
+    return events->items;
+}
+
+/// The events of `doc` named `name`.
+std::vector<const JsonValue*> eventsNamed(const JsonValue& doc, std::string_view name) {
+    std::vector<const JsonValue*> out;
+    for (const JsonValue& event : traceEvents(doc)) {
+        if (event.stringOr("name", "") == name) out.push_back(&event);
+    }
+    return out;
+}
+
 TEST(TraceSink, RingOverwritesOldestAndCountsDrops) {
     const std::uint64_t droppedBefore = globalCounterValue("obs.trace_dropped_total");
-    obs::TraceSink sink(4);
+    obs::TraceRing ring(4);
     for (std::int64_t i = 0; i < 6; ++i) {
-        sink.record("event", "test", {{"i", i}});
+        obs::TraceEvent& event = ring.claim();
+        event.name = "event";
+        event.category = "test";
+        event.argCount = 1;
+        event.args[0] = {"i", i};
     }
-    EXPECT_EQ(sink.recorded(), 6u);
-    EXPECT_EQ(sink.dropped(), 2u);
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(ring.dropped(), 2u);
     // Drops are mirrored into the process-wide registry so a truncated trace
-    // is detectable without the sink in hand.
+    // is detectable without the ring in hand.
     EXPECT_EQ(globalCounterValue("obs.trace_dropped_total"), droppedBefore + 2);
-    const auto events = sink.events();
+    const auto events = ring.events();
     ASSERT_EQ(events.size(), 4u);
     for (std::size_t k = 0; k < events.size(); ++k) {
-        EXPECT_EQ(events[k].ts, k + 2) << "oldest-first, first two overwritten";
         ASSERT_EQ(events[k].argCount, 1u);
         EXPECT_STREQ(events[k].args[0].key, "i");
-        EXPECT_EQ(events[k].args[0].value, static_cast<std::int64_t>(k + 2));
+        EXPECT_EQ(events[k].args[0].value, static_cast<std::int64_t>(k + 2))
+            << "oldest-first, first two overwritten";
     }
 }
 
 TEST(TraceSink, ChromeJsonIsWellFormed) {
-    obs::TraceSink sink(8);
-    sink.record("alpha", "catA", {{"x", 1}});
-    sink.record("beta", "catB");
-    const std::string json = sink.toChromeJson();
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"alpha\""), std::string::npos);
-    EXPECT_NE(json.find("\"beta\""), std::string::npos);
-    EXPECT_NE(json.find("\"catA\""), std::string::npos);
+    const JsonValue doc = tracedJob("well-formed", [] {
+        obs::traceInstant("alpha", "catA", {{"x", 1}});
+        obs::traceInstant("beta", "catB");
+    });
+    EXPECT_EQ(doc.stringOr("kind", ""), "trace");
+    EXPECT_EQ(doc.stringOr("job", ""), "well-formed");
+    EXPECT_EQ(doc.numberOr("spanCount", 0.0), 2.0);
+    EXPECT_EQ(doc.numberOr("droppedSpans", -1.0), 0.0);
+    const auto alpha = eventsNamed(doc, "alpha");
+    ASSERT_EQ(alpha.size(), 1u);
+    EXPECT_EQ(alpha[0]->stringOr("cat", ""), "catA");
+    EXPECT_EQ(alpha[0]->stringOr("ph", ""), "i");
+    EXPECT_EQ(alpha[0]->find("args")->numberOr("x", 0.0), 1.0);
+    EXPECT_EQ(eventsNamed(doc, "beta").size(), 1u);
 }
 
 TEST(TraceSink, SpanEventsExportAsCompleteDurations) {
-    obs::TraceSink sink(8);
-    sink.recordSpan("phase", "prof", sink.epochNs() + 2000, 5000, {{"leg", 3}});
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].phase, obs::TracePhase::Span);
-    EXPECT_EQ(events[0].wallUs, 2u);
-    EXPECT_EQ(events[0].durUs, 5u);
-    const std::string json = sink.toChromeJson();
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"phase\""), std::string::npos);
+    // Both spans start after the job opened, so neither clamps to t=0.
+    const std::uint64_t start = obs::steadyNowNs() + 1'000'000;
+    const JsonValue doc = tracedJob("spans", [start] {
+        obs::traceSpan("phase", "prof", start, 5000, {{"leg", 3}});
+        obs::traceSpan("later", "prof", start + 2000, 1000);
+    });
+    const auto phase = eventsNamed(doc, "phase");
+    const auto later = eventsNamed(doc, "later");
+    ASSERT_EQ(phase.size(), 1u);
+    ASSERT_EQ(later.size(), 1u);
+    EXPECT_EQ(phase[0]->stringOr("ph", ""), "X");
+    EXPECT_EQ(phase[0]->numberOr("dur", 0.0), 5.0); // µs
+    EXPECT_NEAR(later[0]->numberOr("ts", 0.0) - phase[0]->numberOr("ts", 0.0), 2.0, 1e-6);
+    const JsonValue* args = phase[0]->find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->numberOr("leg", 0.0), 3.0);
+    EXPECT_EQ(args->stringOr("parent", "").size(), 16u) << "spans hang off the job's root span";
 }
 
 TEST(TraceSink, SpanStartBeforeSinkClampsToEpoch) {
-    obs::TraceSink sink(8);
-    sink.recordSpan("early", "prof", 0, 7000);
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].wallUs, 0u) << "pre-epoch start clamps to the trace's t=0";
-    EXPECT_EQ(events[0].durUs, 7u);
+    const JsonValue doc = tracedJob("early", [] { obs::traceSpan("early", "prof", 0, 7000); });
+    const auto early = eventsNamed(doc, "early");
+    ASSERT_EQ(early.size(), 1u);
+    EXPECT_EQ(early[0]->numberOr("ts", -1.0), 0.0) << "pre-epoch start clamps to the trace's t=0";
+    EXPECT_EQ(early[0]->numberOr("dur", 0.0), 7.0);
 }
 
 TEST(TraceSink, CounterEventsExportSeriesArgs) {
-    obs::TraceSink sink(8);
-    sink.recordCounter("sweep.workers", "sweep", {{"active", 3}, {"total", 4}});
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].phase, obs::TracePhase::Counter);
-    const std::string json = sink.toChromeJson();
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-    EXPECT_NE(json.find("\"active\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"total\":4"), std::string::npos);
+    const JsonValue doc = tracedJob("counters", [] {
+        obs::traceCounter("sweep.workers", "sweep", {{"active", 3}, {"total", 4}});
+    });
+    const auto counters = eventsNamed(doc, "sweep.workers");
+    ASSERT_EQ(counters.size(), 1u);
+    EXPECT_EQ(counters[0]->stringOr("ph", ""), "C");
+    const JsonValue* args = counters[0]->find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->numberOr("active", 0.0), 3.0);
+    EXPECT_EQ(args->numberOr("total", 0.0), 4.0);
 }
 
+// The newest open job is the current one: a nested job takes the events
+// while it is open, and closing it hands them back to the enclosing job.
 TEST(TraceSink, ScopedAttachRestoresPrevious) {
-    obs::TraceSink outer;
-    obs::TraceSink inner;
-    obs::TraceSink* const before = obs::traceSink();
-    {
-        obs::ScopedTraceSink outerGuard(&outer);
-        EXPECT_EQ(obs::traceSink(), &outer);
-        {
-            obs::ScopedTraceSink innerGuard(&inner);
-            EXPECT_EQ(obs::traceSink(), &inner);
-        }
-        EXPECT_EQ(obs::traceSink(), &outer);
-    }
-    EXPECT_EQ(obs::traceSink(), before);
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    EXPECT_FALSE(obs::instantEventsOn());
+    const obs::TraceContext outer = obs::makeRootContext("outer");
+    const obs::TraceContext inner = obs::makeRootContext("inner");
+    store.beginJob("outer", outer, /*instants=*/true);
+    obs::traceInstant("outer.before", "test");
+    store.beginJob("inner", inner, /*instants=*/false);
+    EXPECT_TRUE(obs::JobTraceStore::collecting());
+    EXPECT_FALSE(obs::instantEventsOn()) << "the inner job takes no instant events";
+    obs::traceCounter("inner.counter", "test", {{"n", 1}});
+    store.endJob(inner);
+    EXPECT_TRUE(obs::instantEventsOn());
+    obs::traceInstant("outer.after", "test");
+    store.endJob(outer);
+    EXPECT_FALSE(obs::JobTraceStore::collecting());
+    obs::traceInstant("nobody", "test");
+
+    const JsonValue outerDoc = parseJson(store.toChromeJson("outer"));
+    const JsonValue innerDoc = parseJson(store.toChromeJson("inner"));
+    ASSERT_EQ(traceEvents(outerDoc).size(), 2u);
+    EXPECT_EQ(eventsNamed(outerDoc, "outer.before").size(), 1u);
+    EXPECT_EQ(eventsNamed(outerDoc, "outer.after").size(), 1u);
+    ASSERT_EQ(traceEvents(innerDoc).size(), 1u);
+    EXPECT_EQ(eventsNamed(innerDoc, "inner.counter").size(), 1u);
+    store.clear();
 }
 
 // ---- Instrumentation points ----
 
-bool hasEventNamed(const std::vector<obs::TraceEvent>& events, const char* name) {
-    for (const auto& event : events) {
-        if (std::strcmp(event.name, name) == 0) return true;
-    }
-    return false;
-}
-
 TEST(Instrumentation, FfwRecenterEmitsEventWithWindowBounds) {
-    obs::TraceSink sink;
-    obs::ScopedTraceSink guard(&sink);
-    L2Cache l2;
-    FaultMap map(1024, 8);
-    map.setFaulty(0, 2); // Fig. 4 frame: window = words 2..6
-    map.setFaulty(0, 4);
-    map.setFaulty(0, 6);
-    FfwDCache dcache(CacheOrganization{}, map, l2);
-    (void)dcache.read(0 * 32 + 4 * 4); // fill centered on word 4
-    (void)dcache.read(0 * 32 + 0 * 4); // word 0 is outside the window: recenter
-    const auto events = sink.events();
-    ASSERT_TRUE(hasEventNamed(events, "ffw.recenter"));
-    for (const auto& event : events) {
-        if (std::strcmp(event.name, "ffw.recenter") != 0) continue;
-        EXPECT_STREQ(event.category, "dcache");
-        bool sawOldStart = false;
-        bool sawNewStart = false;
-        for (std::size_t i = 0; i < event.argCount; ++i) {
-            if (std::strcmp(event.args[i].key, "old_start") == 0) sawOldStart = true;
-            if (std::strcmp(event.args[i].key, "new_start") == 0) sawNewStart = true;
-        }
-        EXPECT_TRUE(sawOldStart);
-        EXPECT_TRUE(sawNewStart);
+    const JsonValue doc = tracedJob("ffw", [] {
+        L2Cache l2;
+        FaultMap map(1024, 8);
+        map.setFaulty(0, 2); // Fig. 4 frame: window = words 2..6
+        map.setFaulty(0, 4);
+        map.setFaulty(0, 6);
+        FfwDCache dcache(CacheOrganization{}, map, l2);
+        (void)dcache.read(0 * 32 + 4 * 4); // fill centered on word 4
+        (void)dcache.read(0 * 32 + 0 * 4); // word 0 is outside the window: recenter
+    });
+    const auto recenters = eventsNamed(doc, "ffw.recenter");
+    ASSERT_FALSE(recenters.empty());
+    for (const JsonValue* event : recenters) {
+        EXPECT_EQ(event->stringOr("cat", ""), "dcache");
+        const JsonValue* args = event->find("args");
+        ASSERT_NE(args, nullptr);
+        EXPECT_NE(args->find("old_start"), nullptr);
+        EXPECT_NE(args->find("new_start"), nullptr);
     }
 }
 
 TEST(Instrumentation, BbrFetchMissEmitsEvent) {
-    obs::TraceSink sink;
-    obs::ScopedTraceSink guard(&sink);
-    L2Cache l2;
-    BbrICache icache(CacheOrganization{}, FaultMap(1024, 8), l2);
-    (void)icache.fetch(0); // cold miss
-    EXPECT_TRUE(hasEventNamed(sink.events(), "bbr.fetch_miss"));
+    const JsonValue doc = tracedJob("bbr", [] {
+        L2Cache l2;
+        BbrICache icache(CacheOrganization{}, FaultMap(1024, 8), l2);
+        (void)icache.fetch(0); // cold miss
+    });
+    EXPECT_FALSE(eventsNamed(doc, "bbr.fetch_miss").empty());
 }
 
 TEST(Instrumentation, LinkerCountsScansAndEmitsPlacementEvents) {
-    obs::TraceSink sink;
-    obs::ScopedTraceSink guard(&sink);
-    Module module = buildBenchmark("crc32", WorkloadScale::Tiny);
-    applyBbrTransforms(module);
-    const FaultMapGenerator generator;
-    Rng rng(7);
-    const FaultMap map = generator.generate(rng, 400_mV, 1024, 8);
-    LinkOptions options;
-    options.bbrPlacement = true;
-    options.icacheFaultMap = &map;
-    const LinkOutput out = link(module, options);
-    EXPECT_GT(out.stats.blocksPlaced, 0u);
+    std::uint32_t blocksPlaced = 0;
+    const JsonValue doc = tracedJob("link", [&blocksPlaced] {
+        Module module = buildBenchmark("crc32", WorkloadScale::Tiny);
+        applyBbrTransforms(module);
+        const FaultMapGenerator generator;
+        Rng rng(7);
+        const FaultMap map = generator.generate(rng, 400_mV, 1024, 8);
+        LinkOptions options;
+        options.bbrPlacement = true;
+        options.icacheFaultMap = &map;
+        blocksPlaced = link(module, options).stats.blocksPlaced;
+    });
+    EXPECT_GT(blocksPlaced, 0u);
     // At 400mV most frames hold defects, so the first-fit scan restarts at
     // least occasionally; the counters must be consistent with placement.
-    EXPECT_TRUE(hasEventNamed(sink.events(), "link.place"));
+    EXPECT_FALSE(eventsNamed(doc, "link.place").empty());
 }
 
 // ---- Observer multiplexing ----

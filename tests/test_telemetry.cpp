@@ -30,7 +30,7 @@
 #include "obs/export/telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace_context.h"
+#include "obs/trace.h"
 #include "power/dvfs.h"
 
 namespace voltcache {
@@ -755,8 +755,8 @@ TEST(SweepJobScope, JournalTraceAndFlightRecorderAgreeOnEveryFinishedLeg) {
 }
 
 // The scope closes a job's observers on the exception path too: after a
-// leg fails inside runSweep, trace collection has stopped, the current
-// context is restored, and the board reports the job done.
+// leg fails inside runSweep, trace collection has stopped, the job's
+// timeline is closed, and the board reports the job done.
 TEST(SweepJobScope, AJobThatThrowsInsideRunSweepStillClosesItsObservers) {
     obs::JobTraceStore::global().clear();
     obs::ProgressBoard board;
@@ -771,7 +771,6 @@ TEST(SweepJobScope, AJobThatThrowsInsideRunSweepStillClosesItsObservers) {
         },
         ContractViolation);
     EXPECT_FALSE(obs::JobTraceStore::collecting());
-    EXPECT_FALSE(obs::currentTraceContext().valid());
     const JsonValue traceDoc = parseJson(obs::JobTraceStore::global().toChromeJson("throws"));
     const JsonValue* open = traceDoc.find("open");
     ASSERT_NE(open, nullptr);

@@ -1,14 +1,16 @@
-// Tests for the end-to-end job tracing plane (obs/trace_context.h) and the
+// Tests for the end-to-end job tracing plane (obs/trace_context.h, obs/trace.h) and the
 // crash flight recorder (obs/flight_recorder.h): deterministic id
 // derivation (a client-minted hex id re-parsed server-side must reproduce
-// the identical span tree), the bounded JobTraceStore collector behind
+// the identical span tree), the bounded JobTraceStore timelines behind
 // /trace/<job>, zero-cost rendering of cached legs, and the
 // async-signal-safe dump path including the VC_CHECK contract hook — plus
 // the headline guarantee that a sweep traced through its SweepJobScope
 // exports byte-identical JSON.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,7 +23,9 @@
 #include "core/sweep.h"
 #include "core/sweep_telemetry.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace_context.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "power/dvfs.h"
 
 namespace voltcache {
@@ -113,7 +117,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     executed.setBenchmark("crc32");
     executed.setScheme("ffw+bbr");
     executed.voltageMv = 400;
-    store.recordLeg(context, executed);
+    store.recordLeg(executed);
 
     obs::LegEvent cached = executed;
     cached.leg = 1;
@@ -121,7 +125,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     cached.trial = 1;
     cached.cached = true;
     cached.durationNs = 5'000; // store-lookup wall time
-    store.recordLeg(context, cached);
+    store.recordLeg(cached);
 
     store.endJob(context);
     EXPECT_FALSE(obs::JobTraceStore::collecting());
@@ -159,18 +163,20 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     store.clear();
 }
 
+// A profiler span that closes while a job is open lands in that job's
+// timeline as a phase span under the job's root; once the job closed,
+// spans are dropped.
 TEST(JobTraceStore, RecordCurrentAttributesToTheScopedContext) {
     obs::JobTraceStore& store = obs::JobTraceStore::global();
     store.clear();
+    obs::Profiler::setEnabled(true);
     const obs::TraceContext context = obs::makeRootContext("scoped");
     store.beginJob("scoped", context);
-    {
-        const obs::ScopedTraceContext scope(context);
-        store.recordCurrent("reduce", 10, 20);
-    }
-    // Outside the scope the current context is empty again: dropped.
-    store.recordCurrent("orphan", 30, 40);
+    { const obs::Span span("reduce"); }
     store.endJob(context);
+    { const obs::Span span("orphan"); }
+    obs::Profiler::setEnabled(false);
+    obs::Profiler::reset();
 
     const JsonValue doc = parseJson(store.toChromeJson("scoped"));
     EXPECT_EQ(doc.numberOr("spanCount", 0.0), 1.0);
@@ -179,6 +185,9 @@ TEST(JobTraceStore, RecordCurrentAttributesToTheScopedContext) {
     ASSERT_EQ(events->items.size(), 1u);
     EXPECT_EQ(events->items[0].stringOr("name", ""), "reduce");
     EXPECT_EQ(events->items[0].stringOr("cat", ""), "phase");
+    const JsonValue* args = events->items[0].find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->stringOr("parent", ""), obs::spanIdHex(context.spanId));
     store.clear();
 }
 
@@ -198,21 +207,30 @@ TEST(JobTraceStore, BoundsJobsAndSpansWithDropAccounting) {
     EXPECT_TRUE(store.toChromeJson("bulk-0").empty());
     EXPECT_FALSE(store.toChromeJson("bulk-1").empty());
 
-    // Per-job span cap: overflow is counted, not stored.
+    // Per-job ring: overflow overwrites the oldest events, counted per job
+    // and in the registry.
+    const auto droppedTotal = [] {
+        for (const auto& metric : obs::MetricsRegistry::global().snapshot()) {
+            if (metric.name == "obs.trace_dropped_total") return metric.count;
+        }
+        return std::uint64_t{0};
+    };
     const obs::TraceContext context = obs::makeRootContext("fat");
     store.beginJob("fat", context);
-    const std::uint64_t droppedBefore = store.dropped();
+    const std::uint64_t droppedBefore = droppedTotal();
     for (std::size_t i = 0; i < obs::JobTraceStore::kMaxSpansPerJob + 10; ++i) {
-        obs::JobSpan span;
-        span.phase = "filler";
-        store.record(context, span);
+        obs::traceSpan("filler", "phase", 0, 1, {{"i", static_cast<std::int64_t>(i)}});
     }
     store.endJob(context);
-    EXPECT_EQ(store.dropped(), droppedBefore + 10);
+    EXPECT_EQ(droppedTotal(), droppedBefore + 10);
     const JsonValue doc = parseJson(store.toChromeJson("fat"));
     EXPECT_EQ(doc.numberOr("spanCount", 0.0),
               static_cast<double>(obs::JobTraceStore::kMaxSpansPerJob));
     EXPECT_EQ(doc.numberOr("droppedSpans", 0.0), 10.0);
+    const JsonValue* fillers = doc.find("traceEvents");
+    ASSERT_NE(fillers, nullptr);
+    EXPECT_EQ(fillers->items.front().find("args")->numberOr("i", -1.0), 10.0)
+        << "the ten oldest events were overwritten";
 
     // The index lists newest first.
     const JsonValue index = parseJson(store.indexJson());
@@ -261,11 +279,9 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     {
         const SweepJobScope scope(traced, "sweep-test", {.trace = trace});
         EXPECT_TRUE(obs::JobTraceStore::collecting());
-        EXPECT_EQ(obs::currentTraceContext(), trace);
         result = runSweep(traced);
     }
     EXPECT_FALSE(obs::JobTraceStore::collecting());
-    EXPECT_FALSE(obs::currentTraceContext().valid());
 
     EXPECT_GT(finishedLegs.load(), 0u);
     EXPECT_EQ(wrongSpanIds.load(), 0u);
@@ -274,6 +290,104 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
 
     // Tracing observed every leg yet the export did not move a byte.
     EXPECT_EQ(sweepResultToJson(result, meta), referenceJson);
+    store.clear();
+}
+
+SweepConfig tinyTracedSweep(unsigned threads) {
+    SweepConfig config;
+    config.benchmarks = {"crc32", "basicmath"};
+    config.schemes = {SchemeKind::SimpleWordDisable, SchemeKind::FbaPlus, SchemeKind::FfwBbr};
+    config.points = {DvfsTable::at(560_mV), DvfsTable::at(400_mV)};
+    config.trials = 2;
+    config.scale = WorkloadScale::Tiny;
+    config.threads = threads;
+    return config;
+}
+
+// Every event sits on its recording thread's track, so the profiler's phase
+// spans nest on each tid even while four workers run phases at once.
+TEST(TracedSweep, PhaseSpansNestOnEachThreadTrack) {
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    SweepConfig config = tinyTracedSweep(4);
+    obs::Profiler::setEnabled(true);
+    {
+        const SweepJobScope scope(config, "nesting", {.trace = obs::makeRootContext("nesting")});
+        (void)runSweep(config);
+    }
+    obs::Profiler::setEnabled(false);
+    obs::Profiler::reset();
+
+    const JsonValue doc = parseJson(store.toChromeJson("nesting"));
+    EXPECT_EQ(doc.numberOr("droppedSpans", -1.0), 0.0);
+    const JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::map<std::uint64_t, std::vector<std::pair<double, double>>> tracks; // tid -> [start, end)
+    for (const JsonValue& event : events->items) {
+        if (event.stringOr("cat", "") != "phase") continue;
+        const double start = event.numberOr("ts", 0.0);
+        tracks[static_cast<std::uint64_t>(event.numberOr("tid", 0.0))].emplace_back(
+            start, start + event.numberOr("dur", 0.0));
+    }
+    constexpr double kEpsUs = 1e-6;
+    std::size_t phases = 0;
+    std::size_t partialOverlaps = 0;
+    for (auto& [tid, spans] : tracks) {
+        // Outer spans first: by start, the longer one first on a tie.
+        std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+            return a.first != b.first ? a.first < b.first : a.second > b.second;
+        });
+        std::vector<double> enclosingEnds;
+        for (const auto& [start, end] : spans) {
+            while (!enclosingEnds.empty() && enclosingEnds.back() <= start + kEpsUs) {
+                enclosingEnds.pop_back();
+            }
+            if (!enclosingEnds.empty() && end > enclosingEnds.back() + kEpsUs) ++partialOverlaps;
+            enclosingEnds.push_back(end);
+            ++phases;
+        }
+    }
+    EXPECT_GT(phases, 0u);
+    EXPECT_GT(tracks.size(), 1u) << "workers record on their own tracks";
+    EXPECT_EQ(partialOverlaps, 0u);
+    store.clear();
+}
+
+// A traced job alone starts no worker-utilization sampler: every serve job
+// is traced, and each sampler is one more thread. Instant events start one,
+// and its counters join the job's timeline.
+TEST(TracedSweep, UnprofiledTracedSweepStartsNoSampler) {
+    const auto samples = [] {
+        for (const auto& metric : obs::MetricsRegistry::global().snapshot()) {
+            if (metric.name == "sweep.active_workers") return metric.count;
+        }
+        return std::uint64_t{0};
+    };
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    ASSERT_FALSE(obs::Profiler::enabled());
+    const std::uint64_t before = samples();
+    SweepConfig traced = tinyTracedSweep(2);
+    {
+        const SweepJobScope scope(traced, "unsampled",
+                                  {.trace = obs::makeRootContext("unsampled")});
+        (void)runSweep(traced);
+    }
+    EXPECT_EQ(samples(), before);
+
+    SweepConfig withInstants = tinyTracedSweep(2);
+    {
+        const SweepJobScope scope(withInstants, "sampled",
+                                  {.trace = obs::makeRootContext("sampled"), .instants = true});
+        (void)runSweep(withInstants);
+    }
+    EXPECT_GT(samples(), before);
+    const JsonValue doc = parseJson(store.toChromeJson("sampled"));
+    const JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    EXPECT_TRUE(std::any_of(events->items.begin(), events->items.end(), [](const JsonValue& e) {
+        return e.stringOr("ph", "") == "C" && e.stringOr("name", "") == "sweep.workers_active";
+    }));
     store.clear();
 }
 

@@ -89,6 +89,11 @@ if ! grep -q 'ffw.recenter' "$sweep_trace" || ! grep -q 'bbr.fetch' "$sweep_trac
     echo "ci: FAIL — trace lacks FFW recenter / BBR fetch events" >&2
     exit 1
 fi
+# --trace writes the sweep job's timeline, so the trace renderer reads it.
+if ! "$build_dir/tools/voltcache" trace "$sweep_trace" > /dev/null; then
+    echo "ci: FAIL — voltcache trace rejects the sweep --trace file" >&2
+    exit 1
+fi
 
 echo "== analytic gate: MC sweep vs closed-form FFW/BBR models =="
 # The statistical oracle: a two-voltage sweep (including 400mV, where the

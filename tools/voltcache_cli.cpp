@@ -18,13 +18,15 @@
 //             [--check-z Z] [--corrupt-mapgen SCALE] [--batch N]
 //       the Fig. 10/11/12 sweep, printed as one table; --json exports the
 //       full result (with CI half-widths and the forensics block), --trace
-//       a Chrome trace of the most recent events (open in Perfetto),
-//       --profile a self-profile (per-phase span self-times + metrics
-//       snapshot). --threads sets the worker count (0 = all cores); the
-//       result is bit-identical either way. --analytic-check gates the MC
-//       estimates against the closed-form FFW/BBR models (nonzero exit on
-//       divergence); --corrupt-mapgen deliberately scales the sampled fault
-//       rate so the gate's negative control has something to catch
+//       the sweep job's timeline with the scheme / linker instant events
+//       (Chrome trace JSON: open in Perfetto; --trace-job writes the same
+//       timeline without them), --profile a self-profile (per-phase span
+//       self-times + metrics snapshot). --threads sets the worker count
+//       (0 = all cores); the result is bit-identical either way.
+//       --analytic-check gates the MC estimates against the closed-form
+//       FFW/BBR models (nonzero exit on divergence); --corrupt-mapgen
+//       deliberately scales the sampled fault rate so the gate's negative
+//       control has something to catch
 //   voltcache model [--mv V1,V2,...] [--need WORDS] [--json FILE]
 //       render the closed-form FFW window / yield curves and BBR placement
 //       success probabilities (exact + provable bounds) without simulating
@@ -34,7 +36,8 @@
 //   voltcache stats <prog.s | benchmark> [--scheme S] [--mv V] [--seed N]
 //             [--json FILE] [--trace FILE]
 //       one instrumented leg: run + L1 + link + locality stats and the full
-//       metrics-registry snapshot
+//       metrics-registry snapshot; --trace writes the leg's timeline with
+//       its instant events (`run --trace` too)
 //   voltcache serve [--port P] [--store DIR] [--store-budget MB]
 //             [--threads N] [--journal FILE] [--telemetry-port N]
 //       sweep-as-a-service daemon: NDJSON jobs over loopback TCP, fair
@@ -50,9 +53,10 @@
 //       daemon's /trace/<id> endpoint and `voltcache trace` can render the
 //       job's span tree end to end
 //   voltcache trace <host:port | trace.json | flight.json> [--job J]
-//       render a job trace (Chrome trace-event JSON from --trace-job,
-//       /trace/<job>, or a fetch from a live telemetry endpoint) or a
-//       flight-recorder crash dump as a human-readable span/event table
+//       render a job trace (Chrome trace-event JSON from --trace,
+//       --trace-job, /trace/<job>, or a fetch from a live telemetry
+//       endpoint) or a flight-recorder crash dump as a human-readable
+//       span/event table
 //   voltcache list
 //       available benchmarks and schemes
 #include <atomic>
@@ -79,7 +83,7 @@
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_telemetry.h"
-#include "cpu/trace_sink_observer.h"
+#include "cpu/timeline_observer.h"
 #include "faults/fault_map_io.h"
 #include "faults/yield.h"
 #include "isa/assembler.h"
@@ -222,6 +226,21 @@ int cmdList() {
     return 0;
 }
 
+/// One leg for `run` / `stats`. With --trace FILE the leg runs as a job
+/// labelled `label` whose timeline takes the scheme, linker and simulator
+/// instant events, and that timeline is written to FILE.
+SystemResult simulateLeg(const Args& args, const char* label, const Module& module,
+                         const Module& bbrModule, const SystemConfig& config) {
+    if (!args.flags.contains("trace")) return simulateSystem(module, &bbrModule, config);
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    const obs::TraceContext trace = obs::makeRootContext(label);
+    store.beginJob(label, trace, /*instants=*/true);
+    const SystemResult result = simulateSystem(module, &bbrModule, config);
+    store.endJob(trace);
+    writeTextFile(args.get("trace", ""), store.toChromeJson(label));
+    return result;
+}
+
 int cmdRun(const Args& args) {
     if (args.positional.empty()) throw std::runtime_error("run: need a program");
     Module module = loadProgram(args.positional);
@@ -229,17 +248,7 @@ int cmdRun(const Args& args) {
     applyBbrTransforms(bbrModule);
 
     const SystemConfig config = legConfigFromArgs(args);
-
-    // --trace: attach a process-wide sink for the duration of the leg so the
-    // scheme / linker instrumentation points are captured.
-    obs::TraceSink sink;
-    std::optional<obs::ScopedTraceSink> traceGuard;
-    if (args.flags.contains("trace")) traceGuard.emplace(&sink);
-
-    const SystemResult result = simulateSystem(module, &bbrModule, config);
-    if (args.flags.contains("trace")) {
-        writeTextFile(args.get("trace", ""), sink.toChromeJson());
-    }
+    const SystemResult result = simulateLeg(args, "run", module, bbrModule, config);
     if (args.flags.contains("json")) {
         writeTextFile(args.get("json", ""),
                       systemResultToJson(result, legMetaFromArgs(args, config)));
@@ -376,10 +385,13 @@ int cmdSweep(const Args& args) {
         flight = &obs::FlightRecorder::install(flightOptions);
     }
 
-    // --trace-job FILE: end-to-end job tracing for this sweep — the job scope
-    // stamps every leg event with its deterministic child span, and the
-    // collected span tree is written as Chrome trace JSON after the run.
-    const bool traceJob = args.flags.contains("trace-job");
+    // --trace FILE / --trace-job FILE: the sweep job's timeline — the job
+    // scope stamps every leg event with its deterministic child span, and
+    // the timeline is written as Chrome trace JSON after the run. --trace
+    // adds the scheme / linker instant events (and the sampler's counters);
+    // given both, the two files hold the same document.
+    const bool instants = args.flags.contains("trace");
+    const bool traced = instants || args.flags.contains("trace-job");
 
     // --telemetry-port: live exporter (GET /metrics, /progress, /healthz) on
     // a dedicated thread, started *before* the sweep so `voltcache top` and
@@ -435,10 +447,6 @@ int cmdSweep(const Args& args) {
                         std::stoull(args.get("journal-max-bytes", "0")));
     }
 
-    obs::TraceSink sink;
-    std::optional<obs::ScopedTraceSink> traceGuard;
-    if (args.flags.contains("trace")) traceGuard.emplace(&sink);
-
     const bool profiling = args.flags.contains("profile");
     if (profiling || telemetry.has_value()) {
         // Spans feed --profile and the exporter's /progress attribution.
@@ -452,12 +460,14 @@ int cmdSweep(const Args& args) {
         const SweepJobScope scope(
             config, "sweep",
             {board.has_value() ? &*board : nullptr, journal.has_value() ? &*journal : nullptr,
-             flight, traceJob ? obs::makeRootContext("sweep") : obs::TraceContext{}});
+             flight, traced ? obs::makeRootContext("sweep") : obs::TraceContext{}, instants});
         result = runSweep(config);
     }
-    if (traceJob) {
-        writeTextFile(args.get("trace-job", ""),
-                      obs::JobTraceStore::global().toChromeJson("sweep"));
+    if (traced) {
+        const std::string timeline = obs::JobTraceStore::global().toChromeJson("sweep");
+        for (const char* flag : {"trace", "trace-job"}) {
+            if (args.flags.contains(flag)) writeTextFile(args.get(flag, ""), timeline);
+        }
     }
     if (journal.has_value()) journal->close();
 
@@ -474,10 +484,6 @@ int cmdSweep(const Args& args) {
                       profileToJson(obs::Profiler::snapshot(),
                                     obs::MetricsRegistry::global().snapshot(),
                                     profileMeta));
-    }
-
-    if (args.flags.contains("trace")) {
-        writeTextFile(args.get("trace", ""), sink.toChromeJson());
     }
 
     std::optional<analysis::CrosscheckReport> analytic;
@@ -612,26 +618,15 @@ int cmdStats(const Args& args) {
 
     SystemConfig config = legConfigFromArgs(args);
 
-    // Observer multiplexing: the locality profiler and (optionally) the
-    // trace-sink bridge watch the same run side by side.
+    // Observer multiplexing: the locality profiler and (with --trace) the
+    // timeline bridge watch the same run side by side.
     LocalityProfiler profiler;
     config.observers.push_back(&profiler);
+    TimelineObserver timelineObserver;
+    if (args.flags.contains("trace")) config.observers.push_back(&timelineObserver);
 
-    obs::TraceSink sink;
-    std::optional<obs::ScopedTraceSink> traceGuard;
-    std::optional<TraceSinkObserver> sinkObserver;
-    if (args.flags.contains("trace")) {
-        traceGuard.emplace(&sink);
-        sinkObserver.emplace(sink);
-        config.observers.push_back(&*sinkObserver);
-    }
-
-    const SystemResult result = simulateSystem(module, &bbrModule, config);
+    const SystemResult result = simulateLeg(args, "stats", module, bbrModule, config);
     profiler.finalize();
-
-    if (args.flags.contains("trace")) {
-        writeTextFile(args.get("trace", ""), sink.toChromeJson());
-    }
 
     std::printf("program: %s   scheme: %s   %.0fmV / %.0fMHz   chip seed %llu\n",
                 args.positional.c_str(), schemeName(config.scheme).data(),
@@ -775,8 +770,8 @@ int cmdProfile(const Args& args) {
                              "' (expected \"profile\" or \"sweep\")");
 }
 
-/// Human-readable rendering of the PR 10 tracing artifacts: a job's span
-/// tree (Chrome trace-event JSON from --trace-job or GET /trace/<job>), a
+/// Human-readable rendering of the tracing artifacts: a job's timeline
+/// (Chrome trace-event JSON from --trace, --trace-job or GET /trace/<job>), a
 /// flight-recorder crash dump ("kind":"flight"), or the /trace index. The
 /// positional is a file when one exists at that path, otherwise host:port of
 /// a live telemetry endpoint (--job picks the job; without it, the index).
@@ -836,10 +831,10 @@ int cmdTrace(const Args& args) {
                     open != nullptr && open->asBool() ? "open" : "closed");
         const JsonValue* events = doc.find("traceEvents");
         if (events == nullptr || events->items.empty()) {
-            std::printf("no spans recorded\n");
+            std::printf("no events recorded\n");
             return 0;
         }
-        // Timeline rows relative to the job's first span; cached legs show a
+        // Timeline rows relative to the job's open; cached legs show a
         // zero-cost duration (the store-lookup wall time lives in wallNs).
         std::uint64_t legs = 0;
         std::uint64_t cached = 0;
@@ -860,14 +855,14 @@ int cmdTrace(const Args& args) {
             }
         }
         std::printf("legs %llu (%llu replayed, %llu cached/zero-cost), "
-                    "%zu spans total\n",
+                    "%zu events total\n",
                     static_cast<unsigned long long>(legs),
                     static_cast<unsigned long long>(replayed),
                     static_cast<unsigned long long>(cached),
                     events->items.size());
         const auto limit =
             static_cast<std::size_t>(std::stoul(args.get("limit", "40")));
-        TextTable table({"span", "worker", "start ms", "dur ms", "notes"});
+        TextTable table({"event", "tid", "start ms", "dur ms", "notes"});
         std::size_t shown = 0;
         for (const JsonValue& event : events->items) {
             if (shown == limit) break;
@@ -894,7 +889,7 @@ int cmdTrace(const Args& args) {
         }
         std::fputs(table.render().c_str(), stdout);
         if (events->items.size() > shown) {
-            std::printf("... %zu more spans (raise --limit, or load the JSON in "
+            std::printf("... %zu more events (raise --limit, or load the JSON in "
                         "Perfetto)\n",
                         events->items.size() - shown);
         }
