@@ -1,6 +1,7 @@
 // The one steady clock. Span, LegEvent::startNs, the job timeline's epoch,
-// the metrics snapshot stamp, the progress board and the flight recorder all
-// stamp with steadyNowNs(), so their stamps compare on one axis.
+// the metrics snapshot stamp, the progress board, the leg journal and the
+// flight recorder all stamp with steadyNowNs(), so their stamps compare on
+// one axis.
 #pragma once
 
 #include <chrono>

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
 #include "common/json.h"
+#include "obs/clock.h"
 #include "obs/trace_context.h"
 
 namespace voltcache::obs {
@@ -39,7 +41,7 @@ LegJournal::LegJournal(const std::string& path, std::size_t producers,
                        std::size_t ringCapacity, bool autoDrain,
                        std::uint64_t maxBytes)
     : path_(path), maxBytes_(maxBytes), out_(path),
-      epoch_(std::chrono::steady_clock::now()),
+      epochNs_(steadyNowNs()),
       droppedCounter_(MetricsRegistry::global().counter("journal.dropped")),
       eventCounter_(MetricsRegistry::global().counter("journal.events")),
       rotationCounter_(MetricsRegistry::global().counter("journal.rotations")) {
@@ -71,10 +73,7 @@ void LegJournal::emit(std::size_t producer, LegEvent event) noexcept {
         droppedCounter_.add();
         return;
     }
-    event.timestampNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
+    event.timestampNs = steadyNowNs() - epochNs_;
     event.sequence = sequences_[producer]->fetch_add(1, std::memory_order_relaxed);
     if (!rings_[producer]->tryPush(event)) {
         dropped_.fetch_add(1, std::memory_order_relaxed);

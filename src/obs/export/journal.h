@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -102,7 +101,7 @@ private:
     std::ofstream out_;
     std::vector<std::unique_ptr<detail::SpscEventRing>> rings_;
     std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> sequences_;
-    std::chrono::steady_clock::time_point epoch_;
+    std::uint64_t epochNs_ = 0; ///< steadyNowNs() at construction (timestamp 0)
     std::atomic<std::uint64_t> written_{0};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> rotations_{0};

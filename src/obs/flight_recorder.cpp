@@ -23,12 +23,14 @@ std::atomic<FlightRecorder*> g_recorder{nullptr};
 
 // --- per-thread active span stacks -----------------------------------------
 //
-// Fixed pool, fixed depth: a thread's slot is claimed once (thread_local) and
-// never recycled, so the crash path can walk the pool with plain loads. Names
-// are string literals (obs::Span's contract), safe to read from a handler.
+// Fixed pool, fixed depth, indexed by the thread's obs::threadSlot(). A
+// thread's spans have all closed by the time it exits, so its stack is back
+// at depth 0 when the slot passes to the next new thread; the crash path
+// walks the pool with plain loads. Names are string literals (obs::Span's
+// contract), safe to read from a handler.
 
 constexpr int kMaxSpanDepth = 16;
-constexpr int kMaxSpanThreads = 64;
+constexpr std::uint32_t kMaxSpanThreads = 64;
 
 struct ThreadSpanStack {
     std::atomic<int> depth{0};
@@ -37,11 +39,10 @@ struct ThreadSpanStack {
 };
 
 ThreadSpanStack g_spanStacks[kMaxSpanThreads];
-std::atomic<int> g_spanStackNext{0};
 
 ThreadSpanStack* threadSpanStack() noexcept {
     thread_local ThreadSpanStack* const slot = []() -> ThreadSpanStack* {
-        const int index = g_spanStackNext.fetch_add(1, std::memory_order_relaxed);
+        const std::uint32_t index = threadSlot();
         if (index >= kMaxSpanThreads) return nullptr;
         g_spanStacks[index].used.store(true, std::memory_order_relaxed);
         return &g_spanStacks[index];

@@ -2,8 +2,10 @@
 //
 // A preallocated, lock-light ring of recent leg events (obs::LegEvent), a
 // bounded mirror of the metrics registry, the latest progress tick, and every
-// live thread's active span stack — all maintained as plain POD + atomics on
-// the normal path, and dumped WITHOUT any allocation from three failure paths:
+// live thread's active span stack (one fixed stack per obs::threadSlot()
+// below 64, passed on with the slot) — all maintained as plain POD + atomics
+// on the normal path, and dumped WITHOUT any allocation from three failure
+// paths:
 //   * SIGSEGV / SIGABRT (sigaction handlers installed by install()),
 //   * a VC_EXPECTS / VC_ENSURES / VC_CHECK failure (common/contracts.h hook,
 //     which fires at the failure site before the exception unwinds — the
@@ -81,9 +83,9 @@ private:
     Impl* impl_;
 };
 
-/// Span-stack feed, called by obs::Span. Enter returns false when the stack
-/// was not recorded (no recorder, or per-thread depth exhausted) so exit()
-/// calls stay balanced.
+/// Span-stack feed, called by obs::Span. Enter returns false when the span
+/// was not recorded (the thread's slot is past the pool, or its stack is at
+/// full depth) so exit() calls stay balanced.
 [[nodiscard]] bool flightSpanEnter(const char* name) noexcept;
 void flightSpanExit() noexcept;
 

@@ -12,45 +12,40 @@
 namespace voltcache::obs {
 namespace {
 
-/// Small dense thread id (0-based) for shard indexing; stable per thread.
-/// An exiting thread releases its id and the next new thread takes it, so
-/// ids (and the cells keyed by them) are bounded by the live thread count.
+/// The pool behind threadSlot(). An exiting thread releases its id and the
+/// next new thread takes it, so ids (and the cells keyed by them) are
+/// bounded by the live thread count.
 class ThreadIds {
 public:
     static ThreadIds& instance() {
         static auto* ids = new ThreadIds(); // leaked: threads exit after static dtors
         return *ids;
     }
-    std::uint64_t acquire() {
+    std::uint32_t acquire() {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (free_.empty()) return next_++;
-        const std::uint64_t id = free_.back();
+        const std::uint32_t id = free_.back();
         free_.pop_back();
         return id;
     }
-    void release(std::uint64_t id) {
+    void release(std::uint32_t id) {
         const std::lock_guard<std::mutex> lock(mutex_);
         free_.push_back(id);
     }
 
 private:
     std::mutex mutex_;
-    std::vector<std::uint64_t> free_;
-    std::uint64_t next_ = 0;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t next_ = 0;
 };
 
 struct ThreadIdLease {
-    const std::uint64_t id = ThreadIds::instance().acquire();
+    const std::uint32_t id = ThreadIds::instance().acquire();
     ThreadIdLease() = default;
     ThreadIdLease(const ThreadIdLease&) = delete;
     ThreadIdLease& operator=(const ThreadIdLease&) = delete;
     ~ThreadIdLease() { ThreadIds::instance().release(id); }
 };
-
-std::uint64_t threadId() noexcept {
-    thread_local const ThreadIdLease lease;
-    return lease.id;
-}
 
 /// Canonical family key: name + sorted labels, with separators that cannot
 /// appear in reasonable metric names.
@@ -78,6 +73,11 @@ const char* kindName(MetricKind kind) {
 
 } // namespace
 
+std::uint32_t threadSlot() noexcept {
+    thread_local const ThreadIdLease lease;
+    return lease.id;
+}
+
 std::size_t histogramBucket(std::uint64_t value) noexcept {
     return static_cast<std::size_t>(std::bit_width(value));
 }
@@ -95,11 +95,11 @@ struct MetricsRegistry::Family {
     std::deque<detail::CounterCell> counterCells;
     std::deque<detail::HistogramCell> histogramCells;
     detail::GaugeCell gaugeCell;
-    std::unordered_map<std::uint64_t, std::size_t> cellOfThread;
+    std::unordered_map<std::uint32_t, std::size_t> cellOfThread;
 
-    std::size_t cellIndexFor(std::uint64_t tid) {
+    std::size_t cellIndexFor(std::uint32_t slot) {
         const auto [it, inserted] = cellOfThread.try_emplace(
-            tid, kind == MetricKind::Histogram ? histogramCells.size() : counterCells.size());
+            slot, kind == MetricKind::Histogram ? histogramCells.size() : counterCells.size());
         if (inserted) {
             if (kind == MetricKind::Histogram) {
                 histogramCells.emplace_back();
@@ -132,7 +132,7 @@ MetricsRegistry::Family& MetricsRegistry::familyFor(std::string_view name, const
 Counter MetricsRegistry::counter(std::string_view name, const LabelList& labels) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Family& family = familyFor(name, labels, MetricKind::Counter);
-    return Counter(&family.counterCells[family.cellIndexFor(threadId())]);
+    return Counter(&family.counterCells[family.cellIndexFor(threadSlot())]);
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name, const LabelList& labels) {
@@ -144,7 +144,7 @@ Gauge MetricsRegistry::gauge(std::string_view name, const LabelList& labels) {
 Histogram MetricsRegistry::histogram(std::string_view name, const LabelList& labels) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Family& family = familyFor(name, labels, MetricKind::Histogram);
-    return Histogram(&family.histogramCells[family.cellIndexFor(threadId())]);
+    return Histogram(&family.histogramCells[family.cellIndexFor(threadSlot())]);
 }
 
 void MetricsRegistry::add(std::string_view name, const LabelList& labels, std::uint64_t delta) {

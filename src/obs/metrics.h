@@ -13,6 +13,10 @@
 // next new thread, which keeps adding to the same cells: a daemon whose
 // sweeps start fresh workers for every job keeps one cell per family per
 // live thread, not one per thread it ever ran.
+//
+// That recycled index is the process's one per-thread id, threadSlot(): the
+// flight recorder's span stacks and the timeline's tids use it too, and the
+// profiler's aggregates are families of this registry.
 #pragma once
 
 #include <array>
@@ -43,6 +47,12 @@ inline constexpr std::size_t kHistogramBuckets = 65;
 
 /// Smallest value that lands in `bucket` (inverse of histogramBucket).
 [[nodiscard]] std::uint64_t histogramBucketLow(std::size_t bucket) noexcept;
+
+/// The calling thread's dense 0-based slot, stable for the thread's life:
+/// taken from a pool on first use and returned when the thread exits, so a
+/// slot is never held by two live threads and slots stay below the peak
+/// number of live threads that asked for one.
+[[nodiscard]] std::uint32_t threadSlot() noexcept;
 
 namespace detail {
 

@@ -1,10 +1,9 @@
 #include "obs/span.h"
 
-#include <algorithm>
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "obs/clock.h"
@@ -17,71 +16,55 @@ namespace {
 
 std::atomic<bool> g_profilingEnabled{false};
 
-struct Agg {
-    std::uint64_t count = 0;
-    std::uint64_t totalNs = 0;
-    std::uint64_t selfNs = 0;
+constexpr const char* kTotalFamily = "prof.span_ns";     ///< count + totalNs
+constexpr const char* kSelfFamily = "prof.span_self_ns"; ///< selfNs
+
+thread_local Span* t_top = nullptr; ///< innermost open profiled span
+
+/// The calling thread's registry handles for one span name.
+struct SpanHandles {
+    Histogram total;
+    Counter self;
 };
 
-/// One thread's profiler shard. The owner thread mutates `top` and the
-/// registry-handle cache without locking (they are thread-confined, like the
-/// metrics registry's per-thread cells); `aggregates` is mutex-guarded so
-/// snapshot()/reset() can read shards of live threads.
-struct ThreadShard {
-    std::mutex mutex;
-    Span* top = nullptr; ///< owner thread only
-    std::map<std::string, Agg, std::less<>> aggregates; ///< guarded by mutex
-    std::map<const void*, Histogram> registryHandles;   ///< owner thread only
-};
-
-struct ShardRegistry {
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadShard>> shards;
-    std::map<std::string, Agg, std::less<>> retired; ///< folded shards of exited threads
-
-    static ShardRegistry& instance() {
-        static ShardRegistry* registry = new ShardRegistry(); // leaked: spans may
-        return *registry; // close during thread teardown after static dtors
+/// Handles cached per thread by name pointer, so repeated spans never
+/// re-resolve under the registry's lock.
+SpanHandles& spanHandles(const char* name) {
+    thread_local std::map<const void*, SpanHandles> handles;
+    auto it = handles.find(static_cast<const void*>(name));
+    if (it == handles.end()) {
+        MetricsRegistry& registry = MetricsRegistry::global();
+        const LabelList labels{{"span", name}};
+        it = handles
+                 .emplace(static_cast<const void*>(name),
+                          SpanHandles{registry.histogram(kTotalFamily, labels),
+                                      registry.counter(kSelfFamily, labels)})
+                 .first;
     }
-};
-
-void addInto(Agg& into, const Agg& agg) {
-    into.count += agg.count;
-    into.totalNs += agg.totalNs;
-    into.selfNs += agg.selfNs;
+    return it->second;
 }
 
-/// The calling thread's registered shard. At thread exit its aggregates
-/// fold into the registry's retired totals and the shard is dropped, so a
-/// daemon whose sweeps start fresh workers per job keeps one shard per
-/// live thread.
-struct ShardLease {
-    std::shared_ptr<ThreadShard> shard = std::make_shared<ThreadShard>();
-
-    ShardLease() {
-        ShardRegistry& registry = ShardRegistry::instance();
-        const std::lock_guard<std::mutex> lock(registry.mutex);
-        registry.shards.push_back(shard);
-    }
-    ShardLease(const ShardLease&) = delete;
-    ShardLease& operator=(const ShardLease&) = delete;
-    ~ShardLease() {
-        ShardRegistry& registry = ShardRegistry::instance();
-        const std::lock_guard<std::mutex> lock(registry.mutex);
-        {
-            const std::lock_guard<std::mutex> shardLock(shard->mutex);
-            for (const auto& [name, agg] : shard->aggregates) {
-                addInto(registry.retired[name], agg);
-            }
+/// Every span name's registry totals, name-sorted.
+std::map<std::string, SpanStat> registryTotals() {
+    std::map<std::string, SpanStat> totals;
+    for (const MetricSnapshot& metric : MetricsRegistry::global().snapshot()) {
+        const bool total = metric.name == kTotalFamily;
+        if (!total && metric.name != kSelfFamily) continue;
+        if (metric.labels.size() != 1 || metric.labels[0].first != "span") continue;
+        SpanStat& stat = totals[metric.labels[0].second];
+        if (total) {
+            stat.count = metric.count;
+            stat.totalNs = metric.sum;
+        } else {
+            stat.selfNs = metric.count;
         }
-        std::erase(registry.shards, shard);
     }
-};
-
-ThreadShard& threadShard() {
-    thread_local const ShardLease lease;
-    return *lease.shard;
+    return totals;
 }
+
+/// The registry totals at the last reset(); snapshot() reports what grew since.
+std::mutex g_baselineMutex;
+std::map<std::string, SpanStat> g_baseline;
 
 } // namespace
 
@@ -93,42 +76,40 @@ void Profiler::setEnabled(bool on) noexcept {
     g_profilingEnabled.store(on, std::memory_order_relaxed);
 }
 
+// Both read the registry under the baseline lock, so a snapshot never
+// subtracts a baseline newer than its totals.
 std::vector<SpanStat> Profiler::snapshot() {
-    std::map<std::string, Agg> merged;
-    {
-        ShardRegistry& registry = ShardRegistry::instance();
-        const std::lock_guard<std::mutex> registryLock(registry.mutex);
-        merged.insert(registry.retired.begin(), registry.retired.end());
-        for (const auto& shard : registry.shards) {
-            const std::lock_guard<std::mutex> shardLock(shard->mutex);
-            for (const auto& [name, agg] : shard->aggregates) addInto(merged[name], agg);
-        }
-    }
+    const std::lock_guard<std::mutex> lock(g_baselineMutex);
+    std::map<std::string, SpanStat> totals = registryTotals();
     std::vector<SpanStat> out;
-    out.reserve(merged.size());
-    for (const auto& [name, agg] : merged) {
-        out.push_back(SpanStat{name, agg.count, agg.totalNs, agg.selfNs});
+    out.reserve(totals.size());
+    for (auto& [name, stat] : totals) {
+        if (const auto base = g_baseline.find(name); base != g_baseline.end()) {
+            stat.count -= base->second.count;
+            stat.totalNs -= base->second.totalNs;
+            stat.selfNs -= base->second.selfNs;
+        }
+        if (stat.count == 0) continue;
+        stat.name = name;
+        out.push_back(std::move(stat));
     }
     return out;
 }
 
 void Profiler::reset() {
-    ShardRegistry& registry = ShardRegistry::instance();
-    const std::lock_guard<std::mutex> registryLock(registry.mutex);
-    registry.retired.clear();
-    for (const auto& shard : registry.shards) {
-        const std::lock_guard<std::mutex> shardLock(shard->mutex);
-        shard->aggregates.clear();
-    }
+    const std::lock_guard<std::mutex> lock(g_baselineMutex);
+    g_baseline = registryTotals();
 }
 
 Span::Span(const char* name) noexcept {
     if (flightRecorderArmed()) flight_ = flightSpanEnter(name);
     if (!g_profilingEnabled.load(std::memory_order_relaxed)) return;
     name_ = name;
-    ThreadShard& shard = threadShard();
-    parent_ = shard.top;
-    shard.top = this;
+    parent_ = t_top;
+    t_top = this;
+    // Hold the thread's slot (its timeline track) from the start stamp on:
+    // a slot claimed only at close could still be a just-exited thread's.
+    (void)threadSlot();
     startNs_ = steadyNowNs();
 }
 
@@ -143,27 +124,11 @@ Span::~Span() {
     const std::uint64_t end = steadyNowNs();
     const std::uint64_t total = end > startNs_ ? end - startNs_ : 0;
     const std::uint64_t self = total > childNs_ ? total - childNs_ : 0;
-    ThreadShard& shard = threadShard();
-    shard.top = parent_;
+    t_top = parent_;
     if (parent_ != nullptr) parent_->childNs_ += total;
-    {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        Agg& agg = shard.aggregates[name_];
-        ++agg.count;
-        agg.totalNs += total;
-        agg.selfNs += self;
-    }
-    // Feed the sharded registry: one log2 histogram per span name, handle
-    // cached per thread so repeated spans never re-resolve under the lock.
-    auto it = shard.registryHandles.find(static_cast<const void*>(name_));
-    if (it == shard.registryHandles.end()) {
-        it = shard.registryHandles
-                 .emplace(static_cast<const void*>(name_),
-                          MetricsRegistry::global().histogram("prof.span_ns",
-                                                              {{"span", name_}}))
-                 .first;
-    }
-    it->second.observe(total);
+    SpanHandles& handles = spanHandles(name_);
+    handles.total.observe(total);
+    handles.self.add(self);
     traceSpan(name_, "phase", startNs_, total); // into the current job's timeline
 }
 

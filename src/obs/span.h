@@ -1,22 +1,24 @@
 // RAII hierarchical timing spans — the sweep's self-profiler.
 //
-// A Span stamps steady_clock on construction and destruction and attributes
-// the elapsed time to its name. Spans nest lexically per thread: each thread
-// keeps a stack of live spans, and a closing span subtracts its total from
-// the parent's *self* time, so for any thread the self times of all spans
-// partition that thread's wall clock (a root span covering the whole phase
-// makes the partition exact). Aggregates live in per-thread shards merged at
-// snapshot() time, mirroring the metrics registry's sharding — the hot path
-// never touches a lock another thread contends.
+// A Span stamps obs::steadyNowNs() on construction and destruction and
+// attributes the elapsed time to its name. Spans nest lexically per thread:
+// each thread keeps a stack of live spans, and a closing span subtracts its
+// total from the parent's *self* time, so for any thread the self times of
+// all spans partition that thread's wall clock (a root span covering the
+// whole phase makes the partition exact).
+//
+// The aggregates are metrics-registry families, sharded by the registry's
+// recycled thread slot: "prof.span_ns"{span=name} (a log2 histogram: count
+// and total time) and "prof.span_self_ns"{span=name} (a counter: self time).
+// Each thread caches its handles per name, so the hot path takes no lock
+// another thread contends, and an exited thread's totals stay in the cells.
 //
 // Profiling is globally off by default: a disabled Span construction is one
 // relaxed atomic load and a branch (the zero-overhead guard bench_micro
-// enforces). When enabled, a closing span reaches two consumers: the
-// profiler aggregates (per-thread shards, plus the registry's
-// "prof.span_ns"{span=name} log2 histograms) and, while a job is open, the
-// current job's timeline (obs/trace.h) as a "phase" duration event on the
-// closing thread's track — so one sweep yields both the aggregate profile
-// and the per-leg timeline.
+// enforces). When enabled, a closing span also lands, while a job is open,
+// in the current job's timeline (obs/trace.h) as a "phase" duration event on
+// the closing thread's track — so one sweep yields both the aggregate
+// profile and the per-leg timeline.
 //
 // Span names must be string literals (stored by pointer, like every
 // timeline event name).
@@ -42,13 +44,16 @@ public:
     [[nodiscard]] static bool enabled() noexcept;
     static void setEnabled(bool on) noexcept;
 
-    /// Merge every thread's shard into a name-sorted list (deterministic for
-    /// fixed aggregates). Concurrent spans are tolerated; a still-open span
-    /// is simply not counted yet.
+    /// The registry's span families since the last reset(), as a name-sorted
+    /// list (deterministic for fixed aggregates); names with no span closed
+    /// since then are omitted. Concurrent spans are tolerated; a still-open
+    /// span is simply not counted yet.
     [[nodiscard]] static std::vector<SpanStat> snapshot();
 
-    /// Zero all aggregates (tests / between CLI phases). Live spans keep
-    /// running and report into the cleared shards when they close.
+    /// Start snapshot() from zero (tests / between CLI phases) by recording
+    /// the current totals as a baseline. The registry's counters themselves
+    /// stay monotonic for /metrics and metricsDelta. Live spans keep running
+    /// and count when they close.
     static void reset();
 };
 

@@ -17,12 +17,6 @@ namespace {
 enum Collecting : std::uint8_t { kNothing, kSpans, kSpansAndInstants };
 std::atomic<std::uint8_t> g_collecting{kNothing};
 
-std::uint32_t traceThreadId() noexcept {
-    static std::atomic<std::uint32_t> next{0};
-    thread_local const std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
-
 const char* phaseLetter(TracePhase phase) noexcept {
     switch (phase) {
     case TracePhase::Instant: return "i";
@@ -183,7 +177,7 @@ void JobTraceStore::endJob(const TraceContext& context) {
 void JobTraceStore::record(TracePhase phase, const char* name, const char* category,
                            std::uint64_t startNs, std::uint64_t durationNs,
                            std::initializer_list<TraceArg> args) {
-    const std::uint32_t tid = traceThreadId();
+    const std::uint32_t tid = threadSlot();
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     if (impl_->current == nullptr) return;
     TraceEvent& event = impl_->current->ring.claim();
@@ -199,7 +193,7 @@ void JobTraceStore::record(TracePhase phase, const char* name, const char* categ
 }
 
 void JobTraceStore::recordLeg(const LegEvent& finished) {
-    const std::uint32_t tid = traceThreadId();
+    const std::uint32_t tid = threadSlot();
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     if (impl_->current == nullptr) return;
     TraceEvent& event = impl_->current->ring.claim();
@@ -236,6 +230,13 @@ std::string JobTraceStore::toChromeJson(std::string_view jobOrTraceId) const {
     json.endArray();
     json.endObject();
     return json.str();
+}
+
+JobTraceStore::RingCounts JobTraceStore::ringCounts(std::string_view jobOrTraceId) const {
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    const Impl::Job* job = impl_->findLocked(jobOrTraceId);
+    if (job == nullptr) return {};
+    return {job->ring.size(), job->ring.dropped()};
 }
 
 std::string JobTraceStore::indexJson() const {

@@ -16,8 +16,10 @@
 // branch: instant sites test instantEventsOn(), obs::Span tests
 // JobTraceStore::collecting(), before either builds an event.
 //
-// Every event carries the recording thread's dense id as its tid and an
-// obs::steadyNowNs() start stamp, rendered in µs relative to the job's open.
+// Every event carries the recording thread's obs::threadSlot() as its tid
+// and an obs::steadyNowNs() start stamp, rendered in µs relative to the
+// job's open. Slots are recycled, so tids stay below the peak number of live
+// threads, and threads that ran one after another may share a track.
 // A ring grows on demand to its capacity — kMaxEventsWithInstants with
 // instant events on, kMaxSpansPerJob otherwise — and then overwrites its
 // oldest event, so a long job keeps its most recent window. Each job counts
@@ -79,7 +81,7 @@ struct TraceEvent {
     const char* category = nullptr; ///< string literal (Leg: unused)
     std::uint64_t startNs = 0;      ///< steadyNowNs() stamp
     std::uint64_t durationNs = 0;   ///< Span and Leg events
-    std::uint32_t tid = 0;          ///< recording thread's dense id
+    std::uint32_t tid = 0;          ///< recording thread's obs::threadSlot()
     TracePhase phase = TracePhase::Instant;
     std::uint8_t argCount = 0;
     union {
@@ -141,7 +143,7 @@ public:
     void endJob(const TraceContext& context);
 
     /// Append an event to the current job's ring, filled in place and
-    /// stamped with the calling thread's tid. No-op when no job is open.
+    /// stamped with the calling thread's slot as tid. No-op when no job is open.
     /// Args beyond kMaxTraceArgs are dropped.
     void record(TracePhase phase, const char* name, const char* category, std::uint64_t startNs,
                 std::uint64_t durationNs, std::initializer_list<TraceArg> args);
@@ -156,6 +158,14 @@ public:
     /// kind "trace", job, trace, open, spanCount (events in the ring) and
     /// droppedSpans (events overwritten).
     [[nodiscard]] std::string toChromeJson(std::string_view jobOrTraceId) const;
+
+    /// A job's ring: events kept and events overwritten (the document's
+    /// spanCount and droppedSpans); zeros when unknown.
+    struct RingCounts {
+        std::uint64_t kept = 0;
+        std::uint64_t dropped = 0;
+    };
+    [[nodiscard]] RingCounts ringCounts(std::string_view jobOrTraceId) const;
 
     /// One-line-per-job index: [{"job":..., "trace":..., "spans":N,
     /// "droppedSpans":N, "open":bool}, ...] newest first.

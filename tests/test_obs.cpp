@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -141,12 +142,15 @@ TEST(Metrics, ExitedThreadsHandTheirCellsToNewThreads) {
     // cell per family for every thread that ever ran.
     obs::MetricsRegistry registry;
     constexpr int kThreads = 32;
+    std::set<std::uint32_t> slots;
     for (int t = 0; t < kThreads; ++t) {
-        std::thread([&registry] {
+        std::thread([&registry, &slots] {
             registry.add("sequential.count", {});
             registry.observe("sequential.ns", {}, 100);
+            slots.insert(obs::threadSlot());
         }).join();
     }
+    EXPECT_EQ(slots.size(), 1u) << "each joined thread's slot passes to the next";
     EXPECT_EQ(registry.cells(), 2u);
     for (const obs::MetricSnapshot& snap : registry.snapshot()) {
         EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads)) << snap.name;

@@ -14,6 +14,7 @@
 #include "core/forensics.h"
 #include "core/report.h"
 #include "core/sweep.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace voltcache {
@@ -106,6 +107,31 @@ TEST(Span, CrossThreadSpansNestPerThread) {
     // ...but worker threads are NOT children of the main thread's root span:
     // the span stack is per-thread, so root keeps all of its own time.
     EXPECT_EQ(root->selfNs, root->totalNs);
+}
+
+// Every sweep phase and serve job starts fresh workers: a joined thread's
+// totals must survive it, and its registry cells pass to the next thread.
+TEST(Span, ExitedThreadsKeepTheirTotals) {
+    ProfilerGuard guard;
+    obs::Profiler::setEnabled(true);
+    const std::size_t cellsBefore = obs::MetricsRegistry::global().cells();
+    constexpr std::uint64_t kThreads = 32;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+        std::thread([] {
+            const obs::Span span("churn");
+            busyWork();
+        }).join();
+    }
+    obs::Profiler::setEnabled(false);
+    const auto stats = obs::Profiler::snapshot();
+    const obs::SpanStat* churn = findSpan(stats, "churn");
+    ASSERT_NE(churn, nullptr);
+    EXPECT_EQ(churn->count, kThreads);
+    EXPECT_GT(churn->totalNs, 0u);
+    EXPECT_EQ(churn->selfNs, churn->totalNs);
+    // One "prof.span_ns" histogram cell and one "prof.span_self_ns" counter
+    // cell for the span name, however many threads closed it.
+    EXPECT_LE(obs::MetricsRegistry::global().cells(), cellsBefore + 2);
 }
 
 TEST(Span, DisabledSpansRecordNothing) {

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_telemetry.h"
+#include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -238,6 +241,31 @@ TEST(JobTraceStore, BoundsJobsAndSpansWithDropAccounting) {
     ASSERT_NE(jobs, nullptr);
     ASSERT_FALSE(jobs->items.empty());
     EXPECT_EQ(jobs->items[0].stringOr("job", ""), "fat");
+    store.clear();
+}
+
+// A job whose phases start fresh workers reuses their slots as tids: the
+// tracks number at most the live threads, not every thread the job ran.
+TEST(JobTraceStore, JoinedThreadsRecordOnRecycledTids) {
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    (void)obs::threadSlot(); // the main thread holds a slot too
+    const obs::TraceContext context = obs::makeRootContext("churn");
+    store.beginJob("churn", context);
+    constexpr std::size_t kThreads = 32;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        std::thread([] { obs::traceSpan("worker", "phase", obs::steadyNowNs(), 1); }).join();
+    }
+    store.endJob(context);
+
+    const JsonValue doc = parseJson(store.toChromeJson("churn"));
+    const JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->items.size(), kThreads);
+    constexpr double kLiveThreads = 2.0; // main + the one worker at a time
+    for (const JsonValue& event : events->items) {
+        EXPECT_LT(event.numberOr("tid", -1.0), kLiveThreads);
+    }
     store.clear();
 }
 
@@ -469,6 +497,47 @@ TEST(FlightRecorder, ContractFailureDumpsAtTheFailureSite) {
     EXPECT_NE(doc.stringOr("detail", "").find("1 + 1 == 3"), std::string::npos);
     EXPECT_NE(doc.stringOr("detail", "").find("test_trace_context.cpp"),
               std::string::npos);
+    std::remove(path.c_str());
+}
+
+// A serve daemon starts new workers for every job: after far more joined
+// threads than the recorder has stacks, a live thread's open span must still
+// be in the dump, and no exited thread's span may linger there.
+TEST(FlightRecorder, SpanStacksSurviveThreadChurn) {
+    const std::string path = tempPath("flight_churn.json");
+    obs::FlightRecorder::Options options;
+    options.path = path;
+    obs::FlightRecorder& recorder = obs::FlightRecorder::install(options);
+    recorder.rearm();
+    for (int t = 0; t < 100; ++t) {
+        std::thread([] { const obs::Span span("joined_worker"); }).join();
+    }
+    std::latch opened(1);
+    std::latch release(1);
+    std::thread live([&opened, &release] {
+        const obs::Span span("live_worker");
+        opened.count_down();
+        release.wait();
+    });
+    opened.wait();
+    const bool dumped = recorder.dumpNow("test", "churn");
+    release.count_down();
+    live.join();
+    ASSERT_TRUE(dumped);
+
+    const JsonValue doc = parseJson(slurp(path));
+    const JsonValue* threads = doc.find("threads");
+    ASSERT_NE(threads, nullptr);
+    std::size_t liveStacks = 0;
+    for (const JsonValue& thread : threads->items) {
+        const JsonValue* spans = thread.find("spans");
+        ASSERT_NE(spans, nullptr);
+        for (const JsonValue& span : spans->items) {
+            EXPECT_NE(span.asString(), "joined_worker");
+            if (span.asString() == "live_worker") ++liveStacks;
+        }
+    }
+    EXPECT_EQ(liveStacks, 1u);
     std::remove(path.c_str());
 }
 

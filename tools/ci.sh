@@ -294,7 +294,8 @@ fi
 echo "== flight recorder negative control: induced leg failure leaves a parseable dump =="
 # Trip a VC_CHECK at the Nth leg with the recorder armed. The sweep must
 # fail (nonzero exit), the dump must be one well-formed JSON object naming
-# the contract and carrying ring events, and the renderer must read it.
+# the contract, carrying ring events and showing the coordinator inside its
+# "sweep" span, and the renderer must read it.
 flight_dump="$build_dir/ci_flight.json"
 rm -f "$flight_dump"
 if "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32 \
@@ -315,6 +316,8 @@ assert doc.get("kind") == "flight", doc.get("kind")
 assert doc.get("reason") == "Check", doc.get("reason")
 assert "failAtLeg" in doc.get("detail", ""), doc.get("detail")
 assert doc.get("events"), "flight dump captured no ring events"
+assert any("sweep" in t.get("spans", []) for t in doc.get("threads", [])), \
+    "flight dump shows no thread inside the coordinator's sweep span"
 EOF
 fi
 "$build_dir/tools/voltcache" trace "$flight_dump" > /dev/null

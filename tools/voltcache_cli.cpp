@@ -464,9 +464,21 @@ int cmdSweep(const Args& args) {
         result = runSweep(config);
     }
     if (traced) {
-        const std::string timeline = obs::JobTraceStore::global().toChromeJson("sweep");
+        const obs::JobTraceStore& store = obs::JobTraceStore::global();
+        const std::string timeline = store.toChromeJson("sweep");
         for (const char* flag : {"trace", "trace-job"}) {
             if (args.flags.contains(flag)) writeTextFile(args.get(flag, ""), timeline);
+        }
+        // A full ring overwrites its oldest events, leg spans included: say
+        // so rather than hand over a timeline that silently lost legs.
+        if (const auto ring = store.ringCounts("sweep"); ring.dropped > 0) {
+            std::fprintf(stderr,
+                         "sweep: the trace kept the newest %llu events and overwrote %llu%s\n",
+                         static_cast<unsigned long long>(ring.kept),
+                         static_cast<unsigned long long>(ring.dropped),
+                         instants ? "; --trace-job without --trace records no instant "
+                                    "events and keeps every leg span"
+                                  : "");
         }
     }
     if (journal.has_value()) journal->close();
@@ -1276,7 +1288,10 @@ int usage() {
                  "  yield [--bits N] [--target Y]\n"
                  "  sweep [--trials N] [--benchmarks a,b,...] [--scale S] [--threads N]\n"
                  "      [--max-instructions N] [--mv V1,V2,...] [--json FILE]\n"
-                 "      [--trace FILE] [--progress]\n"
+                 "      [--trace FILE]  (the job timeline with instant events; its ring\n"
+                 "       keeps the newest 65536 events, so a large grid loses leg spans;\n"
+                 "       --trace-job without --trace keeps every leg span)\n"
+                 "      [--progress]\n"
                  "      [--profile FILE]  (self-profile: per-phase span times + metrics)\n"
                  "      [--no-replay]  (disable the record-once/replay-many fast path;\n"
                  "       results are bit-identical either way)\n"
