@@ -1,9 +1,15 @@
 // Google-benchmark microbenchmarks of the library's hot paths: fault-map
 // generation, BIST, scheme access loops, BBR linking, observability
-// primitives, and end-to-end simulation throughput. These guard the Monte
-// Carlo harness's performance (a full paper-scale sweep runs ~100k
-// simulations). A custom reporter mirrors every run into BENCH_micro.json
-// (see bench_export.h) so CI can diff the numbers.
+// primitives, and per-leg simulation and replay. google-benchmark's own
+// `--benchmark_out=FILE --benchmark_out_format=json` writes their numbers.
+//
+// After them, main() writes BENCH_perf.json (see bench_export.h) from a few
+// within-run probes: the two milestone pairs that tools/ci.sh gates with
+// `bench_check --speedup` (batched replay >= 1.10x execution-driven sweep
+// legs/sec, warm store >= 5x cold), each timed in alternating pairs, plus
+// the trace recording and trace-context overheads. Nothing here compares an
+// absolute rate across runs; perfbench/ does that, on one host, in
+// alternating pairs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +17,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "bench_export.h"
 #include "compiler/passes.h"
@@ -147,20 +154,10 @@ void BM_EndToEndSystemLeg(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSystemLeg)->Unit(benchmark::kMillisecond);
 
-/// Per-leg replay: one FFW+BBR leg at 400mV as a one-lane replayBatch.
-SystemResult replayLeg(const Module& bbrModule, const TraceCache& traces,
-                       std::uint64_t seed) {
-    BatchLane lane;
-    lane.config.scheme = SchemeKind::FfwBbr;
-    lane.config.op = DvfsTable::at(400_mV);
-    lane.config.faultMapSeed = seed;
-    replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
-    return lane.result;
-}
-
-// Trace-driven twin of BM_EndToEndSystemLeg: identical leg configuration,
-// evaluated as a one-lane replayBatch() from pre-recorded traces. The ratio
-// of the two is the per-leg speedup of the record-once / replay-many engine.
+// Trace-driven twin of BM_EndToEndSystemLeg: identical leg configuration
+// (FFW+BBR at 400mV), evaluated as a one-lane replayBatch() from pre-recorded
+// traces. The ratio of the two is the per-leg speedup of the record-once /
+// replay-many engine.
 void BM_ReplayLegs(benchmark::State& state) {
     const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
     Module bbrModule = module;
@@ -172,44 +169,16 @@ void BM_ReplayLegs(benchmark::State& state) {
     traces.plain = recordReplaySource(module, record, 0, ignored);
     traces.bbr = recordReplaySource(bbrModule, record, 0, ignored);
     std::uint64_t seed = 1;
-    for (auto _ : state) benchmark::DoNotOptimize(replayLeg(bbrModule, traces, seed++));
+    for (auto _ : state) {
+        BatchLane lane;
+        lane.config.scheme = SchemeKind::FfwBbr;
+        lane.config.op = DvfsTable::at(400_mV);
+        lane.config.faultMapSeed = seed++;
+        replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
+        benchmark::DoNotOptimize(lane.result);
+    }
 }
 BENCHMARK(BM_ReplayLegs)->Unit(benchmark::kMillisecond);
-
-// --- end-to-end sweep throughput ---
-
-/// Small fixed sweep used for the legs/sec benchmarks: 2 benchmarks x
-/// 2 points x 2 schemes x 16 trials = 128 legs per sweep. Trials >= 16 so
-/// the record-once and decode-once costs are amortized the way a real Monte
-/// Carlo grid amortizes them: the trace pays for itself from the second
-/// trial on, and a trial group fills a whole batch (core/replay.cpp
-/// replayBatch) instead of a sliver of one.
-SweepConfig tinySweepConfig(unsigned threads) {
-    SweepConfig config;
-    config.benchmarks = {"crc32", "basicmath"};
-    config.schemes = {SchemeKind::SimpleWordDisable, SchemeKind::FfwBbr};
-    config.points = {DvfsTable::at(560_mV), DvfsTable::at(400_mV)};
-    config.trials = 16;
-    config.scale = WorkloadScale::Tiny;
-    config.threads = threads;
-    return config;
-}
-
-std::size_t sweepLegCount(const SweepConfig& config) {
-    return detail::planSweep(config).legs.size();
-}
-
-/// Arg(0) = hardware concurrency (runSweep's own default); Arg(1) = serial.
-void BM_SweepLegs(benchmark::State& state) {
-    const SweepConfig config = tinySweepConfig(static_cast<unsigned>(state.range(0)));
-    std::uint64_t legs = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(runSweep(config));
-        legs += sweepLegCount(config);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(legs));
-}
-BENCHMARK(BM_SweepLegs)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // Cost of bumping a pre-resolved counter handle (one relaxed atomic add on
 // a per-thread cell) — the unit of overhead each instrumented hot path pays.
@@ -273,186 +242,94 @@ void BM_SpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanEnabled);
 
-/// ConsoleReporter that also captures every iteration run, so main() can
-/// export BENCH_micro.json after the normal console output.
-class ExportingReporter : public benchmark::ConsoleReporter {
-  public:
-    void ReportRuns(const std::vector<Run>& reports) override {
-        for (const Run& run : reports) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-            voltcache::bench::BenchMetric metric;
-            metric.name = run.benchmark_name();
-            metric.value = run.GetAdjustedRealTime();
-            metric.unit = benchmark::GetTimeUnitString(run.time_unit);
-            metric.samples = static_cast<std::uint64_t>(run.iterations);
-            metrics_.push_back(metric);
+// --- BENCH_perf.json: within-run probes ---
+
+/// The sweep every milestone probe runs: 2 benchmarks x 2 points x 2
+/// schemes x 16 trials = 128 legs. Trials >= 16 so the record-once and
+/// decode-once costs are amortized the way a real Monte Carlo grid
+/// amortizes them: the trace pays for itself from the second trial on, and
+/// a trial group fills a whole batch (core/replay.cpp replayBatch) instead
+/// of a sliver of one. BENCH_perf.json's header is stamped with it.
+SweepConfig tinySweepConfig() {
+    SweepConfig config;
+    config.benchmarks = {"crc32", "basicmath"};
+    config.schemes = {SchemeKind::SimpleWordDisable, SchemeKind::FfwBbr};
+    config.points = {DvfsTable::at(560_mV), DvfsTable::at(400_mV)};
+    config.trials = 16;
+    config.scale = WorkloadScale::Tiny;
+    config.threads = 1;
+    return config;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+voltcache::bench::BenchMetric metricOf(const char* name, const RunningStats& stats,
+                                       const char* unit) {
+    voltcache::bench::BenchMetric metric;
+    metric.name = name;
+    metric.value = stats.mean();
+    metric.ciHalfWidth = confidenceInterval(stats).halfWidth;
+    metric.unit = unit;
+    metric.samples = stats.count();
+    return metric;
+}
+
+/// Times the two sides of a milestone ratio in `pairs` adjacent pairs, the
+/// side that runs first alternating from pair to pair, so host drift (a
+/// frequency step, a busy neighbour) lands on both sides alike instead of
+/// on whichever block of reps ran later. One untimed call of each side goes
+/// first, so neither side's first sample pays the process's first-call
+/// costs (page faults, cold caches). Each call of a side sweeps `legs`
+/// legs; returns each side's per-pair legs/sec.
+template <class SideA, class SideB>
+std::pair<RunningStats, RunningStats> alternatingPairs(int pairs, double legs, SideA&& a,
+                                                       SideB&& b) {
+    a();
+    b();
+    RunningStats rateA;
+    RunningStats rateB;
+    const auto time = [legs](auto& side, RunningStats& rate) {
+        const auto start = Clock::now();
+        side();
+        rate.add(legs / secondsSince(start));
+    };
+    for (int pair = 0; pair < pairs; ++pair) {
+        if (pair % 2 == 0) {
+            time(a, rateA);
+            time(b, rateB);
+        } else {
+            time(b, rateB);
+            time(a, rateA);
         }
-        ConsoleReporter::ReportRuns(reports);
     }
+    return {rateA, rateB};
+}
 
-    [[nodiscard]] const std::vector<voltcache::bench::BenchMetric>& metrics() const {
-        return metrics_;
-    }
-
-  private:
-    std::vector<voltcache::bench::BenchMetric> metrics_;
-};
-
-/// Direct throughput probes for the headline performance artifact
-/// (BENCH_perf.json): each rate is sampled kPerfReps times so the export
-/// carries a confidence-interval half-width alongside the mean. These guard
-/// the sweep executor's wall-clock budget the way BENCH_micro guards the
-/// individual hot paths.
 std::vector<voltcache::bench::BenchMetric> perfProbe() {
-    using Clock = std::chrono::steady_clock;
     constexpr int kPerfReps = 5;
-    const auto secondsSince = [](Clock::time_point start) {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    const auto metricOf = [](const char* name, const RunningStats& stats) {
-        voltcache::bench::BenchMetric metric;
-        metric.name = name;
-        metric.value = stats.mean();
-        metric.ciHalfWidth = confidenceInterval(stats).halfWidth;
-        metric.unit = "1/s";
-        metric.samples = stats.count();
-        return metric;
-    };
+    // Even, so each side runs first equally often. Timing the same sweep on
+    // both sides, 6 pairs read ratios up to 1.09-1.17 on a shared 4-vCPU
+    // host, too close to the 1.10x replay bound to catch a lost milestone;
+    // 12 pairs stayed within 0.91-1.05.
+    constexpr int kPairs = 12;
     std::vector<voltcache::bench::BenchMetric> metrics;
+    const SweepConfig tiny = tinySweepConfig();
+    const auto legs = static_cast<double>(detail::planSweep(tiny).legs.size());
 
-    // Simulator steps per second (conventional caches, no faults).
+    // Milestone: the default (record-once, batched replay) serial sweep
+    // against the same sweep execution-driven (`--no-replay`).
     {
-        const Module module = buildBenchmark("crc32", WorkloadScale::Tiny);
-        const LinkOutput linked = link(module);
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            L2Cache l2;
-            CacheOrganization org;
-            ConventionalCache icache(org, l2);
-            ConventionalCache dcache(org, l2);
-            Simulator sim(linked.image, module.data, icache, dcache);
-            const RunStats stats = sim.run();
-            rate.add(static_cast<double>(stats.instructions) / secondsSince(start));
-        }
-        metrics.push_back(metricOf("sim.steps_per_sec", rate));
-    }
-
-    // Fault-map generations per second at the deepest operating point.
-    {
-        const FaultMapGenerator generator;
-        Rng rng(1);
-        constexpr int kMapsPerRep = 200;
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            for (int i = 0; i < kMapsPerRep; ++i) {
-                benchmark::DoNotOptimize(generator.generate(rng, 400_mV, 1024, 8));
-            }
-            rate.add(kMapsPerRep / secondsSince(start));
-        }
-        metrics.push_back(metricOf("faultmap.generations_per_sec", rate));
-    }
-
-    // End-to-end sweep legs per second on the default (record-once, batched
-    // replay) path: the thread-scaling curve {1, 2, 4, all} plus the
-    // parallel efficiency at all threads. runSweep clamps its workers to
-    // the host and the schedulable units, so on a small machine the higher
-    // points collapse onto the hardware limit; the efficiency metric
-    // divides by the worker count actually used, so it stays meaningful
-    // (and is 1.0 by construction on a single-core host).
-    double serialLegsPerSec = 0.0;
-    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-        SweepConfig config = tinySweepConfig(threads);
-        unsigned workersUsed = 1;
-        config.onProgress = [&workersUsed](const SweepProgress& progress) {
-            workersUsed = std::max(workersUsed, progress.workers);
-        };
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            rate.add(legs / secondsSince(start));
-        }
-        const char* name = threads == 1   ? "sweep.legs_per_sec/threads1"
-                           : threads == 2 ? "sweep.legs_per_sec/threads2"
-                           : threads == 4 ? "sweep.legs_per_sec/threads4"
-                                          : "sweep.legs_per_sec/threads_all";
-        metrics.push_back(metricOf(name, rate));
-        if (threads == 1) serialLegsPerSec = rate.mean();
-        if (threads == 0 && serialLegsPerSec > 0.0) {
-            voltcache::bench::BenchMetric efficiency;
-            efficiency.name = "sweep.parallel_efficiency";
-            efficiency.value =
-                rate.mean() / (static_cast<double>(workersUsed) * serialLegsPerSec);
-            efficiency.ciHalfWidth =
-                confidenceInterval(rate).halfWidth /
-                (static_cast<double>(workersUsed) * serialLegsPerSec);
-            efficiency.unit = "frac";
-            efficiency.samples = rate.count();
-            metrics.push_back(efficiency);
-        }
-    }
-
-    // The same serial sweep execution-driven (`--no-replay`): the PR 3
-    // baseline the replay speedup is measured against.
-    {
-        SweepConfig config = tinySweepConfig(1);
-        config.useReplay = false;
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            rate.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("sweep.exec_legs_per_sec/threads1", rate));
-    }
-
-    // The same serial execution-driven sweep with the telemetry plane
-    // explicitly disabled (no onProgress / onLegEvent hooks): guards the leg
-    // hot path — an unset hook must cost nothing, so this metric must track
-    // sweep.exec_legs_per_sec/threads1 release after release.
-    {
-        SweepConfig config = tinySweepConfig(1);
-        config.useReplay = false;
-        config.onProgress = nullptr;
-        config.onLegEvent = nullptr;
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            rate.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("sweep.exec_legs_per_sec/telemetry_off", rate));
-    }
-
-    // Raw per-leg replay (one-lane replayBatch) legs per second (FFW+BBR at
-    // 400mV — the most expensive replayed leg: per-trial verified link +
-    // live predictor).
-    {
-        const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
-        Module bbrModule = module;
-        applyBbrTransforms(bbrModule);
-        TraceCache traces;
-        SystemConfig record;
-        record.scheme = SchemeKind::Conventional760;
-        SystemResult ignored;
-        traces.plain = recordReplaySource(module, record, 0, ignored);
-        traces.bbr = recordReplaySource(bbrModule, record, 0, ignored);
-        constexpr int kLegsPerRep = 20;
-        std::uint64_t seed = 1;
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            for (int i = 0; i < kLegsPerRep; ++i) {
-                benchmark::DoNotOptimize(replayLeg(bbrModule, traces, seed++));
-            }
-            rate.add(kLegsPerRep / secondsSince(start));
-        }
-        metrics.push_back(metricOf("replay.legs_per_sec", rate));
+        SweepConfig executed = tiny;
+        executed.useReplay = false;
+        const auto [replayRate, execRate] = alternatingPairs(
+            kPairs, legs, [&tiny] { benchmark::DoNotOptimize(runSweep(tiny)); },
+            [&executed] { benchmark::DoNotOptimize(runSweep(executed)); });
+        metrics.push_back(metricOf("sweep.legs_per_sec/threads1", replayRate, "1/s"));
+        metrics.push_back(metricOf("sweep.exec_legs_per_sec/threads1", execRate, "1/s"));
     }
 
     // Recording overhead: fractional slowdown of an execution-driven run
@@ -460,9 +337,8 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
     // to unlock replayed trials. The overhead is a difference of two
     // similar durations, so single timings drown in scheduler noise: each
     // sample is the min-of-3 of both sides (the min estimates the
-    // noise-free duration), and the rep count is 5x the rate probes', so
-    // the exported confidence interval is small against the mean instead
-    // of dwarfing it.
+    // noise-free duration), and it takes 25 samples, so the exported
+    // confidence interval is small against the mean instead of dwarfing it.
     {
         const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
         constexpr int kOverheadReps = 5 * kPerfReps;
@@ -488,85 +364,37 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
             }
             frac.add((recorded - plain) / plain);
         }
-        voltcache::bench::BenchMetric metric;
-        metric.name = "trace.record_overhead_frac";
-        metric.value = frac.mean();
-        metric.ciHalfWidth = confidenceInterval(frac).halfWidth;
-        metric.unit = "frac";
-        metric.samples = frac.count();
-        metrics.push_back(metric);
+        metrics.push_back(metricOf("trace.record_overhead_frac", frac, "frac"));
     }
 
-    // The serve-layer headline: legs per second through the content-
-    // addressed store, cold (every leg simulates and populates) vs warm
-    // (every leg is a store hit — no trace recording, no simulation). The
-    // warm/cold ratio is the CI speedup gate (bench_check --speedup): both
-    // rates come from the same run on the same machine, so the ratio is
-    // machine-independent.
+    // Milestone: legs/sec through the content-addressed store, cold (a
+    // fresh store per call, so every leg simulates and pays the insert
+    // path) against warm (one shared store, which the helper's untimed
+    // first call fills, so every timed leg is a hit: digest + lookup +
+    // reduction, no recording, no simulation).
     {
-        // Cold: a fresh store per rep, so every rep pays full simulation
-        // plus the insert path.
-        SweepConfig config = tinySweepConfig(1);
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats cold;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            serve::LegStore store({.byteBudget = 64ull << 20, .directory = ""});
-            config.resultSource = &store;
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            cold.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("serve.cold_legs_per_sec", cold));
-
-        // Warm: one shared store pre-filled by a priming run; every rep is
-        // pure digest + lookup + reduction.
-        serve::LegStore store({.byteBudget = 64ull << 20, .directory = ""});
-        config.resultSource = &store;
-        benchmark::DoNotOptimize(runSweep(config));
-        RunningStats warm;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            warm.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("serve.warm_legs_per_sec", warm));
-    }
-
-    // Raw store hit latency: one lookup of a resident entry (hash the key
-    // map slot, splice to the LRU front, copy the 484-byte slot, bump one
-    // relaxed counter). Guards the per-leg overhead a warm sweep pays.
-    {
-        serve::LegStore store({.byteBudget = 1ull << 20, .directory = ""});
-        LegResult value;
-        value.normRuntime = 1.0;
-        Digest256 key{};
-        key[0] = 1;
-        store.store(key, value);
-        constexpr int kLookupsPerRep = 100000;
-        RunningStats nanos;
-        LegResult out;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            for (int i = 0; i < kLookupsPerRep; ++i) {
-                benchmark::DoNotOptimize(store.lookup(key, out));
-            }
-            nanos.add(secondsSince(start) * 1e9 / kLookupsPerRep);
-        }
-        voltcache::bench::BenchMetric metric;
-        metric.name = "serve.hit_lookup_ns";
-        metric.value = nanos.mean();
-        metric.ciHalfWidth = confidenceInterval(nanos).halfWidth;
-        metric.unit = "ns";
-        metric.samples = nanos.count();
-        metrics.push_back(metric);
+        SweepConfig warm = tiny;
+        serve::LegStore primed({.byteBudget = 64ull << 20, .directory = ""});
+        warm.resultSource = &primed;
+        const auto [coldRate, warmRate] = alternatingPairs(
+            kPairs, legs,
+            [&tiny] {
+                serve::LegStore store({.byteBudget = 64ull << 20, .directory = ""});
+                SweepConfig cold = tiny;
+                cold.resultSource = &store;
+                benchmark::DoNotOptimize(runSweep(cold));
+            },
+            [&warm] { benchmark::DoNotOptimize(runSweep(warm)); });
+        metrics.push_back(metricOf("serve.cold_legs_per_sec", coldRate, "1/s"));
+        metrics.push_back(metricOf("serve.warm_legs_per_sec", warmRate, "1/s"));
     }
 
     // Per-leg trace stamping cost: the exact work a traced sweep leg adds —
     // derive the deterministic child span id from the root context and check
-    // the store's relaxed "is anyone collecting" guard. Guards the claim
-    // that tracing is cheap enough to leave on: this must stay sub-
-    // microsecond (it is two short SHA-256 compressions plus one atomic
-    // load), orders of magnitude below what a leg simulation costs.
+    // the store's relaxed "is anyone collecting" guard. It measures the
+    // claim that tracing is cheap enough to leave on (two short SHA-256
+    // compressions plus one atomic load, sub-microsecond, orders of
+    // magnitude below a leg simulation); nothing gates the number.
     {
         const obs::TraceContext context = obs::makeRootContext("bench");
         constexpr int kStampsPerRep = 100000;
@@ -581,13 +409,7 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
             }
             nanos.add(secondsSince(start) * 1e9 / kStampsPerRep);
         }
-        voltcache::bench::BenchMetric metric;
-        metric.name = "trace.ctx_overhead_ns";
-        metric.value = nanos.mean();
-        metric.ciHalfWidth = confidenceInterval(nanos).halfWidth;
-        metric.unit = "ns";
-        metric.samples = nanos.count();
-        metrics.push_back(metric);
+        metrics.push_back(metricOf("trace.ctx_overhead_ns", nanos, "ns"));
     }
     return metrics;
 }
@@ -601,14 +423,8 @@ int main(int argc, char** argv) {
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    ExportingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    // Micro benches have no sweep config; export with the defaults so the
-    // JSON schema matches the figure benches.
-    voltcache::bench::writeBenchJson("micro", voltcache::bench::defaultSweepConfig(),
-                                     reporter.metrics());
-    voltcache::bench::writeBenchJson("perf", voltcache::bench::defaultSweepConfig(),
-                                     perfProbe());
+    voltcache::bench::writeBenchJson("perf", tinySweepConfig(), perfProbe());
     return 0;
 }

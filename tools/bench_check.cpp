@@ -1,34 +1,37 @@
 // bench_check — noise-aware bench regression gate.
 //
 //   bench_check --baseline BENCH_x.json --fresh BENCH_x.json
-//              [--rel-threshold 0.10] [--ci-mult 3]
+//              [--speedup REF_METRIC:FRESH_METRIC:MIN_RATIO]...
 //
 // Compares a freshly produced BENCH_*.json against a committed baseline,
 // metric by metric. A metric regresses when it moves in its bad direction
 // (inferred from the unit: throughput units are lower-is-worse, time and
 // ratio units are higher-is-worse, unknown units are two-sided) by more than
 //
-//   tol = max(rel_threshold * |baseline|, ci_mult * (baseCi + freshCi))
+//   tol = max(0.10 * |baseline|, 3 * (baseCi + freshCi))
 //
 // — i.e. the stored confidence-interval half-widths widen the tolerance so
-// run-to-run Monte Carlo / timer noise does not trip the gate, while a real
-// shift beyond both the relative floor and the statistical noise fails it.
+// run-to-run Monte Carlo noise does not trip the gate, while a real shift
+// beyond both the relative floor and the statistical noise fails it. Only
+// the deterministic figure artifacts (BENCH_fig*) are compared across runs;
+// a timing artifact is only ever compared with itself, for --speedup.
 //
 // Additional gates:
 //   * a committed baseline whose CI half-width exceeds |value| fails as
 //     ILL-CONDITIONED — such a baseline tolerates anything, so it gates
 //     nothing and must be re-measured with more reps;
-//   * metrics named *efficiency* regress downward (higher is better), even
-//     though their unit is a fraction;
 //   * --speedup REF:FRESH:RATIO (repeatable) requires fresh[FRESH] >=
 //     RATIO * baseline[REF]. With --baseline and --fresh naming the same
 //     fresh export, the ratio is within-run (e.g. replayed against
 //     execution-driven sweep legs/sec) and independent of the host.
 //
+// The --speedup ratio must parse whole as a finite positive number.
+//
 // Exit 0 = no regressions, 1 = at least one, 2 = usage/parse error.
+#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -51,13 +54,10 @@ struct Metric {
 
 enum class BadDirection { Higher, Lower, Both };
 
-/// Which way is "worse" for a metric, from its name and unit. Throughput
-/// (anything per second) regresses downward; time, ratios, and fractions
-/// regress upward; unknown units gate both directions. Efficiency metrics
-/// are fractions where *higher* is better (the thread-scaling gate), so the
-/// name overrides the unit rule.
-BadDirection badDirectionFor(const std::string& name, const std::string& unit) {
-    if (name.find("efficiency") != std::string::npos) return BadDirection::Lower;
+/// Which way is "worse" for a metric, from its unit. Throughput (anything
+/// per second) regresses downward; time, ratios, and fractions regress
+/// upward; unknown units gate both directions.
+BadDirection badDirectionFor(const std::string& unit) {
     if (unit == "1/s" || unit.find("/s") != std::string::npos) return BadDirection::Lower;
     if (unit == "ns" || unit == "us" || unit == "ms" || unit == "s" || unit == "cycles" ||
         unit == "ratio" || unit == "frac" || unit == "bytes" || unit == "words") {
@@ -88,6 +88,27 @@ std::map<std::string, Metric> loadMetrics(const std::string& path, std::string* 
     return out;
 }
 
+/// The relative floor and the CI multiplier of the per-metric tolerance.
+constexpr double kRelThreshold = 0.10;
+constexpr double kCiMult = 3.0;
+
+/// Reads `text` into `out` when the whole of it is a finite number > 0.
+/// Otherwise says so and returns false: "1.10x", "abc", "", "0" and "inf"
+/// are rejected rather than read as a prefix or as 0.
+bool readRatio(const std::string& text, double& out) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    const bool whole = !text.empty() &&
+                       std::isspace(static_cast<unsigned char>(text[0])) == 0 && *end == '\0';
+    if (!whole || !std::isfinite(value) || value <= 0.0) {
+        std::fprintf(stderr, "bench_check: --speedup wants a finite positive ratio, not '%s'\n",
+                     text.c_str());
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 } // namespace
 
 /// A milestone ratio: fresh[freshMetric] must be at least `minRatio` times
@@ -103,8 +124,12 @@ int main(int argc, char** argv) {
     std::string baselinePath;
     std::string freshPath;
     std::vector<SpeedupGate> speedups;
-    double relThreshold = 0.10;
-    double ciMult = 3.0;
+    const auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: bench_check --baseline FILE --fresh FILE\n"
+                     "       [--speedup REF_METRIC:FRESH_METRIC:MIN_RATIO]...\n");
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> const char* {
@@ -118,10 +143,6 @@ int main(int argc, char** argv) {
             baselinePath = next();
         } else if (arg == "--fresh") {
             freshPath = next();
-        } else if (arg == "--rel-threshold") {
-            relThreshold = std::strtod(next(), nullptr);
-        } else if (arg == "--ci-mult") {
-            ciMult = std::strtod(next(), nullptr);
         } else if (arg == "--speedup") {
             const std::string spec = next();
             const std::size_t c1 = spec.find(':');
@@ -129,24 +150,15 @@ int main(int argc, char** argv) {
             if (c2 == std::string::npos) {
                 std::fprintf(stderr,
                              "bench_check: --speedup wants REF_METRIC:FRESH_METRIC:RATIO\n");
-                return 2;
+                return usage();
             }
             SpeedupGate gate;
             gate.refMetric = spec.substr(0, c1);
             gate.freshMetric = spec.substr(c1 + 1, c2 - c1 - 1);
-            gate.minRatio = std::strtod(spec.c_str() + c2 + 1, nullptr);
-            if (gate.minRatio <= 0.0) {
-                std::fprintf(stderr, "bench_check: --speedup ratio must be positive\n");
-                return 2;
-            }
+            if (!readRatio(spec.substr(c2 + 1), gate.minRatio)) return usage();
             speedups.push_back(gate);
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_check --baseline FILE --fresh FILE\n"
-                         "       [--rel-threshold %.2f] [--ci-mult %.1f]\n"
-                         "       [--speedup REF_METRIC:FRESH_METRIC:MIN_RATIO]...\n",
-                         relThreshold, ciMult);
-            return 2;
+            return usage();
         }
     }
     if (baselinePath.empty() || freshPath.empty()) {
@@ -190,10 +202,10 @@ int main(int argc, char** argv) {
             }
             const Metric& now = it->second;
             ++compared;
-            const double tol = std::max(relThreshold * std::fabs(base.value),
-                                        ciMult * (base.ciHalfWidth + now.ciHalfWidth));
+            const double tol = std::max(kRelThreshold * std::fabs(base.value),
+                                        kCiMult * (base.ciHalfWidth + now.ciHalfWidth));
             const double delta = now.value - base.value;
-            const BadDirection bad = badDirectionFor(name, base.unit);
+            const BadDirection bad = badDirectionFor(base.unit);
             const bool regressed =
                 (bad == BadDirection::Higher && delta > tol) ||
                 (bad == BadDirection::Lower && -delta > tol) ||

@@ -453,52 +453,25 @@ if ! wait "$serve_pid"; then
     exit 1
 fi
 
-echo "== perf smoke: micro benches export BENCH_micro.json + BENCH_perf.json =="
+echo "== perf smoke: micro benches export BENCH_perf.json =="
 # Exercises the obs primitives (counter add, trace record, span open/close)
 # under whatever sanitizers this leg configured, and produces the fresh
-# BENCH_*.json the timing gate below diffs in unsanitized runs. min_time
-# matches the documented baseline-refresh procedure (EXPERIMENTS.md): the
-# nanosecond-scale benches measure systematically slower at shorter budgets
-# (short calibration runs underestimate iterations), which would read as a
-# phantom regression against a 0.05-budget baseline.
+# BENCH_perf.json whose within-run milestones are gated below in
+# unsanitized runs.
 (cd "$build_dir" && VOLTCACHE_BENCH_DIR="$build_dir" \
     ./bench/bench_micro --benchmark_min_time=0.05 > /dev/null)
-for artifact in BENCH_micro.json BENCH_perf.json; do
-    if [ ! -s "$build_dir/$artifact" ]; then
-        echo "ci: FAIL — bench_micro did not write $artifact" >&2
-        exit 1
-    fi
-    if command -v python3 > /dev/null 2>&1; then
-        python3 -m json.tool "$build_dir/$artifact" > /dev/null
-    fi
-done
+if [ ! -s "$build_dir/BENCH_perf.json" ]; then
+    echo "ci: FAIL — bench_micro did not write BENCH_perf.json" >&2
+    exit 1
+fi
+if command -v python3 > /dev/null 2>&1; then
+    python3 -m json.tool "$build_dir/BENCH_perf.json" > /dev/null
+fi
 
-echo "== bench gate: bench_check against committed baselines =="
-# Self-test the gate on the synthetic fixtures first: identical inputs must
-# pass, a 20% regression must exit non-zero.
-"$build_dir/tools/bench_check" \
-    --baseline "$repo_root/tools/testdata/bench_base.json" \
-    --fresh "$repo_root/tools/testdata/bench_base.json" > /dev/null
-if "$build_dir/tools/bench_check" \
-    --baseline "$repo_root/tools/testdata/bench_base.json" \
-    --fresh "$repo_root/tools/testdata/bench_regressed.json" > /dev/null 2>&1; then
-    echo "ci: FAIL — bench_check accepted a synthetic 20% regression" >&2
-    exit 1
-fi
-# The same for the speedup gate, on the committed BENCH_perf.json so the
-# result does not depend on this host's timings: the batched-replay
-# milestone spec must pass there, and its reversal must exit non-zero.
-perf_base="$repo_root/bench/baselines/BENCH_perf.json"
-"$build_dir/tools/bench_check" --baseline "$perf_base" --fresh "$perf_base" \
-    --speedup "sweep.exec_legs_per_sec/threads1:sweep.legs_per_sec/threads1:1.10" > /dev/null
-if "$build_dir/tools/bench_check" --baseline "$perf_base" --fresh "$perf_base" \
-    --speedup "sweep.legs_per_sec/threads1:sweep.exec_legs_per_sec/threads1:1.10" \
-    > /dev/null 2>&1; then
-    echo "ci: FAIL — bench_check accepted a reversed speedup spec" >&2
-    exit 1
-fi
+echo "== bench gate: figure artifacts against committed baselines, timing milestones within run =="
 # Figure artifacts are deterministic at fixed trials/scale/benchmarks, so
-# compare them against the committed baselines on every run.
+# compare them against the committed baselines on every run. (ctest covers
+# bench_check itself on the fixtures under tools/testdata.)
 for artifact in fig10 fig12; do
     VOLTCACHE_BENCH_DIR="$build_dir" VOLTCACHE_TRIALS=2 VOLTCACHE_SCALE=tiny \
         VOLTCACHE_BENCHMARKS=crc32,basicmath \
@@ -507,36 +480,27 @@ for artifact in fig10 fig12; do
         --baseline "$repo_root/bench/baselines/BENCH_$artifact.json" \
         --fresh "$build_dir/BENCH_$artifact.json"
 done
-# Timing artifacts are machine- and sanitizer-dependent: only gate them in
-# unsanitized runs, with a generous relative threshold on top of the stored
-# CI half-widths.
+# No absolute rate is compared across runs: timings are machine- and
+# sanitizer-dependent. In unsanitized runs, two within-run milestones take
+# both of their metrics from the SAME fresh BENCH_perf.json, each pair of
+# sides timed in alternating pairs, so they measure the engine rather than
+# the host.
+#   * Batched replay: the default sweep's single-thread legs/sec with replay
+#     must stay at least 1.10x the same tiny sweep's rate without replay
+#     (execution-driven legs). It reads ~1.25-1.45x on a shared 4-vCPU
+#     host; 1.10x only catches the milestone being *lost*, not noise.
+#   * Serve: a warm store must serve legs at least 5x the cold
+#     (simulate-and-populate) rate (measured ~300x; 5x only catches the
+#     cache being lost).
 if [ "$sanitize" = "OFF" ]; then
-    # Two within-run milestones first: each ratio takes both of its metrics
-    # from the SAME fresh BENCH_perf.json, so it measures the engine rather
-    # than the host.
-    #   * Batched replay: the default sweep's single-thread legs/sec with
-    #     replay must stay at least 1.10x the same tiny sweep's rate without
-    #     replay (execution-driven legs). The committed baseline reads
-    #     ~1.4x; 1.10x only catches the milestone being *lost*, not noise.
-    #   * Serve: a warm store must serve legs at least 5x the cold
-    #     (simulate-and-populate) rate (measured ~100x+ on a quiet machine;
-    #     5x only catches the cache being lost).
     "$build_dir/tools/bench_check" \
         --baseline "$build_dir/BENCH_perf.json" \
         --fresh "$build_dir/BENCH_perf.json" \
         --speedup "sweep.exec_legs_per_sec/threads1:sweep.legs_per_sec/threads1:1.10" \
         --speedup "serve.cold_legs_per_sec:serve.warm_legs_per_sec:5.0"
-    "$build_dir/tools/bench_check" \
-        --baseline "$repo_root/bench/baselines/BENCH_micro.json" \
-        --fresh "$build_dir/BENCH_micro.json" \
-        --rel-threshold 0.5
-    "$build_dir/tools/bench_check" \
-        --baseline "$repo_root/bench/baselines/BENCH_perf.json" \
-        --fresh "$build_dir/BENCH_perf.json" \
-        --rel-threshold 0.5
 else
-    echo "   (skipping micro/perf timing gate: sanitizers distort timings;"
-    echo "    rerun with VOLTCACHE_CI_SANITIZE=OFF to enforce it)"
+    echo "   (skipping the timing milestones: sanitizers distort timings;"
+    echo "    rerun with VOLTCACHE_CI_SANITIZE=OFF to enforce them)"
 fi
 
 echo "== ci: all checks passed =="
