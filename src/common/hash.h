@@ -16,8 +16,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -57,19 +59,17 @@ private:
 /// Field-tagged streaming front end for building content keys: scalars are
 /// hashed in a fixed-width little-endian encoding, strings length-prefixed,
 /// so two different field sequences can never collide by concatenation.
+/// Fields are encoded into a fixed buffer on the writer (on the stack, where
+/// the writer lives) that feeds SHA-256 only when full and at finish(): a
+/// key of up to kStagedBytes — a leg key is 266 bytes — is hashed in one
+/// update call instead of one per field, with the same bytes.
 class HashWriter {
 public:
-    void u8(std::uint8_t value) noexcept { hash_.update(&value, 1); }
-    void u32(std::uint32_t value) noexcept {
-        std::uint8_t bytes[4];
-        for (int i = 0; i < 4; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-        hash_.update(bytes, sizeof(bytes));
-    }
-    void u64(std::uint64_t value) noexcept {
-        std::uint8_t bytes[8];
-        for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-        hash_.update(bytes, sizeof(bytes));
-    }
+    static constexpr std::size_t kStagedBytes = 512;
+
+    void u8(std::uint8_t value) noexcept { put(&value, 1); }
+    void u32(std::uint32_t value) noexcept { littleEndian(value); }
+    void u64(std::uint64_t value) noexcept { littleEndian(value); }
     void i32(std::int32_t value) noexcept { u32(static_cast<std::uint32_t>(value)); }
     /// Doubles hash by IEEE-754 bit pattern: the key must distinguish every
     /// representable parameter value, not an approximation of it.
@@ -77,18 +77,51 @@ public:
     void boolean(bool value) noexcept { u8(value ? 1 : 0); }
     void str(std::string_view text) noexcept {
         u64(text.size());
-        hash_.update(text);
+        put(text.data(), text.size());
     }
     void bytes(const void* data, std::size_t size) noexcept {
         u64(size);
-        hash_.update(data, size);
+        put(data, size);
     }
-    void digest(const Digest256& d) noexcept { hash_.update(d.data(), d.size()); }
+    void digest(const Digest256& d) noexcept { put(d.data(), d.size()); }
 
-    [[nodiscard]] Digest256 finish() noexcept { return hash_.finish(); }
+    [[nodiscard]] Digest256 finish() noexcept {
+        hash_.update(staged_.data(), used_);
+        return hash_.finish();
+    }
 
 private:
+    /// One store on little-endian hosts: bytes written one at a time and
+    /// then copied as a word stall store forwarding, field after field.
+    template <typename T>
+    void littleEndian(T value) noexcept {
+        std::uint8_t bytes[sizeof(T)];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(bytes, &value, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i) {
+                bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+            }
+        }
+        put(bytes, sizeof(T));
+    }
+
+    void put(const void* data, std::size_t size) noexcept {
+        if (size > staged_.size() - used_) {
+            hash_.update(staged_.data(), used_);
+            used_ = 0;
+            if (size > staged_.size()) {
+                hash_.update(data, size);
+                return;
+            }
+        }
+        std::memcpy(staged_.data() + used_, data, size);
+        used_ += size;
+    }
+
     Sha256 hash_;
+    std::array<std::uint8_t, kStagedBytes> staged_{}; ///< [0, used_) not yet hashed
+    std::size_t used_ = 0;
 };
 
 } // namespace voltcache

@@ -1,6 +1,7 @@
 #include "core/replay.h"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -195,44 +196,88 @@ struct LaneRuntime {
     timing::PipelineState* st = nullptr;
 };
 
-/// Thread-local pool of L2Cache objects reused across batches. Constructing
-/// an L2 allocates and zeroes a ~400KB tag store — at tiny workload scales
-/// that costs as much as replaying thousands of instructions, and it
-/// recurs for every lane of every leg. reinitialize() restores the
-/// as-constructed state (epoch-bumped tags, clean dirty bits, zero stats),
-/// so a pooled cache is observationally identical to a fresh one: LRU
-/// compares only relative ages within the current epoch.
+/// Process-wide pool of L2Cache objects reused across batches, jobs and
+/// threads. Constructing an L2 allocates and zeroes a ~400KB tag store — at
+/// tiny workload scales that costs as much as replaying thousands of
+/// instructions, and it recurs for every lane of every leg. reinitialize()
+/// restores the as-constructed state (epoch-bumped tags, clean dirty bits,
+/// zero stats), so a pooled cache is observationally identical to a fresh
+/// one: LRU compares only relative ages within the current epoch. One pool
+/// serves every thread, so a sweep's long-lived workers share their L2
+/// models, and trim() keeps only as many as were in use at once since the
+/// last trim: a run of same-shaped sweeps reuses its models, and a small
+/// job after a large one hands the surplus back to the allocator.
 class L2Pool {
 public:
     [[nodiscard]] static std::unique_ptr<L2Cache> acquire(const L2Cache::Config& config) {
-        auto& free = freeList();
-        while (!free.empty()) {
-            std::unique_ptr<L2Cache> l2 = std::move(free.back());
-            free.pop_back();
-            const CacheOrganization& org = l2->config().org;
-            if (org.sizeBytes == config.org.sizeBytes &&
-                org.blockBytes == config.org.blockBytes &&
-                org.associativity == config.org.associativity) {
-                l2->reinitialize(config);
-                return l2;
+        std::unique_ptr<L2Cache> l2;
+        {
+            const std::scoped_lock lock(mutex());
+            State& state = pool();
+            state.peakInUse = std::max(state.peakInUse, ++state.inUse);
+            // Drop objects of another organization (it changed between sweeps).
+            while (!state.free.empty() &&
+                   !sameOrganization(state.free.back()->config().org, config.org)) {
+                state.free.pop_back();
             }
-            // Organization changed between sweeps: drop the stale object.
+            if (!state.free.empty()) {
+                l2 = std::move(state.free.back());
+                state.free.pop_back();
+            }
         }
-        return std::make_unique<L2Cache>(config);
+        if (l2 == nullptr) return std::make_unique<L2Cache>(config);
+        l2->reinitialize(config);
+        return l2;
     }
 
     static void release(std::unique_ptr<L2Cache> l2) {
-        if (l2) freeList().push_back(std::move(l2));
+        if (l2 == nullptr) return;
+        const std::scoped_lock lock(mutex());
+        State& state = pool();
+        --state.inUse;
+        state.free.push_back(std::move(l2));
+    }
+
+    static void trim() {
+        std::vector<std::unique_ptr<L2Cache>> surplus;
+        {
+            const std::scoped_lock lock(mutex());
+            State& state = pool();
+            const std::size_t keep = state.peakInUse > state.inUse
+                                         ? state.peakInUse - state.inUse
+                                         : 0;
+            while (state.free.size() > keep) {
+                surplus.push_back(std::move(state.free.back()));
+                state.free.pop_back();
+            }
+            state.peakInUse = state.inUse;
+        }
     }
 
 private:
-    static std::vector<std::unique_ptr<L2Cache>>& freeList() {
-        static thread_local std::vector<std::unique_ptr<L2Cache>> pool;
-        return pool;
+    struct State {
+        std::vector<std::unique_ptr<L2Cache>> free;
+        std::size_t inUse = 0;     ///< acquired and not yet released
+        std::size_t peakInUse = 0; ///< most in use at once since the last trim
+    };
+
+    static bool sameOrganization(const CacheOrganization& a, const CacheOrganization& b) {
+        return a.sizeBytes == b.sizeBytes && a.blockBytes == b.blockBytes &&
+               a.associativity == b.associativity;
+    }
+    static std::mutex& mutex() {
+        static std::mutex poolMutex;
+        return poolMutex;
+    }
+    static State& pool() {
+        static State state;
+        return state;
     }
 };
 
 } // namespace
+
+void trimReplayCaches() { L2Pool::trim(); }
 
 std::unique_ptr<const ReplaySource> recordReplaySource(const Module& module,
                                                        const SystemConfig& recordConfig,

@@ -106,4 +106,11 @@ struct BatchLane {
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes);
 
+/// Free the L2 models replayBatch keeps for reuse between batches (a ~400KB
+/// tag store each) beyond the most that were in use at once since the last
+/// call. A sweep calls it when it finishes: repeated sweeps of one shape
+/// keep reusing their models, and a small job after a large one returns the
+/// surplus to the allocator.
+void trimReplayCaches();
+
 } // namespace voltcache

@@ -4,12 +4,16 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include <cstdio>
@@ -64,61 +68,243 @@ struct BenchmarkContext {
     TraceCache traces;
 };
 
-/// Lazily-generated fault maps for one operating point — every trial's chip
-/// at once, drawn by the batched generator (generateChipFaultMapsBatch).
-/// The chip seeds are scheme- and benchmark-independent, so every
-/// defect-tolerant leg of a (point, trial) shares one draw instead of
-/// regenerating ~8K-word maps per leg, and batching the point's trials
-/// amortizes the failure-model evaluation and map allocation across them.
-struct PointMapSlot {
-    std::once_flag once;
-    std::vector<detail::LegFaultMaps> maps; ///< indexed by trial
+/// The order ready tasks run in: every benchmark's build before any context
+/// or mapgen, those before any unit; ties in push order. Long contexts thus
+/// start early, and a unit waits only for its own benchmark's contexts and
+/// its point's maps, never for a phase barrier.
+enum class Stage : std::uint8_t { Build, Prepare, Unit };
+
+/// One job's tasks. A running task may push its dependents; run() returns
+/// once no task is ready or running. Each task runs under a worker id below
+/// `workers`, held by one thread at a time. Pool threads serve the job; the
+/// calling thread runs the module builds, and any task while no pool thread
+/// serves the job — a one-worker job, or a pool busy with other jobs — so a
+/// job always progresses. The state is guarded by the pool's mutex; the
+/// tasks run unlocked.
+class TaskGraph {
+public:
+    using Body = std::function<void(unsigned worker)>;
+
+    explicit TaskGraph(unsigned workers) : pooled_(workers > 1) {
+        for (unsigned id = workers; id > 0; --id) freeIds_.push_back(id - 1);
+    }
+
+    void push(Stage stage, Body body);
+    /// Run every task; then rethrow the first exception a task let escape.
+    void run();
+
+private:
+    friend class WorkerPool;
+    struct Task {
+        Stage stage;
+        std::uint64_t sequence;
+        Body body;
+        /// Heap order: the earliest stage, then the earliest push, on top.
+        bool operator<(const Task& other) const {
+            return std::tie(stage, sequence) > std::tie(other.stage, other.sequence);
+        }
+    };
+
+    [[nodiscard]] bool done() const { return pending_ == 0 && helpers_ == 0 && invited_ == 0; }
+
+    const bool pooled_;       ///< whether pool threads may serve the job
+    bool running_ = false;    ///< run() called: pool threads can find the job
+    std::vector<Task> ready_; ///< a heap under Task::operator<
+    std::uint64_t pushed_ = 0;
+    std::size_t pending_ = 0;       ///< tasks ready or running
+    std::vector<unsigned> freeIds_; ///< worker ids no thread holds, lowest at the back
+    unsigned helpers_ = 0;          ///< pool threads inside the job
+    unsigned invited_ = 0;          ///< pool threads woken for the job, not yet in it
+    bool callerAsleep_ = false;
+    std::condition_variable callerWake_;
+    std::exception_ptr escaped_;
 };
 
-/// The sweep's one failure rule: the error of the lowest canonical index
-/// surfaces, so which one does never depends on the thread count.
+/// The process-lifetime thread pool every job shares. Threads start with the
+/// first job that wants them, grow to the most workers any job has asked
+/// for, never shrink, and sleep on a condition variable between jobs. A
+/// lone job's contexts, maps and units run on pool threads only, as they
+/// ran on per-job threads before: a calling thread that simulated would
+/// grow its own allocator arena (glibc keeps one per thread), and a process
+/// calling from several threads would hold one more arena's worth of freed
+/// memory per caller. The pool is never destroyed: a sleeping thread holds
+/// no job state, and process exit ends it.
+class WorkerPool {
+public:
+    static WorkerPool& instance() {
+        static WorkerPool* const pool = new WorkerPool;
+        return *pool;
+    }
+
+    void push(TaskGraph& job, TaskGraph::Task task) {
+        const std::scoped_lock lock(mutex_);
+        task.sequence = job.pushed_++;
+        job.ready_.push_back(std::move(task));
+        std::push_heap(job.ready_.begin(), job.ready_.end());
+        ++job.pending_;
+        if (job.running_) serve(job);
+    }
+
+    void run(TaskGraph& job) {
+        std::unique_lock lock(mutex_);
+        job.running_ = true;
+        if (job.pooled_) {
+            while (threads_.size() < job.freeIds_.size()) {
+                ++idle_; // asleep from its start, so serve() can invite it
+                threads_.emplace_back([this] { helperLoop(); });
+            }
+            jobs_.push_back(&job);
+            serve(job);
+        }
+        while (!job.done()) {
+            if (!job.ready_.empty() && !job.freeIds_.empty() &&
+                (job.ready_.front().stage == Stage::Build || job.helpers_ + job.invited_ == 0)) {
+                // A build, or no pool thread serves the job: run the task as
+                // one of its workers.
+                const unsigned worker = job.freeIds_.back();
+                job.freeIds_.pop_back();
+                runOne(lock, job, worker);
+                job.freeIds_.push_back(worker);
+            } else {
+                job.callerAsleep_ = true;
+                job.callerWake_.wait(lock, [&job] { return !job.callerAsleep_; });
+            }
+        }
+        if (job.pooled_) jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+        if (job.escaped_) std::rethrow_exception(job.escaped_);
+    }
+
+    [[nodiscard]] unsigned threads() {
+        const std::scoped_lock lock(mutex_);
+        return static_cast<unsigned>(threads_.size());
+    }
+
+private:
+    WorkerPool() = default;
+
+    static void wakeCaller(TaskGraph& job) {
+        if (!job.callerAsleep_) return;
+        job.callerAsleep_ = false;
+        job.callerWake_.notify_one();
+    }
+
+    /// Invite sleeping threads while the job has more ready tasks than free
+    /// ids taken; with none to invite and none serving, wake the caller.
+    void serve(TaskGraph& job) {
+        const std::size_t useful = std::min(job.ready_.size(), job.freeIds_.size());
+        while (job.pooled_ && job.invited_ < useful && idle_ > wakeTokens_) {
+            ++job.invited_;
+            ++wakeTokens_;
+            wake_.notify_one();
+        }
+        if (job.helpers_ + job.invited_ == 0) wakeCaller(job);
+    }
+
+    /// Pop the job's next task and run it unlocked as `worker`.
+    static void runOne(std::unique_lock<std::mutex>& lock, TaskGraph& job, unsigned worker) {
+        std::pop_heap(job.ready_.begin(), job.ready_.end());
+        TaskGraph::Body body = std::move(job.ready_.back().body);
+        job.ready_.pop_back();
+        lock.unlock();
+        std::exception_ptr escaped;
+        try {
+            body(worker);
+        } catch (...) {
+            escaped = std::current_exception();
+        }
+        body = nullptr; // release the task's captures outside the lock
+        lock.lock();
+        if (escaped && !job.escaped_) job.escaped_ = escaped;
+        --job.pending_;
+    }
+
+    /// Sleep until a job invites the thread; it is counted in idle_.
+    void sleepUntilInvited(std::unique_lock<std::mutex>& lock) {
+        wake_.wait(lock, [this] { return wakeTokens_ > 0; });
+        --wakeTokens_;
+        --idle_;
+    }
+
+    void helperLoop() {
+        std::unique_lock lock(mutex_);
+        sleepUntilInvited(lock);
+        bool invited = true; // woken by a job's invitation, which it answers
+        while (true) {
+            const auto job = std::find_if(jobs_.begin(), jobs_.end(), [&](const TaskGraph* j) {
+                return invited ? j->invited_ > 0 : !j->ready_.empty() && !j->freeIds_.empty();
+            });
+            if (job == jobs_.end()) {
+                ++idle_;
+                sleepUntilInvited(lock);
+                invited = true;
+                continue;
+            }
+            TaskGraph& graph = **job;
+            if (invited) --graph.invited_;
+            invited = false;
+            if (!graph.ready_.empty() && !graph.freeIds_.empty()) {
+                const unsigned worker = graph.freeIds_.back();
+                graph.freeIds_.pop_back();
+                ++graph.helpers_;
+                while (!graph.ready_.empty()) runOne(lock, graph, worker);
+                graph.freeIds_.push_back(worker);
+                --graph.helpers_;
+            }
+            if (graph.done()) wakeCaller(graph);
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::vector<TaskGraph*> jobs_; ///< running jobs that take pool threads, oldest first
+    std::vector<std::thread> threads_; ///< never joined: the pool outlives every job
+    unsigned idle_ = 0;       ///< threads asleep on wake_
+    unsigned wakeTokens_ = 0; ///< invitations sent and not yet taken (sum of invited_)
+};
+
+void TaskGraph::push(Stage stage, Body body) {
+    WorkerPool::instance().push(*this, Task{stage, 0, std::move(body)});
+}
+
+void TaskGraph::run() { WorkerPool::instance().run(*this); }
+
+/// The sweep's one failure rule: the error of the lowest index surfaces, so
+/// which one does never depends on the thread count.
 void rethrowFirst(const std::vector<std::exception_ptr>& errors) {
     for (const std::exception_ptr& error : errors) {
         if (error) std::rethrow_exception(error);
     }
 }
 
-/// Run `job(index, worker)` for every index in [0, count) on at most
-/// `threads` workers (worker ids 0..threads-1) pulling indices off an atomic
-/// queue (work-stealing by over-decomposition: every index is a steal).
-/// Every index runs even when another throws; then rethrowFirst.
-void runIndexed(std::size_t count, unsigned threads,
-                const std::function<void(std::size_t, unsigned)>& job) {
-    std::vector<std::exception_ptr> errors(count);
-    std::atomic<std::size_t> next{0};
-    const auto work = [&](unsigned worker) {
-        for (std::size_t i = next++; i < count; i = next++) {
-            try {
-                job(i, worker);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
-    };
-    threads = static_cast<unsigned>(std::min<std::size_t>(threads, count));
-    if (threads <= 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> team;
-        team.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t) team.emplace_back(work, t);
-        for (auto& worker : team) worker.join();
-    }
-    rethrowFirst(errors);
-}
-
 /// How a leg got its result: simulated execution-driven, replayed from the
 /// benchmark's recorded trace (in a TrialBatch), or served from the store.
 enum class LegPath : std::uint8_t { Executed, Replayed, Cached };
 
-/// Per-worker-thread (scheme, voltage) leg counters through the handle API:
-/// the handles resolve to the calling thread's shard, so the hot loop never
-/// touches the registry lock or another thread's cells.
+/// Error kinds in the order they surface: any module error beats any probe
+/// error, which beats any context error, which beats any leg error.
+enum class Failure : std::uint8_t { Module, Probe, Context, Leg, None };
+
+/// A work unit: canonical indices of legs that run together.
+using Unit = std::vector<std::size_t>;
+
+/// Fault maps for one operating point — every trial's chip at once, drawn by
+/// the batched generator (generateChipFaultMapsBatch) in the point's mapgen
+/// task, which the first probe miss at the point starts. The chip seeds are
+/// scheme- and benchmark-independent, so every defect-tolerant leg of a
+/// (point, trial) shares one draw, and batching the point's trials amortizes
+/// the failure-model evaluation and map allocation across them.
+struct PointMaps {
+    std::atomic<bool> requested{false};
+    std::mutex mutex;
+    bool drawn = false;               ///< guarded by mutex
+    std::vector<const Unit*> waiting; ///< guarded by mutex: pushed once drawn
+    std::vector<detail::LegFaultMaps> maps; ///< indexed by trial; final once drawn
+    std::exception_ptr error;               ///< charged to every unit needing the maps
+};
+
+/// Per-worker (scheme, voltage) leg counters through the handle API: the
+/// handles resolve to the constructing thread's shard once, so the hot loop
+/// never touches the registry lock.
 class LegCounters {
 public:
     LegCounters()
@@ -170,21 +356,35 @@ private:
     std::map<std::pair<SchemeKind, int>, Handles> handles_;
 };
 
-/// The execute step: builds what the plan's legs need — modules, store
-/// probes, per-benchmark contexts, work units — then runs the units and
-/// fills one LegResult slot per leg, in canonical order.
+/// The execute step: one task graph per job. Per benchmark: build the
+/// module, then probe the store (a continuation of the build task), then
+/// the two context tasks, then the work units — each unit also waiting for
+/// its point's maps. Every leg fills one pre-sized LegResult slot, so the
+/// canonical reduction sees the same slots whatever ran where.
 class SweepExecution {
 public:
     SweepExecution(const detail::SweepPlan& plan, const SweepConfig& config)
         : plan_(plan),
           grid_(plan.grid),
           config_(config),
+          workers_(static_cast<unsigned>(std::min<std::size_t>(
+              plan.workers,
+              std::max<std::size_t>({2 * plan.grid.benchmarks.size(), plan.legs.size(), 1})))),
+          graph_(workers_),
           contexts_(grid_.benchmarks.size()),
+          firstLeg_(grid_.benchmarks.size() + 1, 0),
           slots_(plan.legs.size()),
+          legKeys_(config.resultSource != nullptr ? plan.legs.size() : 0),
           paths_(plan.legs.size(), LegPath::Executed),
+          units_(grid_.benchmarks.size()),
+          moduleErrors_(grid_.benchmarks.size()),
+          probeErrors_(grid_.benchmarks.size()),
+          contextErrors_(2 * grid_.benchmarks.size()),
           legErrors_(plan.legs.size()),
+          contextsLeft_(grid_.benchmarks.size()),
           chipMaps_(grid_.points.size()),
-          pendingPerBenchmark_(grid_.benchmarks.size()) {
+          pendingPerBenchmark_(grid_.benchmarks.size()),
+          counters_(workers_) {
         // Conventional cache pinned at Vccmin = 760mV: the Fig. 12
         // normalization baseline (and the functional reference checksum).
         // With replay enabled each layout's recording run doubles as its
@@ -192,63 +392,202 @@ public:
         ref_ = plan.legTemplate;
         ref_.scheme = SchemeKind::Conventional760;
         ref_.op = DvfsTable::vccminBaseline();
+        // Legs are in canonical order, so each benchmark's form one range.
+        for (const detail::SweepLeg& leg : plan.legs) ++firstLeg_[leg.benchmark + 1];
+        std::partial_sum(firstLeg_.begin(), firstLeg_.end(), firstLeg_.begin());
+        for (std::size_t b = 0; b < contexts_.size(); ++b) {
+            pendingPerBenchmark_[b].store(firstLeg_[b + 1] - firstLeg_[b],
+                                          std::memory_order_relaxed);
+            contextsLeft_[b].store(2, std::memory_order_relaxed);
+        }
     }
 
     std::vector<LegResult> run() {
-        runIndexed(contexts_.size(), plan_.workers,
-                   [this](std::size_t b, unsigned) { buildModule(b); });
-        const std::vector<char> needSimulation = probeStore();
-        runIndexed(2 * contexts_.size(), plan_.workers, [&](std::size_t task, unsigned) {
-            const obs::Span span("context");
-            if (needSimulation[task / 2] != 0) buildContext(task / 2, task % 2 == 1);
-        });
-        std::uint64_t residentBytes = 0; // visible while the sweep holds the traces
-        for (const BenchmarkContext& ctx : contexts_) {
-            // The transform must not change the program's answer.
-            if (ctx.traces.bbr != nullptr && ctx.bbrRef760.run.halted && ctx.ref760.run.halted) {
-                VC_CHECK(ctx.bbrRef760.checksum == ctx.ref760.checksum);
-            }
-            residentBytes += ctx.traces.residentBytes();
+        const std::vector<detail::SweepLeg>& legs = plan_.legs;
+        lastLegTickNs_.store(steadyNowNs(), std::memory_order_relaxed);
+        // Leg lifecycle: every leg is announced once, in canonical order,
+        // from the calling thread before any task runs — so before the
+        // probe and the contexts pick its path.
+        for (std::size_t i = 0; config_.onLegEvent && i < legs.size(); ++i) {
+            config_.onLegEvent(legEvent(i, obs::LegEvent::Phase::Enqueued, 0));
         }
         obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-        reg.set("trace.resident_bytes", {}, static_cast<double>(residentBytes));
-        reg.gauge("trace.resident_bytes_peak").setMax(static_cast<double>(residentBytes));
+        reg.set("trace.resident_bytes", {}, 0.0); // grows as benchmarks record traces
 
-        buildUnits();
-        runUnits();
+        // Worker-utilization / queue-depth sampler, attached only when
+        // someone is watching (profiling enabled or the current job takes
+        // instant events; a traced job alone does not start one):
+        // its background thread reads the executor's atomics and never
+        // touches leg state, so it cannot perturb the deterministic result.
+        std::optional<obs::UtilizationSampler> sampler;
+        if (obs::Profiler::enabled() || obs::instantEventsOn()) {
+            sampler.emplace([this, totalLegs = static_cast<std::uint64_t>(legs.size())] {
+                const std::uint64_t active = activeWorkers_.load(std::memory_order_relaxed);
+                const std::uint64_t inFlight =
+                    legsCompleted_.load(std::memory_order_relaxed) + active;
+                return obs::UtilizationSampler::Sample{
+                    active, workers_, totalLegs > inFlight ? totalLegs - inFlight : 0};
+            });
+        }
+
+        const std::uint64_t startedNs = steadyNowNs();
+        for (std::uint32_t b = 0; b < contexts_.size(); ++b) {
+            graph_.push(Stage::Build, [this, b](unsigned worker) { buildModule(b, worker); });
+        }
+        graph_.run();
+        trimReplayCaches();
+        sampler.reset(); // joins the sampler thread and emits the final sample
+        const double elapsed = 1e-9 * static_cast<double>(steadyNowNs() - startedNs);
+        if (!legs.empty() && elapsed > 0.0) {
+            reg.set("sweep.legs_per_sec", {}, static_cast<double>(legs.size()) / elapsed);
+            reg.set("sweep.workers", {}, static_cast<double>(workers_));
+        }
+
+        if (legs.empty()) {
+            // A grid without legs (e.g. trials == 0) still ticks every
+            // benchmark's completion, in benchmark order.
+            for (std::uint32_t b = 0; b < contexts_.size(); ++b) finishBenchmark(b);
+        }
+        rethrowFirst(moduleErrors_);
+        rethrowFirst(probeErrors_);
+        rethrowFirst(contextErrors_);
+        rethrowFirst(legErrors_);
+        // Without an error every task ran: a leg whose dependencies never
+        // released it would leave an unfilled slot behind.
+        VC_ENSURES(legsCompleted_.load(std::memory_order_relaxed) == legs.size());
         return std::move(slots_);
     }
 
 private:
-    void buildModule(std::size_t b) {
-        BenchmarkContext& ctx = contexts_[b];
-        ctx.module = buildBenchmark(grid_.benchmarks[b], config_.scale);
-        ctx.bbrModule = ctx.module; // deep copy
-        applyBbrTransforms(ctx.bbrModule, config_.systemTemplate.maxBlockWords);
-        if (config_.resultSource != nullptr) ctx.digest = moduleDigest(ctx.module);
+    /// Record the current exception in `slot` (one task owns each slot).
+    void fail(Failure kind, std::exception_ptr& slot) {
+        slot = std::current_exception();
+        auto first = firstFailure_.load(std::memory_order_relaxed);
+        while (kind < first &&
+               !firstFailure_.compare_exchange_weak(first, kind, std::memory_order_relaxed)) {
+        }
     }
 
-    /// Probe the result store before committing to any heavy work. A hit
-    /// fills the leg's canonical slot directly; returns, per benchmark,
-    /// whether any of its legs still has to simulate — one whose legs all
-    /// hit never records a trace or runs its reference simulations.
-    std::vector<char> probeStore() {
-        std::vector<char> needSimulation(contexts_.size(), config_.resultSource == nullptr);
-        if (config_.resultSource == nullptr) return needSimulation;
-        const obs::Span probeSpan("store_probe");
-        legKeys_.resize(plan_.legs.size());
-        for (std::size_t i = 0; i < plan_.legs.size(); ++i) {
+    /// Whether an error that beats every `kind` error is already recorded:
+    /// the task can skip its work without changing which error surfaces.
+    /// Builds never skip — every module error must be seen.
+    [[nodiscard]] bool superseded(Failure kind) const {
+        return firstFailure_.load(std::memory_order_relaxed) < kind;
+    }
+
+    void buildModule(std::uint32_t b, unsigned worker) {
+        BenchmarkContext& ctx = contexts_[b];
+        try {
+            ctx.module = buildBenchmark(grid_.benchmarks[b], config_.scale);
+            ctx.bbrModule = ctx.module; // deep copy
+            applyBbrTransforms(ctx.bbrModule, config_.systemTemplate.maxBlockWords);
+            if (config_.resultSource != nullptr) ctx.digest = moduleDigest(ctx.module);
+        } catch (...) {
+            fail(Failure::Module, moduleErrors_[b]);
+            return;
+        }
+        if (config_.resultSource != nullptr) {
+            probeStore(b, worker);
+        } else {
+            prepare(b);
+        }
+    }
+
+    /// Probe the store for the benchmark's legs before committing to any
+    /// heavy work: keys computed here, in parallel with other benchmarks'
+    /// tasks, then looked up under one store lock. A hit fills the leg's
+    /// canonical slot directly. Misses start the benchmark's contexts and
+    /// their points' maps; then the hits finish on this worker. A benchmark
+    /// whose legs all hit never records a trace or draws a map.
+    void probeStore(std::uint32_t b, unsigned worker) {
+        if (superseded(Failure::Probe)) return;
+        const std::size_t begin = firstLeg_[b];
+        const std::size_t count = firstLeg_[b + 1] - begin;
+        std::size_t hits = 0;
+        try {
+            const obs::Span probeSpan("store_probe");
+            for (std::size_t i = begin; i < begin + count; ++i) {
+                const detail::SweepLeg& leg = plan_.legs[i];
+                legKeys_[i] = legDigest(contexts_[b].digest, grid_.schemes[leg.scheme],
+                                        grid_.points[leg.point],
+                                        plan_.chipSeeds[leg.point][leg.trial], plan_.legTemplate);
+            }
+            std::vector<char> hit(count);
+            hits = config_.resultSource->lookupBatch(
+                std::span<const Digest256>(legKeys_).subspan(begin, count),
+                std::span<LegResult>(slots_).subspan(begin, count), hit);
+            for (std::size_t k = 0; k < count; ++k) {
+                if (hit[k] != 0) paths_[begin + k] = LegPath::Cached;
+            }
+        } catch (...) {
+            fail(Failure::Probe, probeErrors_[b]);
+            return;
+        }
+        if (hits < count) prepare(b);
+        // The hits, one unit per point window (their slots are filled).
+        for (std::size_t i = begin; i < begin + count;) {
+            Unit cached;
+            const std::uint32_t point = plan_.legs[i].point;
+            for (; i < begin + count && plan_.legs[i].point == point; ++i) {
+                if (paths_[i] == LegPath::Cached) cached.push_back(i);
+            }
+            if (!cached.empty()) runUnit(cached, worker);
+        }
+    }
+
+    /// Start what the benchmark's uncached legs need: its two context tasks
+    /// and the maps of every point where a defect-tolerant leg simulates.
+    void prepare(std::uint32_t b) {
+        bool simulates = false;
+        for (std::size_t i = firstLeg_[b]; i < firstLeg_[b + 1]; ++i) {
+            if (paths_[i] == LegPath::Cached) continue;
+            simulates = true;
             const detail::SweepLeg& leg = plan_.legs[i];
-            legKeys_[i] = legDigest(contexts_[leg.benchmark].digest, grid_.schemes[leg.scheme],
-                                    grid_.points[leg.point], plan_.chipSeeds[leg.point][leg.trial],
-                                    plan_.legTemplate);
-            if (config_.resultSource->lookup(legKeys_[i], slots_[i])) {
-                paths_[i] = LegPath::Cached;
-            } else {
-                needSimulation[leg.benchmark] = 1;
+            if (!detail::schemeIsDefectFree(grid_.schemes[leg.scheme]) &&
+                !chipMaps_[leg.point].requested.exchange(true, std::memory_order_relaxed)) {
+                graph_.push(Stage::Prepare, [this, p = leg.point](unsigned) { drawMaps(p); });
             }
         }
-        return needSimulation;
+        if (!simulates) return;
+        for (const bool bbrLayout : {false, true}) {
+            graph_.push(Stage::Prepare,
+                        [this, b, bbrLayout](unsigned) { contextTask(b, bbrLayout); });
+        }
+    }
+
+    /// The point's mapgen task: draw every trial's chip, then release the
+    /// units that waited for them.
+    void drawMaps(std::uint32_t p) {
+        PointMaps& slot = chipMaps_[p];
+        if (!superseded(Failure::Leg)) {
+            try {
+                SystemConfig sys = plan_.legTemplate;
+                sys.op = grid_.points[p];
+                slot.maps = detail::generateChipFaultMapsBatch(sys, plan_.chipSeeds[p]);
+            } catch (...) {
+                slot.error = std::current_exception();
+            }
+        }
+        std::vector<const Unit*> waiting;
+        {
+            const std::scoped_lock lock(slot.mutex);
+            slot.drawn = true;
+            waiting.swap(slot.waiting);
+        }
+        for (const Unit* unit : waiting) pushUnit(*unit);
+    }
+
+    void contextTask(std::uint32_t b, bool bbrLayout) {
+        if (!superseded(Failure::Context)) {
+            try {
+                const obs::Span span("context");
+                buildContext(b, bbrLayout);
+            } catch (...) {
+                fail(Failure::Context, contextErrors_[2 * b + (bbrLayout ? 1 : 0)]);
+            }
+        }
+        // The second context to finish sees the first one's writes.
+        if (contextsLeft_[b].fetch_sub(1, std::memory_order_acq_rel) == 1) contextsReady(b);
     }
 
     std::unique_ptr<const ReplaySource> recordLayout(std::size_t b, const Module& module,
@@ -305,122 +644,109 @@ private:
         for (BatchLane& lane : lanes) ctx.defectFree.push_back(std::move(lane.result));
     }
 
-    /// Give every leg its path and group the legs into work units. A unit
-    /// is a single execution-driven leg, a TrialBatch — consecutive
-    /// replayable legs of one (benchmark, point, layout) group, split into
-    /// near-equal chunks of at most detail::replayUnitCap lanes, that stream
-    /// the decoded tape together — or a cached group: store-served legs of
-    /// one (benchmark, point) window, whose slots are already filled. Unit
-    /// composition only affects scheduling — every leg still writes its own
-    /// canonical slot, so the reduction (and the JSON) is byte-identical to
-    /// the execution-driven, uncached engine.
-    void buildUnits() {
-        const std::vector<detail::SweepLeg>& legs = plan_.legs;
-        for (std::size_t i = 0; i < legs.size(); ++i) {
-            if (paths_[i] != LegPath::Cached &&
-                contexts_[legs[i].benchmark].traces.canReplay(grid_.schemes[legs[i].scheme])) {
-                paths_[i] = LegPath::Replayed;
+    /// Both contexts are in: check them, account the traces, and release
+    /// the benchmark's units.
+    void contextsReady(std::uint32_t b) {
+        if (contextErrors_[2 * b] || contextErrors_[2 * b + 1] || superseded(Failure::Leg)) return;
+        const BenchmarkContext& ctx = contexts_[b];
+        try {
+            // The transform must not change the program's answer.
+            if (ctx.traces.bbr != nullptr && ctx.bbrRef760.run.halted && ctx.ref760.run.halted) {
+                VC_CHECK(ctx.bbrRef760.checksum == ctx.ref760.checksum);
             }
+        } catch (...) {
+            fail(Failure::Context, contextErrors_[2 * b + 1]);
+            return;
         }
-        const std::size_t laneCap = detail::replayUnitCap(
-            config_.batchLanes,
-            static_cast<std::size_t>(std::count(paths_.begin(), paths_.end(), LegPath::Replayed)),
-            plan_.workers);
-        const auto pushChunked = [&](const std::vector<std::size_t>& group) {
-            auto start = group.begin();
-            for (const std::size_t size : detail::chunkSizes(group.size(), laneCap)) {
-                const auto end = start + static_cast<std::ptrdiff_t>(size);
-                units_.emplace_back(start, end);
-                start = end;
-            }
-        };
-        std::size_t i = 0;
-        while (i < legs.size()) {
-            std::vector<std::size_t> plainGroup;
-            std::vector<std::size_t> bbrGroup;
-            std::vector<std::size_t> cachedGroup;
-            std::size_t j = i;
-            for (; j < legs.size() && legs[j].benchmark == legs[i].benchmark &&
-                   legs[j].point == legs[i].point;
-                 ++j) {
-                if (paths_[j] == LegPath::Cached) {
-                    cachedGroup.push_back(j);
-                } else if (paths_[j] == LegPath::Replayed) {
-                    (schemeNeedsBbrLinking(grid_.schemes[legs[j].scheme]) ? bbrGroup : plainGroup)
-                        .push_back(j);
-                } else {
-                    units_.push_back({j});
-                }
-            }
-            if (!cachedGroup.empty()) units_.push_back(std::move(cachedGroup));
-            pushChunked(plainGroup);
-            pushChunked(bbrGroup);
-            i = j;
-        }
-        workers_ = std::min<unsigned>(plan_.workers, std::max<std::size_t>(units_.size(), 1));
+        // Visible while the sweep holds the traces.
+        const auto resident = static_cast<double>(
+            residentBytes_.fetch_add(ctx.traces.residentBytes(), std::memory_order_relaxed) +
+            ctx.traces.residentBytes());
+        obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+        reg.set("trace.resident_bytes", {}, resident);
+        reg.gauge("trace.resident_bytes_peak").setMax(resident);
+        buildUnits(b);
     }
 
-    /// Workers pull units and fill the pre-sized slots (cached slots were
-    /// already filled by the store probe).
-    void runUnits() {
+    /// Give the benchmark's uncached legs their paths and group them into
+    /// work units: a single execution-driven leg, or a TrialBatch —
+    /// consecutive replayable legs of one (point, layout) group, split into
+    /// near-equal chunks of at most detail::replayUnitCap lanes, that stream
+    /// the decoded tape together. Unit composition only affects scheduling —
+    /// every leg still writes its own canonical slot, so the reduction (and
+    /// the JSON) is byte-identical to the execution-driven, uncached engine.
+    /// A unit with a defect-tolerant leg runs once its point's maps are
+    /// drawn; the others run at once.
+    void buildUnits(std::uint32_t b) {
         const std::vector<detail::SweepLeg>& legs = plan_.legs;
-        for (const detail::SweepLeg& leg : legs) {
-            pendingPerBenchmark_[leg.benchmark].fetch_add(1, std::memory_order_relaxed);
+        const std::size_t end = firstLeg_[b + 1];
+        std::size_t replayable = 0;
+        for (std::size_t i = firstLeg_[b]; i < end; ++i) {
+            if (paths_[i] != LegPath::Cached &&
+                contexts_[b].traces.canReplay(grid_.schemes[legs[i].scheme])) {
+                paths_[i] = LegPath::Replayed;
+                ++replayable;
+            }
         }
-        lastLegTickNs_.store(steadyNowNs(), std::memory_order_relaxed);
-        // Leg lifecycle: every leg is announced once, in canonical order,
-        // from the coordinating thread before any worker starts.
-        for (std::size_t i = 0; config_.onLegEvent && i < legs.size(); ++i) {
-            config_.onLegEvent(legEvent(i, obs::LegEvent::Phase::Enqueued, 0));
+        const std::size_t laneCap =
+            detail::replayUnitCap(config_.batchLanes, replayable, plan_.workers);
+        std::vector<Unit>& units = units_[b];
+        const auto pushChunked = [&](const Unit& group) {
+            auto start = group.begin();
+            for (const std::size_t size : detail::chunkSizes(group.size(), laneCap)) {
+                const auto stop = start + static_cast<std::ptrdiff_t>(size);
+                units.emplace_back(start, stop);
+                start = stop;
+            }
+        };
+        for (std::size_t i = firstLeg_[b]; i < end;) {
+            Unit plainGroup;
+            Unit bbrGroup;
+            const std::uint32_t point = legs[i].point;
+            for (; i < end && legs[i].point == point; ++i) {
+                if (paths_[i] == LegPath::Replayed) {
+                    (schemeNeedsBbrLinking(grid_.schemes[legs[i].scheme]) ? bbrGroup : plainGroup)
+                        .push_back(i);
+                } else if (paths_[i] == LegPath::Executed) {
+                    units.push_back({i});
+                }
+            }
+            pushChunked(plainGroup);
+            pushChunked(bbrGroup);
         }
-
-        // Worker-utilization / queue-depth sampler, attached only when
-        // someone is watching (profiling enabled or the current job takes
-        // instant events; a traced job alone does not start one):
-        // its background thread reads the executor's atomics and never
-        // touches leg state, so it cannot perturb the deterministic result.
-        std::optional<obs::UtilizationSampler> sampler;
-        if (obs::Profiler::enabled() || obs::instantEventsOn()) {
-            sampler.emplace([this, totalLegs = static_cast<std::uint64_t>(legs.size())] {
-                const std::uint64_t active = activeWorkers_.load(std::memory_order_relaxed);
-                const std::uint64_t inFlight =
-                    legsCompleted_.load(std::memory_order_relaxed) + active;
-                return obs::UtilizationSampler::Sample{
-                    active, workers_, totalLegs > inFlight ? totalLegs - inFlight : 0};
+        // units is complete: the pointers below stay valid.
+        for (const Unit& unit : units) {
+            const bool needsMaps = std::ranges::any_of(unit, [&](std::size_t i) {
+                return !detail::schemeIsDefectFree(grid_.schemes[legs[i].scheme]);
             });
+            if (needsMaps) {
+                PointMaps& slot = chipMaps_[legs[unit.front()].point];
+                const std::scoped_lock lock(slot.mutex);
+                if (!slot.drawn) {
+                    slot.waiting.push_back(&unit);
+                    continue;
+                }
+            }
+            pushUnit(unit);
         }
+    }
 
-        const std::uint64_t startedNs = steadyNowNs();
-        std::vector<std::optional<LegCounters>> counters(workers_);
-        runIndexed(units_.size(), workers_, [&](std::size_t unit, unsigned worker) {
-            // Counter handles resolve to the constructing thread's shard.
-            if (!counters[worker].has_value()) counters[worker].emplace();
-            runUnit(unit, worker, *counters[worker]);
-        });
-        sampler.reset(); // joins the sampler thread and emits the final sample
-        const double elapsed = 1e-9 * static_cast<double>(steadyNowNs() - startedNs);
-        if (!legs.empty() && elapsed > 0.0) {
-            obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-            reg.set("sweep.legs_per_sec", {}, static_cast<double>(legs.size()) / elapsed);
-            reg.set("sweep.workers", {}, static_cast<double>(workers_));
-        }
-
-        if (legs.empty()) {
-            // A grid without legs (e.g. trials == 0) still ticks every
-            // benchmark's completion, in benchmark order.
-            for (std::uint32_t b = 0; b < contexts_.size(); ++b) finishBenchmark(b);
-        }
-        rethrowFirst(legErrors_);
+    void pushUnit(const Unit& unit) {
+        graph_.push(Stage::Unit, [this, &unit](unsigned worker) { runUnit(unit, worker); });
     }
 
     /// One unit: announce its legs, produce their results on the unit's path
     /// (execute the one leg, replay the batch, or nothing for store hits),
     /// then finish every leg in canonical order. A failure before results
     /// exist is charged to the unit's first leg.
-    void runUnit(std::size_t unitIndex, unsigned worker, LegCounters& counters) {
-        activeWorkers_.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<std::size_t>& unit = units_[unitIndex];
+    void runUnit(const Unit& unit, unsigned worker) {
         const LegPath path = paths_[unit.front()];
+        if (path != LegPath::Cached && superseded(Failure::Leg)) return;
+        // Counter handles resolve to the shard of the first thread to run
+        // as this worker; the cells are atomic, so later holders share them.
+        if (!counters_[worker].has_value()) counters_[worker].emplace();
+        LegCounters& counters = *counters_[worker];
+        activeWorkers_.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t startedNs = steadyNowNs();
         for (std::size_t i = 0; config_.onLegEvent && i < unit.size(); ++i) {
             config_.onLegEvent(legEvent(unit[i], obs::LegEvent::Phase::Started, worker));
@@ -443,7 +769,11 @@ private:
                     sys.op = grid_.points[leg.point];
                     sys.faultMapSeed = plan_.chipSeeds[leg.point][leg.trial];
                     if (!detail::schemeIsDefectFree(sys.scheme)) {
-                        lanes[i].chipMaps = chipMapsFor(leg, sys);
+                        // One chip = one (point, trial): every defect-tolerant
+                        // leg on it, across benchmarks, shares the map pair.
+                        const PointMaps& slot = chipMaps_[leg.point];
+                        if (slot.error) std::rethrow_exception(slot.error);
+                        lanes[i].chipMaps = &slot.maps[leg.trial];
                     }
                 }
                 const BenchmarkContext& ctx = contexts_[plan_.legs[unit.front()].benchmark];
@@ -455,7 +785,7 @@ private:
                 }
                 ran = true;
             } catch (...) {
-                legErrors_[unit.front()] = std::current_exception();
+                fail(Failure::Leg, legErrors_[unit.front()]);
             }
         }
         if (path == LegPath::Replayed) counters.batchDone(unit.size());
@@ -468,18 +798,6 @@ private:
                       startedNs + i * legNs, legNs);
         }
         activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    /// One chip = one (point, trial): all defect-tolerant scheme legs across
-    /// every benchmark run against the same pre-drawn map pair. The whole
-    /// point's trials are drawn in one batched pass on first touch.
-    const detail::LegFaultMaps* chipMapsFor(const detail::SweepLeg& leg,
-                                            const SystemConfig& sys) {
-        PointMapSlot& slot = chipMaps_[leg.point];
-        std::call_once(slot.once, [&] {
-            slot.maps = detail::generateChipFaultMapsBatch(sys, plan_.chipSeeds[leg.point]);
-        });
-        return &slot.maps[leg.trial];
     }
 
     /// The one per-leg finishing routine, whatever path the leg took:
@@ -500,7 +818,7 @@ private:
                     config_.resultSource->store(legKeys_[index], slots_[index]);
                 }
             } catch (...) {
-                legErrors_[index] = std::current_exception();
+                fail(Failure::Leg, legErrors_[index]);
             }
         }
         const LegResult& metrics = slots_[index];
@@ -616,15 +934,26 @@ private:
     const SweepGrid& grid_;
     const SweepConfig& config_;
     SystemConfig ref_; ///< the 760mV conventional reference run
+    /// plan.workers clamped to the widest the graph can get (two contexts
+    /// per benchmark, one unit per leg): the worker ids are 0..workers_-1.
+    unsigned workers_;
+    TaskGraph graph_;
     std::vector<BenchmarkContext> contexts_;
+    std::vector<std::size_t> firstLeg_; ///< benchmark b's legs: [firstLeg_[b], firstLeg_[b+1])
     std::vector<LegResult> slots_;
     std::vector<Digest256> legKeys_; ///< filled when a store is probed
     std::vector<LegPath> paths_;
-    std::vector<std::vector<std::size_t>> units_;
-    unsigned workers_ = 1; ///< plan.workers clamped to the unit count
-    std::vector<std::exception_ptr> legErrors_;
-    std::vector<PointMapSlot> chipMaps_;
+    std::vector<std::vector<Unit>> units_; ///< per benchmark; fixed once its units are pushed
+    std::vector<std::exception_ptr> moduleErrors_;  ///< per benchmark
+    std::vector<std::exception_ptr> probeErrors_;   ///< per benchmark
+    std::vector<std::exception_ptr> contextErrors_; ///< per context task (2b, 2b+1)
+    std::vector<std::exception_ptr> legErrors_;     ///< per canonical leg
+    std::atomic<Failure> firstFailure_{Failure::None};
+    std::vector<std::atomic<int>> contextsLeft_; ///< per benchmark
+    std::vector<PointMaps> chipMaps_;            ///< per point
     std::vector<std::atomic<std::size_t>> pendingPerBenchmark_;
+    std::vector<std::optional<LegCounters>> counters_; ///< per worker id
+    std::atomic<std::uint64_t> residentBytes_{0};
     std::atomic<std::size_t> legsCompleted_{0};
     std::array<std::atomic<std::size_t>, 3> legsByPath_{}; ///< indexed by LegPath
     std::mutex progressMutex_;
@@ -635,7 +964,19 @@ private:
 
 } // namespace
 
+std::size_t LegResultSource::lookupBatch(std::span<const Digest256> keys,
+                                         std::span<LegResult> out, std::span<char> hits) {
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        hits[i] = lookup(keys[i], out[i]) ? 1 : 0;
+        found += static_cast<std::size_t>(hits[i]);
+    }
+    return found;
+}
+
 namespace detail {
+
+unsigned executorThreads() { return WorkerPool::instance().threads(); }
 
 std::size_t replayUnitCap(std::uint32_t batchLanes, std::size_t replayableLegs,
                           unsigned workers) {

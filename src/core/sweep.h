@@ -10,16 +10,22 @@
 // Execution model: plan → execute → reduce. The plan (detail::planSweep,
 // pure) resolves the grid, flattens it into (benchmark, point, scheme,
 // trial) legs in canonical order and draws one chip seed per (point,
-// trial). Execute builds the modules, probes the result store, then
-// prepares shared immutable contexts where a leg will simulate — two
-// parallel tasks per benchmark, one per layout: the plain recording with the
-// reference and defect-free runs, and the BBR twin's recording. N workers
-// pull work units (one executed leg, a batch of replayed legs — see
-// detail::replayUnitCap — or a group of store hits) off an atomic queue and
-// write each leg's metrics into a pre-sized slot; a failure surfaces as the
-// error of the lowest canonical index. Reduce (detail::reduceSweep) walks
-// the slots in canonical leg order, so the aggregated result — and its JSON
-// export — is bit-identical for every thread count.
+// trial). Execute runs one task graph per call on a process-lifetime
+// thread pool, started on the first call with more than one worker; the
+// calling thread runs the module builds, and any task while no pool thread
+// serves its job, so concurrent calls share the pool and each always
+// progresses. Per benchmark the graph is: build the module, probe the
+// result store for its legs, run its two context tasks — the plain
+// recording with the reference and defect-free runs, and the BBR twin's
+// recording — then its work units (one executed leg, or a batch of
+// replayed legs — see detail::replayUnitCap), each also waiting for its
+// point's mapgen task, which the first probe miss at the point starts.
+// No phase waits for another benchmark. Every leg writes its metrics into
+// a pre-sized slot; a failure surfaces as the first module error, else the
+// first probe, context or leg error, each by lowest canonical index. Reduce
+// (detail::reduceSweep) walks the slots in canonical leg order, so the
+// aggregated result — and its JSON export — is bit-identical for every
+// thread count.
 #pragma once
 
 #include <cstddef>
@@ -61,12 +67,17 @@ struct LegResult {
 /// Injectable content-addressed result source consulted before any leg
 /// simulates (src/serve/store.h implements it as an LRU + on-disk segment).
 /// lookup() fills `out` and returns true on a hit; store() is called with
-/// every freshly simulated leg. Both run concurrently from sweep workers
-/// and must be thread-safe.
+/// every freshly simulated leg. The sweep probes one benchmark's legs at a
+/// time through lookupBatch(), which sets hits[i] (and fills out[i]) for
+/// each hit and returns the number of hits; the default calls lookup() per
+/// key, and a source behind one lock overrides it to take the lock once.
+/// All three run concurrently from sweep workers and must be thread-safe.
 class LegResultSource {
 public:
     virtual ~LegResultSource() = default;
     virtual bool lookup(const Digest256& key, LegResult& out) = 0;
+    virtual std::size_t lookupBatch(std::span<const Digest256> keys, std::span<LegResult> out,
+                                    std::span<char> hits);
     virtual void store(const Digest256& key, const LegResult& value) = 0;
 };
 
@@ -95,9 +106,11 @@ struct SweepConfig {
     std::uint32_t trials = 5;               ///< fault maps per operating point
     std::uint64_t baseSeed = 0xC0FFEE;
     std::uint64_t maxInstructions = 0;
-    /// Worker threads; 0 = hardware concurrency (4 when unknown). Each step
-    /// is clamped to its task count, the leg step to the work units (not
-    /// benchmarks), so many-core hosts stay busy to the end.
+    /// Workers; 0 = hardware concurrency (4 when unknown). The shared pool
+    /// lends up to this many threads while the job has tasks ready, growing
+    /// the first time a job asks for more; 1 runs the job on the calling
+    /// thread alone. Never more than the job's widest step (two contexts
+    /// per benchmark, one unit per leg), so worker ids stay dense.
     unsigned threads = 0;
     /// Org / energy / pipeline knobs. Observers must be empty: replayed and
     /// stored legs do not execute (attach them through simulateSystem).
@@ -115,8 +128,9 @@ struct SweepConfig {
     /// Cap on lanes (trials) per batch; 0 picks the engine default (32).
     /// The replayable legs of one (benchmark, point, layout) group stream
     /// one decoded tape through up to this many trials at once
-    /// (core/replay.h replayBatch), in near-equal chunks that a small grid
-    /// shrinks further so every worker gets work (detail::replayUnitCap);
+    /// (core/replay.h replayBatch), in near-equal chunks that a benchmark
+    /// with few such legs shrinks further so every worker gets work
+    /// (detail::replayUnitCap);
     /// results are byte-identical for every cap, 1 included.
     /// Execution-driven legs are never batched.
     /// Smaller batches trade decode amortization for scheduling grains and
@@ -124,13 +138,13 @@ struct SweepConfig {
     /// arrays, scheme state, L2 counters, pipeline scoreboard).
     std::uint32_t batchLanes = 0;
     /// Content-addressed result source (`voltcache serve`'s store). When
-    /// set, every leg's digest is probed once the modules are built, before
-    /// any heavy work: hits skip record/replay/execution entirely
-    /// (benchmarks whose legs all hit never even record their traces),
-    /// misses simulate as usual and populate the source. Cached legs feed
-    /// the reduction the exact slots a cold run would have produced, so the
-    /// sweep JSON stays byte-identical. The source outlives the call;
-    /// nullptr = off.
+    /// set, each benchmark's leg digests are probed as soon as its module
+    /// is built, with one lookupBatch() per benchmark, before any heavy
+    /// work: hits skip record/replay/execution entirely (a benchmark whose
+    /// legs all hit runs no context task and draws no map), misses simulate
+    /// as usual and populate the source. Cached legs feed the reduction the
+    /// exact slots a cold run would have produced, so the sweep JSON stays
+    /// byte-identical. The source outlives the call; nullptr = off.
     LegResultSource* resultSource = nullptr;
     /// Invoked after each benchmark's last leg completes (boundary ticks)
     /// and on leg completion at most every ~200ms (leg ticks), serialized
@@ -139,8 +153,10 @@ struct SweepConfig {
     /// its JSON export.
     std::function<void(const SweepProgress&)> onProgress;
     /// Leg lifecycle hook: one obs::LegEvent per transition (Enqueued,
-    /// Started, Finished). Enqueued fires from the coordinator, in canonical
-    /// leg order, before any leg runs; Started/Finished fire concurrently
+    /// Started, Finished). Enqueued fires from the calling thread, in
+    /// canonical leg order, before any task runs — so before the probe and
+    /// the contexts pick the leg's path, and its replayed/cached flags are
+    /// false; Started/Finished carry the path and fire concurrently
     /// from workers — the callback must be thread-safe and must not block
     /// (drop, don't stall). A Finished event carries the leg's start stamp
     /// and duration; batched legs tile their unit's wall window. Trace ids
@@ -225,15 +241,20 @@ struct SweepPlan {
 /// Most workers a sweep asking for `threads` runs (see SweepConfig::threads).
 [[nodiscard]] unsigned sweepWorkers(unsigned threads);
 
+/// Threads the process-lifetime executor pool has started so far: 0 until
+/// a sweep first runs with more than one worker, then the most workers any
+/// sweep has asked for.
+[[nodiscard]] unsigned executorThreads();
+
 [[nodiscard]] SweepPlan planSweep(const SweepConfig& config);
 
 /// Fold one slot per plan leg, in canonical leg order.
 [[nodiscard]] SweepResult reduceSweep(const SweepPlan& plan, std::span<const LegResult> slots);
 
 /// Lane cap of one replay unit: `batchLanes` (0 = the default 32), lowered
-/// until the sweep's `replayableLegs` make at least two units per worker, so
-/// a small job (a serve miss) spreads over every worker instead of queueing
-/// behind one wide batch. Never below 1.
+/// until a benchmark's `replayableLegs` make at least two units per worker,
+/// so a small job (a serve miss) spreads over every worker instead of
+/// queueing behind one wide batch. Never below 1.
 [[nodiscard]] std::size_t replayUnitCap(std::uint32_t batchLanes, std::size_t replayableLegs,
                                         unsigned workers);
 

@@ -35,8 +35,9 @@ struct SweepProgress {
 };
 
 /// One leg lifecycle transition. Enqueued events fire from the coordinating
-/// thread after the grid is flattened (before any leg runs); Started and
-/// Finished fire concurrently from worker threads. The struct is POD with
+/// thread after the grid is flattened (before any leg runs, so before its
+/// path is known: replayed and cached are false); Started and Finished fire
+/// concurrently from worker threads. The struct is POD with
 /// truncating fixed-size names, so the journal's rings and the flight
 /// recorder's crash ring copy it without allocating.
 struct LegEvent {

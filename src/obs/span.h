@@ -14,11 +14,11 @@
 // another thread contends, and an exited thread's totals stay in the cells.
 //
 // Profiling is globally off by default: a disabled Span construction is one
-// relaxed atomic load and a branch (the zero-overhead guard bench_micro
-// enforces). When enabled, a closing span also lands, while a job is open,
-// in the current job's timeline (obs/trace.h) as a "phase" duration event on
-// the closing thread's track — so one sweep yields both the aggregate
-// profile and the per-leg timeline.
+// relaxed atomic load and a branch (bench_micro's BM_SpanDisabled prints its
+// cost; no gate checks it). When enabled, a closing span also lands, while a
+// job is open, in the current job's timeline (obs/trace.h) as a "phase"
+// duration event on the closing thread's track — so one sweep yields both
+// the aggregate profile and the per-leg timeline.
 //
 // Span names must be string literals (stored by pointer, like every
 // timeline event name).

@@ -296,10 +296,30 @@ void LegStore::openSegmentForAppend(const std::string& path, bool truncate) {
 
 bool LegStore::lookup(const Digest256& key, LegResult& out) {
     const std::lock_guard<std::mutex> lock(mutex_);
+    const bool hit = lookupLocked(key, out);
+    (hit ? hitsMetric_ : missesMetric_).add();
+    return hit;
+}
+
+std::size_t LegStore::lookupBatch(std::span<const Digest256> keys, std::span<LegResult> out,
+                                  std::span<char> hits) {
+    std::size_t found = 0;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            hits[i] = lookupLocked(keys[i], out[i]) ? 1 : 0;
+            found += static_cast<std::size_t>(hits[i]);
+        }
+    }
+    hitsMetric_.add(found);
+    missesMetric_.add(keys.size() - found);
+    return found;
+}
+
+bool LegStore::lookupLocked(const Digest256& key, LegResult& out) {
     const std::uint32_t id = index_.empty() ? kNil : index_[findCell(key)];
     if (id == kNil) {
         ++stats_.misses;
-        missesMetric_.add();
         return false;
     }
     touch(id);
@@ -314,7 +334,6 @@ bool LegStore::lookup(const Digest256& key, LegResult& out) {
     out.branchFrac = entry.branchFrac;
     out.forensics = entry.forensics != kNil ? forensics_[entry.forensics] : LegForensics{};
     ++stats_.hits;
-    hitsMetric_.add();
     return true;
 }
 

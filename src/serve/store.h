@@ -25,9 +25,11 @@
 //     header (magic/payload-size mismatch after a format change) discards
 //     the whole file — it is a cache, losing it costs re-simulation only.
 //
-// Thread safety: one mutex guards the LRU and the segment writer. lookup()
-// and store() are called concurrently from sweep workers; the serial probe
-// pass in runSweep keeps the hot path mostly uncontended.
+// Thread safety: one mutex guards the LRU and the segment writer. lookup(),
+// lookupBatch() and store() are called concurrently from sweep workers. A
+// sweep probes each benchmark's legs with one lookupBatch() — one lock
+// acquisition per benchmark, not per leg — so probes of different
+// benchmarks running side by side barely contend.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +37,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +92,8 @@ public:
     LegStore& operator=(const LegStore&) = delete;
 
     bool lookup(const Digest256& key, LegResult& out) override;
+    std::size_t lookupBatch(std::span<const Digest256> keys, std::span<LegResult> out,
+                            std::span<char> hits) override;
     void store(const Digest256& key, const LegResult& value) override;
 
     /// Flush the segment writer (graceful-shutdown path; the destructor
@@ -156,6 +161,8 @@ private:
     void assign(Slot& entry, const LegResult& value);
     void releaseForensics(Slot& entry);
 
+    /// lookup() without the lock or the hit/miss metrics.
+    [[nodiscard]] bool lookupLocked(const Digest256& key, LegResult& out);
     void loadSegment(const std::string& path);
     void openSegmentForAppend(const std::string& path, bool truncate);
     void insertLocked(const Digest256& key, const LegResult& value, bool persist);

@@ -298,6 +298,41 @@ TEST(ContentKey, LegDigestSensitiveToEveryResultAffectingField) {
     EXPECT_NE(reference, legDigest(module, SchemeKind::FfwBbr, perturbed, 42, base));
 }
 
+// Every hashed field holds a value no other field holds, so a field that
+// moves, drops out or changes width in the key encoding changes this key.
+TEST(ContentKey, LegDigestBytesPinnedWithDistinctFields) {
+    Digest256 module{};
+    for (std::size_t i = 0; i < module.size(); ++i) module[i] = static_cast<std::uint8_t>(i);
+    OperatingPoint point = DvfsTable::at(440_mV);
+    point.pFailBit = 1.5e-4;
+    SystemConfig t;
+    t.l1Org = {.sizeBytes = 1001, .blockBytes = 1002, .associativity = 1003, .wordBytes = 1004,
+               .addressBits = 1005, .dataCell = SramCell::C10T, .tagCell = SramCell::CST};
+    t.maxInstructions = 1006;
+    t.dramLatencyNs = 1007.5;
+    t.maxBlockWords = 1008;
+    t.faultRateScale = 1009.5;
+    t.energy.coreDynamicPerInstr = 1010.5;
+    t.energy.l1AccessEnergy = 1011.5;
+    t.energy.l2AccessEnergy = 1012.5;
+    t.energy.l2WriteEnergy = 1013.5;
+    t.energy.dramAccessEnergy = 1014.5;
+    t.energy.auxAccessEnergy = 1015.5;
+    t.energy.coreL1StaticPower = 1016.5;
+    t.energy.l2StaticPower = 1017.5;
+    t.energy.referenceVoltage = Voltage::fromMillivolts(1018.5);
+    t.pipeline.issueWidth = 1019;
+    t.pipeline.mispredictPenalty = 1020;
+    t.pipeline.mulLatency = 1021;
+    t.pipeline.divLatency = 1022;
+    t.pipeline.predictor.bhtEntries = 1023;
+    t.pipeline.predictor.btbEntries = 1024;
+    t.pipeline.predictor.btbWays = 1025;
+    t.pipeline.predictor.rasEntries = 1026;
+    EXPECT_EQ(digestToHex(legDigest(module, SchemeKind::IdcPlus, point, 0x0123456789ABCDEFull, t)),
+              "8cbedcae2efe865089bf7e26b75dc4c534c683cb875c67d0f26361f29ad44aea");
+}
+
 // ---- LegResult codec ----
 
 LegResult sampleResult() {

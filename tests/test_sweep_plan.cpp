@@ -5,7 +5,10 @@
 //   * detail::reduceSweep folds hand-built slots into cells, per-benchmark
 //     cells and forensics;
 //   * the executor surfaces the failure of the lowest canonical index at
-//     every thread count, and refuses trace observers.
+//     every thread count, and refuses trace observers;
+//   * the executor's shared pool: concurrent jobs, a job wider than the
+//     pool, and a fully cached job that never reaches a context or a map.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +16,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -20,9 +24,13 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
+#include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_telemetry.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "power/dvfs.h"
+#include "serve/store.h"
 
 namespace voltcache {
 namespace {
@@ -283,6 +291,96 @@ TEST(SweepFailure, TraceObserversAreRefused) {
     EXPECT_THROW((void)runSweep(config), ContractViolation);
     EXPECT_EQ(observer.count, 0U);
     EXPECT_EQ(source.calls.load(), 0);
+}
+
+std::string sweepJson(const SweepConfig& config) {
+    SweepExportMeta meta;
+    meta.version = "sweep-plan-test";
+    meta.seed = config.baseSeed;
+    meta.trials = config.trials;
+    meta.scale = "tiny";
+    meta.benchmarks = config.benchmarks;
+    return sweepResultToJson(runSweep(config), meta);
+}
+
+SweepConfig withThreads(SweepConfig config, unsigned threads) {
+    config.threads = threads;
+    return config;
+}
+
+TEST(SweepExecutor, ConcurrentJobsShareThePoolByteIdentically) {
+    SweepConfig first = gridConfig();
+    SweepConfig second = gridConfig();
+    second.benchmarks = {"qsort"};
+    second.baseSeed = 7;
+    const std::string firstSerial = sweepJson(withThreads(first, 1));
+    const std::string secondSerial = sweepJson(withThreads(second, 1));
+
+    for (const unsigned threads : {2U, 4U}) {
+        std::string firstJson;
+        std::string secondJson;
+        std::thread other([&] { secondJson = sweepJson(withThreads(second, threads)); });
+        firstJson = sweepJson(withThreads(first, threads));
+        other.join();
+        EXPECT_EQ(firstJson, firstSerial) << "threads " << threads;
+        EXPECT_EQ(secondJson, secondSerial) << "threads " << threads;
+    }
+}
+
+TEST(SweepExecutor, PoolGrowsForAWiderJob) {
+    const SweepConfig config = gridConfig();
+    const std::string serial = sweepJson(withThreads(config, 1));
+    EXPECT_EQ(sweepJson(withThreads(config, 2)), serial);
+    EXPECT_GE(detail::executorThreads(), 2U);
+    EXPECT_EQ(sweepJson(withThreads(config, 16)), serial);
+    EXPECT_GE(detail::executorThreads(), 16U);
+}
+
+double gaugeValue(const char* name) {
+    for (const obs::MetricSnapshot& metric : obs::MetricsRegistry::global().snapshot()) {
+        if (metric.name == name && metric.labels.empty()) return metric.value;
+    }
+    return -1.0;
+}
+
+TEST(SweepExecutor, FullyCachedJobRecordsNoTraceAndDrawsNoMap) {
+    serve::LegStore store({.byteBudget = 64 << 20, .directory = ""});
+    SweepConfig config = gridConfig();
+    config.threads = 4;
+    config.resultSource = &store;
+    const std::string cold = sweepJson(config);
+    EXPECT_GT(gaugeValue("trace.resident_bytes"), 0.0);
+
+    obs::Profiler::reset();
+    obs::Profiler::setEnabled(true);
+    const std::string warm = sweepJson(config);
+    const std::vector<obs::SpanStat> spans = obs::Profiler::snapshot();
+    obs::Profiler::setEnabled(false);
+
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(gaugeValue("trace.resident_bytes"), 0.0);
+    for (const obs::SpanStat& span : spans) {
+        EXPECT_TRUE(span.name != "record" && span.name != "mapgen" && span.name != "context")
+            << span.name << " closed " << span.count << " times";
+    }
+    EXPECT_TRUE(std::ranges::any_of(
+        spans, [](const obs::SpanStat& span) { return span.name == "store_probe"; }));
+}
+
+TEST(SweepFailure, ModuleErrorBeatsAFullyCachedBenchmark) {
+    serve::LegStore store({.byteBudget = 64 << 20, .directory = ""});
+    SweepConfig config = gridConfig();
+    config.benchmarks = {"crc32"};
+    config.resultSource = &store;
+    (void)runSweep(config); // every crc32 leg of the grid is now stored
+
+    config.benchmarks = {"crc32", "nope1"};
+    for (const unsigned threads : {1U, 2U, 8U}) {
+        config.threads = threads;
+        const std::string error = sweepError(config);
+        EXPECT_NE(error.find("nope1"), std::string::npos)
+            << "threads " << threads << ": " << error;
+    }
 }
 
 } // namespace

@@ -116,13 +116,15 @@ fi
 # The closed-form renderer must accept the full Table II grid.
 "$build_dir/tools/voltcache" model > /dev/null
 
-echo "== determinism smoke: sweep JSON identical across --threads 1/0/2/8 =="
+echo "== determinism smoke: sweep JSON identical across --threads 1/0/2/8/16 =="
 # The parallel executor reduces per-leg slots in canonical order, so the
 # export must be byte-identical for any worker count, default (0) included.
+# 16 workers exceed the cores of a small host, grow the shared pool, and
+# split this grid into replay units down to one lane.
 det_base="$build_dir/ci_det_t1.json"
 "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
     --scale tiny --threads 1 --json "$det_base" > /dev/null
-for threads in 0 2 8; do
+for threads in 0 2 8 16; do
     det_json="$build_dir/ci_det_t$threads.json"
     "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
         --scale tiny --threads "$threads" --json "$det_json" > /dev/null
