@@ -1,6 +1,7 @@
-// Google-benchmark microbenchmarks of the library's hot paths: fault-map
-// generation, BIST, scheme access loops, BBR linking, observability
-// primitives, and per-leg simulation and replay. google-benchmark's own
+// Google-benchmark microbenchmarks of the library's hot paths: BIST, scheme
+// access loops, observability primitives, and one end-to-end FFW+BBR leg.
+// Fault-map generation, the BBR link, simulator throughput and replay per
+// lane-instruction are perfbench's per-layer metrics, not repeated here. google-benchmark's own
 // `--benchmark_out=FILE --benchmark_out_format=json` writes their numbers.
 //
 // After them, main() writes BENCH_perf.json (see bench_export.h) from a few
@@ -15,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -24,9 +24,7 @@
 #include "core/replay.h"
 #include "core/sweep.h"
 #include "core/system.h"
-#include "cpu/simulator.h"
 #include "faults/bist.h"
-#include "linker/linker.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -39,16 +37,6 @@ namespace {
 
 using namespace voltcache;
 using voltcache::literals::operator""_mV;
-
-void BM_FaultMapGeneration(benchmark::State& state) {
-    const FaultMapGenerator generator;
-    Rng rng(1);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(generator.generate(rng, 400_mV, 1024, 8));
-    }
-    state.SetItemsProcessed(state.iterations() * 8192);
-}
-BENCHMARK(BM_FaultMapGeneration);
 
 void BM_BistMarch(benchmark::State& state) {
     Rng rng(2);
@@ -106,39 +94,6 @@ void BM_FfwReadLoopTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_FfwReadLoopTraced);
 
-void BM_BbrLink(benchmark::State& state) {
-    Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
-    applyBbrTransforms(module);
-    const FaultMapGenerator generator;
-    Rng rng(4);
-    const FaultMap map = generator.generate(rng, 400_mV, 1024, 8);
-    LinkOptions options;
-    options.bbrPlacement = true;
-    options.icacheFaultMap = &map;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(link(module, options));
-    }
-}
-BENCHMARK(BM_BbrLink);
-
-void BM_SimulatorThroughput(benchmark::State& state) {
-    const Module module = buildBenchmark("crc32", WorkloadScale::Tiny);
-    const LinkOutput linked = link(module);
-    std::uint64_t instructions = 0;
-    for (auto _ : state) {
-        L2Cache l2;
-        CacheOrganization org;
-        ConventionalCache icache(org, l2);
-        ConventionalCache dcache(org, l2);
-        Simulator sim(linked.image, module.data, icache, dcache);
-        const RunStats stats = sim.run();
-        instructions += stats.instructions;
-        benchmark::DoNotOptimize(stats.cycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
-}
-BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
-
 void BM_EndToEndSystemLeg(benchmark::State& state) {
     const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
     Module bbrModule = module;
@@ -153,32 +108,6 @@ void BM_EndToEndSystemLeg(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EndToEndSystemLeg)->Unit(benchmark::kMillisecond);
-
-// Trace-driven twin of BM_EndToEndSystemLeg: identical leg configuration
-// (FFW+BBR at 400mV), evaluated as a one-lane replayBatch() from pre-recorded
-// traces. The ratio of the two is the per-leg speedup of the record-once /
-// replay-many engine.
-void BM_ReplayLegs(benchmark::State& state) {
-    const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
-    Module bbrModule = module;
-    applyBbrTransforms(bbrModule);
-    TraceCache traces;
-    SystemConfig record;
-    record.scheme = SchemeKind::Conventional760;
-    SystemResult ignored;
-    traces.plain = recordReplaySource(module, record, 0, ignored);
-    traces.bbr = recordReplaySource(bbrModule, record, 0, ignored);
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        BatchLane lane;
-        lane.config.scheme = SchemeKind::FfwBbr;
-        lane.config.op = DvfsTable::at(400_mV);
-        lane.config.faultMapSeed = seed++;
-        replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
-        benchmark::DoNotOptimize(lane.result);
-    }
-}
-BENCHMARK(BM_ReplayLegs)->Unit(benchmark::kMillisecond);
 
 // Cost of bumping a pre-resolved counter handle (one relaxed atomic add on
 // a per-thread cell) — the unit of overhead each instrumented hot path pays.
@@ -203,7 +132,8 @@ void BM_ObsTraceDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTraceDisabled);
 
-// Cost of an armed trace point: ring-slot write under the store mutex.
+// Cost of an armed trace point: the recording thread stores the event into
+// its own lock-free instant lane and publishes it, with no mutex.
 void BM_ObsTraceRecord(benchmark::State& state) {
     const InstantTraceJob job;
     for (auto _ : state) {

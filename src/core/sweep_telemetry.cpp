@@ -1,6 +1,5 @@
 #include "core/sweep_telemetry.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -8,23 +7,13 @@
 
 namespace voltcache {
 
-std::size_t sweepJournalProducers(unsigned threads) {
-    // runSweep may clamp its workers down to the unit count, never up.
-    return std::size_t{detail::sweepWorkers(threads)} + 1;
-}
-
 SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,
                              const SweepTelemetry& sinks)
-    : sinks_(sinks) {
+    : sinks_(sinks),
+      job_(obs::JobTraceStore::global().beginJob(std::string(label), sinks.trace, sinks.instants)) {
     if (sinks.board != nullptr) sinks.board->beginJob(std::string(label));
-    obs::JobTraceStore::global().beginJob(std::string(label), sinks.trace, sinks.instants);
     if (sinks.flight != nullptr) sinks.flight->noteJob(label, sinks.trace);
 
-    if (sinks.journal != nullptr) {
-        const auto rings =
-            static_cast<unsigned>(std::max<std::size_t>(sinks.journal->producers(), 2) - 1);
-        if (config.threads == 0 || config.threads > rings) config.threads = rings;
-    }
     if (sinks.board != nullptr || sinks.flight != nullptr) {
         config.onProgress = [sinks, next = std::move(config.onProgress)](
                                 const SweepProgress& tick) {
@@ -37,30 +26,22 @@ SweepJobScope::SweepJobScope(SweepConfig& config, std::string_view label,
             if (next) next(tick);
         };
     }
-    if (sinks.journal != nullptr || sinks.flight != nullptr || sinks.trace.valid()) {
-        config.onLegEvent = [sinks, next = std::move(config.onLegEvent)](
-                                const obs::LegEvent& event) {
+    const bool lifecycle = sinks.journal != nullptr || sinks.flight != nullptr;
+    if (lifecycle || sinks.trace.valid()) {
+        config.onLegEvent = [trace = sinks.trace, job = job_, lifecycle,
+                             next = std::move(config.onLegEvent)](const obs::LegEvent& event) {
             const bool finished = event.phase == obs::LegEvent::Phase::Finished;
             // The job trace keeps only Finished legs: with no other consumer,
             // the Enqueued and Started phases cost nothing past this test.
-            if (!finished && sinks.journal == nullptr && sinks.flight == nullptr && !next) {
-                return;
-            }
+            if (!finished && !lifecycle && !next) return;
             obs::LegEvent stamped = event;
-            if (sinks.trace.valid()) {
-                stamped.traceHi = sinks.trace.traceHi;
-                stamped.traceLo = sinks.trace.traceLo;
-                stamped.spanId = obs::childSpanId(sinks.trace, event.leg);
+            if (trace.valid()) {
+                stamped.traceHi = trace.traceHi;
+                stamped.traceLo = trace.traceLo;
+                stamped.spanId = obs::childSpanId(trace, event.leg);
             }
-            if (sinks.flight != nullptr) sinks.flight->noteLegEvent(stamped);
-            if (sinks.journal != nullptr) {
-                sinks.journal->emit(
-                    event.phase == obs::LegEvent::Phase::Enqueued ? 0 : event.worker + 1,
-                    stamped);
-            }
-            if (finished && sinks.trace.valid()) {
-                obs::JobTraceStore::global().recordLeg(stamped);
-            }
+            if (lifecycle) obs::recordLegEvent(stamped);
+            if (finished && job != 0) obs::recordLegSpan(stamped, job);
             if (next) next(stamped);
         };
     }

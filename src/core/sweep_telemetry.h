@@ -6,7 +6,7 @@
 // order whether the sweep returns or throws.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 #include "core/sweep.h"
@@ -16,10 +16,6 @@
 #include "obs/trace_context.h"
 
 namespace voltcache {
-
-/// LegJournal producer count for sweeps run with `threads` workers
-/// (0 = hardware concurrency): one ring per worker plus the coordinator's.
-[[nodiscard]] std::size_t sweepJournalProducers(unsigned threads);
 
 /// Telemetry sinks a sweep job can feed; null members (and an invalid
 /// trace) are skipped.
@@ -38,13 +34,14 @@ struct SweepTelemetry {
 /// The destructor closes the timeline — so no late span lands in it — then
 /// marks the board finished. It runs on the exception path too.
 ///
-/// Routing: hooks the config already carries still run, after the sinks,
-/// and see each LegEvent stamped with the job's trace id and the leg's
-/// childSpanId(trace, leg). Journal producer 0 is the coordinator (Enqueued
-/// events) and worker w writes ring 1 + w; the rings are single-producer, so
-/// with a journal attached the sweep runs at most as many workers as the
-/// journal has worker rings. Finished legs are recorded into the job's
-/// timeline.
+/// Routing: each LegEvent is stamped with the job's trace id and the leg's
+/// childSpanId(trace, leg) and recorded into the recording thread's event
+/// rings: every phase into its leg lane when a journal or flight recorder is
+/// attached (obs::recordLegEvent), which both read, and each Finished leg of
+/// a traced job into its timeline lane (obs::recordLegSpan), which the job's
+/// timeline renders — so a journal's Enqueued and Started events never evict
+/// a leg span. Hooks the config already carries still run, after the
+/// recording, and see the stamped event.
 class SweepJobScope {
 public:
     SweepJobScope(SweepConfig& config, std::string_view label, const SweepTelemetry& sinks);
@@ -54,6 +51,7 @@ public:
 
 private:
     SweepTelemetry sinks_;
+    std::uint32_t job_ = 0; ///< the timeline's serial (0 = untraced)
 };
 
 } // namespace voltcache

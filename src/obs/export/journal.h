@@ -1,85 +1,62 @@
-// Bounded, lock-light NDJSON leg journal.
+// Bounded NDJSON leg journal.
 //
-// One event per leg lifecycle transition (enqueued / started / finished).
-// Producers — the sweep coordinator and each worker thread — push fixed-size
-// POD events into their own single-producer/single-consumer ring; a drainer
-// thread pops every ring in order and serializes each event as one JSON line.
-// The hot path is therefore two relaxed atomic loads, a slot write, and a
-// release store — no mutex, no allocation, no syscall. When a ring is full
-// the event is *dropped, not blocked on*: the sweep must never stall on the
-// observer. Drops are accounted per journal (dropped()) and process-wide
-// ("journal.dropped" registry counter), so a saturated journal is visible in
-// the same /metrics endpoint it starves.
+// One line per leg lifecycle transition (enqueued / started / finished).
+// Producers keep no journal state: a sweep's job scope records each
+// obs::LegEvent once, into the recording thread's leg lane (obs/trace.h),
+// and a drainer thread walks every slot's leg lane with one cursor each and
+// writes the events it finds, one JSON line each. The hot path is the ring's
+// slot write and release stores — no mutex, no allocation, no syscall.
+// A lane that laps the drainer overwrites its oldest events: the journal
+// counts the leg events it lost that way, and those of threads whose slot
+// owns no ring, as dropped, and never stalls the sweep. Drops are accounted
+// per journal (dropped()) and process-wide ("journal.dropped" registry
+// counter), so a saturated journal is visible in the same /metrics
+// endpoint it starves.
 //
-// Per-producer event order is preserved end-to-end (SPSC FIFO + in-order
-// drain); events from different producers interleave arbitrarily, which is
-// why every line carries its worker id and a per-producer sequence number.
+// A line's producer is the thread slot whose lane held it ("slot"), not its
+// sweep worker id ("worker"): a pool thread runs tasks for any worker id.
+// Per-producer event order is preserved end to end (each lane is FIFO and
+// drained in order); events from different slots interleave arbitrarily.
+// `seq` is the event's index in its slot's leg lane counted from the
+// journal's open: per slot it counts 0, 1, 2, ... and skips only the
+// events counted as dropped.
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
 
 namespace voltcache::obs {
 
-namespace detail {
-
-/// Single-producer / single-consumer bounded ring of LegEvents.
-class SpscEventRing {
-public:
-    explicit SpscEventRing(std::size_t capacityPow2);
-    [[nodiscard]] bool tryPush(const LegEvent& event) noexcept; ///< producer
-    [[nodiscard]] bool tryPop(LegEvent& event) noexcept;        ///< consumer
-
-private:
-    std::vector<LegEvent> slots_;
-    std::size_t mask_ = 0;
-    alignas(64) std::atomic<std::uint64_t> head_{0}; ///< next pop
-    alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< next push
-};
-
-} // namespace detail
-
 class LegJournal {
 public:
-    /// Opens `path` for writing and sizes one ring per producer. Producer 0
-    /// is conventionally the sweep coordinator (enqueue events); workers use
-    /// 1 + workerId. `ringCapacity` is rounded up to a power of two.
-    /// `autoDrain=false` skips the drainer thread — tests drive drainOnce()
-    /// by hand to make overflow accounting deterministic.
+    /// Opens `path` for writing; the journal takes every leg event recorded
+    /// from then on. `autoDrain=false` skips the drainer thread — tests drive
+    /// drainOnce() by hand to make overflow accounting deterministic.
     /// `maxBytes` caps the journal file: when a written line would push the
     /// current file past the cap, the file is rotated to `path + ".1"`
     /// (replacing any previous rotation) and writing restarts on a fresh
     /// `path`. 0 = unbounded (the default).
-    LegJournal(const std::string& path, std::size_t producers,
-               std::size_t ringCapacity = 4096, bool autoDrain = true,
-               std::uint64_t maxBytes = 0);
+    explicit LegJournal(const std::string& path, bool autoDrain = true, std::uint64_t maxBytes = 0);
     ~LegJournal();
     LegJournal(const LegJournal&) = delete;
     LegJournal& operator=(const LegJournal&) = delete;
 
-    /// Producer side: stamp timestamp + sequence and push. A full ring (or an
-    /// out-of-range producer index) drops the event and bumps the counters.
-    void emit(std::size_t producer, LegEvent event) noexcept;
-
-    /// Pop-and-write everything currently queued; returns events written.
-    /// The drainer thread calls this continuously; with autoDrain=false the
-    /// owner does.
+    /// Read-and-write every leg event recorded since the last drain; returns
+    /// events written. The drainer thread calls this continuously; with
+    /// autoDrain=false the owner does.
     std::size_t drainOnce();
 
     /// Stop the drainer, perform a final drain, and flush the file.
     /// Idempotent; also run by the destructor.
     void close();
 
-    [[nodiscard]] std::size_t producers() const noexcept { return rings_.size(); }
     [[nodiscard]] std::uint64_t written() const noexcept {
         return written_.load(std::memory_order_relaxed);
     }
@@ -92,15 +69,18 @@ public:
     }
 
 private:
-    void writeLine(const LegEvent& event);
+    void drop(std::uint64_t events);
+    void writeLine(const LegEvent& event, std::uint32_t slot);
     void rotate();
 
     std::string path_;
     std::uint64_t maxBytes_ = 0;
     std::uint64_t currentBytes_ = 0; ///< drainer thread only
     std::ofstream out_;
-    std::vector<std::unique_ptr<detail::SpscEventRing>> rings_;
-    std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> sequences_;
+    /// Per slot's leg lane, drainer thread only: the index when the journal
+    /// opened (seq 0) and the next index to read.
+    std::array<std::uint64_t, kMaxThreadSlots> first_{}, next_{};
+    std::uint64_t withoutRingSeen_ = 0;             ///< drainer thread only
     std::uint64_t epochNs_ = 0; ///< steadyNowNs() at construction (timestamp 0)
     std::atomic<std::uint64_t> written_{0};
     std::atomic<std::uint64_t> dropped_{0};
@@ -112,9 +92,5 @@ private:
     bool closed_ = false;
     std::thread drainer_;
 };
-
-/// Serialize one event as its NDJSON line (no trailing newline) — exposed
-/// for tests and for `voltcache top`'s journal tailing.
-[[nodiscard]] std::string legEventToJson(const LegEvent& event);
 
 } // namespace voltcache::obs

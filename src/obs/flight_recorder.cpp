@@ -4,8 +4,8 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -14,6 +14,7 @@
 #include "common/contracts.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace voltcache::obs {
 
@@ -30,7 +31,6 @@ std::atomic<FlightRecorder*> g_recorder{nullptr};
 // contract), safe to read from a handler.
 
 constexpr int kMaxSpanDepth = 16;
-constexpr std::uint32_t kMaxSpanThreads = 64;
 
 struct ThreadSpanStack {
     std::atomic<int> depth{0};
@@ -38,12 +38,12 @@ struct ThreadSpanStack {
     std::atomic<bool> used{false};
 };
 
-ThreadSpanStack g_spanStacks[kMaxSpanThreads];
+ThreadSpanStack g_spanStacks[kMaxThreadSlots];
 
 ThreadSpanStack* threadSpanStack() noexcept {
     thread_local ThreadSpanStack* const slot = []() -> ThreadSpanStack* {
         const std::uint32_t index = threadSlot();
-        if (index >= kMaxSpanThreads) return nullptr;
+        if (index >= kMaxThreadSlots) return nullptr;
         g_spanStacks[index].used.store(true, std::memory_order_relaxed);
         return &g_spanStacks[index];
     }();
@@ -143,10 +143,8 @@ void copyBounded(char* dest, std::size_t capacity, std::string_view src) noexcep
 
 struct FlightRecorder::Impl {
     int fd = -1;
-    std::vector<LegEvent> ring;
-    std::size_t mask = 0;
-    std::atomic<std::uint64_t> seq{0};
     std::uint64_t epochNs = 0; ///< steady_clock at install (event t=0)
+    std::uint64_t recordedAtInstall[kMaxThreadSlots] = {}; ///< per leg lane
 
     std::atomic<std::uint64_t> benchmarksCompleted{0};
     std::atomic<std::uint64_t> benchmarksTotal{0};
@@ -173,17 +171,18 @@ struct FlightRecorder::Impl {
     std::atomic<bool> dumped{false};
 };
 
-FlightRecorder::FlightRecorder(const Options& options) : path_(options.path), impl_(new Impl) {
+FlightRecorder::FlightRecorder(const Options& options) : impl_(new Impl) {
     impl_->fd = ::open(options.path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
     if (impl_->fd < 0) {
         delete impl_;
         throw std::runtime_error("flight recorder: cannot open '" + options.path + "'");
     }
-    const std::size_t capacity =
-        std::bit_ceil(options.eventCapacity < 2 ? std::size_t{2} : options.eventCapacity);
-    impl_->ring.resize(capacity);
-    impl_->mask = capacity - 1;
     impl_->epochNs = steadyNowNs();
+    for (std::uint32_t slot = 0; slot < kMaxThreadSlots; ++slot) {
+        if (const EventRing* ring = eventRing(slot, TraceLane::Legs)) {
+            impl_->recordedAtInstall[slot] = ring->recorded();
+        }
+    }
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -271,17 +270,6 @@ void flightSpanExit() noexcept {
     if (depth > 0) stack->depth.store(depth - 1, std::memory_order_release);
 }
 
-void FlightRecorder::noteLegEvent(const LegEvent& event) noexcept {
-    const std::uint64_t seq = impl_->seq.fetch_add(1, std::memory_order_relaxed);
-    LegEvent& slot = impl_->ring[seq & impl_->mask];
-    slot = event;
-    // The journal stamps sequence/timestamp at emit(); feeds reach this ring
-    // before (or without) a journal, so stamp the recorder's own view here.
-    slot.sequence = seq;
-    const std::uint64_t nowNs = steadyNowNs();
-    slot.timestampNs = nowNs > impl_->epochNs ? nowNs - impl_->epochNs : 0;
-}
-
 void FlightRecorder::noteProgress(const SweepProgress& progress) noexcept {
     impl_->benchmarksCompleted.store(progress.benchmarksCompleted, std::memory_order_relaxed);
     impl_->benchmarksTotal.store(progress.benchmarksTotal, std::memory_order_relaxed);
@@ -350,7 +338,13 @@ void FlightRecorder::noteMetrics() {
 }
 
 std::uint64_t FlightRecorder::eventsNoted() const noexcept {
-    return impl_->seq.load(std::memory_order_relaxed);
+    std::uint64_t noted = 0;
+    for (std::uint32_t slot = 0; slot < kMaxThreadSlots; ++slot) {
+        if (const EventRing* ring = eventRing(slot, TraceLane::Legs)) {
+            noted += ring->recorded() - impl_->recordedAtInstall[slot];
+        }
+    }
+    return noted;
 }
 
 void FlightRecorder::rearm() noexcept {
@@ -429,46 +423,65 @@ bool FlightRecorder::dumpNow(const char* reason, const char* detail) noexcept {
     }
     w.text("]");
 
-    // Oldest-first window of recent leg events. A writer racing the dump can
-    // leave at most one torn slot; fields are bounded and NUL-padded, so the
-    // document still parses.
-    const std::uint64_t noted = impl_->seq.load(std::memory_order_acquire);
-    const std::uint64_t capacity = impl_->mask + 1;
-    const std::uint64_t start = noted > capacity ? noted - capacity : 0;
+    // Per slot, its newest kDumpEventsPerSlot leg events since install,
+    // oldest first; one overwritten while the dump reads it is skipped.
+    static_assert(kDumpEventsPerSlot <= kLegLaneEvents, "the window fits in a lane");
+    std::uint64_t first[kMaxThreadSlots];
+    std::uint64_t last[kMaxThreadSlots];
+    std::uint64_t noted = 0;
+    std::uint64_t windows = 0;
+    for (std::uint32_t slot = 0; slot < kMaxThreadSlots; ++slot) {
+        const EventRing* ring = eventRing(slot, TraceLane::Legs);
+        const std::uint64_t since = impl_->recordedAtInstall[slot];
+        last[slot] = ring == nullptr ? since : ring->recorded();
+        first[slot] = std::max(since, last[slot] - std::min<std::uint64_t>(last[slot],
+                                                                           kDumpEventsPerSlot));
+        noted += last[slot] - since;
+        windows += last[slot] - first[slot];
+    }
     w.text(",\"eventsNoted\":");
     w.u64(noted);
     w.text(",\"eventsDropped\":");
-    w.u64(start);
+    w.u64(noted - windows);
     w.text(",\"events\":[");
-    for (std::uint64_t i = start; i < noted; ++i) {
-        const LegEvent& event = impl_->ring[i & impl_->mask];
-        if (i != start) w.raw(',');
-        w.text("{\"ev\":\"");
-        w.text(legPhaseName(event.phase));
-        w.text("\",\"seq\":");
-        w.u64(event.sequence);
-        w.text(",\"tNs\":");
-        w.u64(event.timestampNs);
-        w.text(",\"leg\":");
-        w.u64(event.leg);
-        w.text(",\"worker\":");
-        w.u64(event.worker);
-        w.text(",\"benchmark\":");
-        w.quoted(event.benchmark, sizeof event.benchmark);
-        w.text(",\"scheme\":");
-        w.quoted(event.scheme, sizeof event.scheme);
-        w.text(",\"mv\":");
-        w.i64(event.voltageMv);
-        w.text(",\"trial\":");
-        w.u64(event.trial);
-        if (event.phase == LegEvent::Phase::Finished) {
-            w.text(",\"durationNs\":");
-            w.u64(event.durationNs);
-            w.text(",\"outcome\":\"");
-            w.text(event.linkFailed ? "link_failed" : "ok");
-            w.text("\"");
+    bool firstEvent = true;
+    TraceEvent event;
+    for (std::uint32_t slot = 0; slot < kMaxThreadSlots; ++slot) {
+        const EventRing* ring = eventRing(slot, TraceLane::Legs);
+        for (std::uint64_t i = first[slot]; ring != nullptr && i < last[slot]; ++i) {
+            if (!ring->read(i, event)) continue;
+            const LegEvent& leg = event.leg;
+            if (!firstEvent) w.raw(',');
+            firstEvent = false;
+            w.text("{\"ev\":\"");
+            w.text(legPhaseName(leg.phase));
+            w.text("\",\"slot\":");
+            w.u64(slot);
+            w.text(",\"seq\":");
+            w.u64(i - impl_->recordedAtInstall[slot]);
+            w.text(",\"tNs\":");
+            w.u64(leg.timestampNs > impl_->epochNs ? leg.timestampNs - impl_->epochNs : 0);
+            w.text(",\"leg\":");
+            w.u64(leg.leg);
+            w.text(",\"worker\":");
+            w.u64(leg.worker);
+            w.text(",\"benchmark\":");
+            w.quoted(leg.benchmark, sizeof leg.benchmark);
+            w.text(",\"scheme\":");
+            w.quoted(leg.scheme, sizeof leg.scheme);
+            w.text(",\"mv\":");
+            w.i64(leg.voltageMv);
+            w.text(",\"trial\":");
+            w.u64(leg.trial);
+            if (leg.phase == LegEvent::Phase::Finished) {
+                w.text(",\"durationNs\":");
+                w.u64(leg.durationNs);
+                w.text(",\"outcome\":\"");
+                w.text(leg.linkFailed ? "link_failed" : "ok");
+                w.text("\"");
+            }
+            w.text("}");
         }
-        w.text("}");
     }
     w.text("]}\n");
     w.flush();

@@ -1,11 +1,12 @@
 // Async-signal-safe black-box flight recorder.
 //
-// A preallocated, lock-light ring of recent leg events (obs::LegEvent), a
-// bounded mirror of the metrics registry, the latest progress tick, and every
-// live thread's active span stack (one fixed stack per obs::threadSlot()
-// below 64, passed on with the slot) — all maintained as plain POD + atomics
-// on the normal path, and dumped WITHOUT any allocation from three failure
-// paths:
+// The recent leg events of every thread (read from the leg lanes of the
+// event rings in obs/trace.h, where a sweep's job scope records them while a
+// recorder is installed), a bounded mirror of the metrics registry, the
+// latest progress tick, and every live thread's active span stack (one
+// fixed stack per obs::threadSlot() below kMaxThreadSlots, passed on with
+// the slot) — all maintained as plain POD + atomics on the normal path, and
+// dumped WITHOUT any allocation from three failure paths:
 //   * SIGSEGV / SIGABRT (sigaction handlers installed by install()),
 //   * a VC_EXPECTS / VC_ENSURES / VC_CHECK failure (common/contracts.h hook,
 //     which fires at the failure site before the exception unwinds — the
@@ -14,13 +15,14 @@
 //
 // The dump is one bounded JSON document ("kind":"flight") written with
 // write(2) to a file descriptor pre-opened at install() time, so the crash
-// path needs no open(), no malloc, no stdio, and no locks. `voltcache trace
-// <dump>` renders it; the ci.sh negative control asserts it parses.
+// path needs no open(), no malloc, no stdio, and no locks: it walks the
+// rings with plain loads. `voltcache trace <dump>` renders it; the ci.sh
+// negative control asserts it parses.
 //
-// Normal-path costs: noteLegEvent is a relaxed fetch_add plus a POD slot
-// copy; the span-stack feed adds one relaxed atomic load to every obs::Span
-// construction (the `trace.ctx_overhead_ns` bench guards it). When no
-// recorder is installed every feed is a single relaxed load and a branch.
+// Normal-path costs: the recorder keeps no events of its own; the span-stack
+// feed adds one relaxed atomic load to every obs::Span construction (the
+// `trace.ctx_overhead_ns` bench guards it). When no recorder is installed
+// every feed is a single relaxed load and a branch.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +38,13 @@ namespace voltcache::obs {
 class FlightRecorder {
 public:
     struct Options {
-        std::string path;                 ///< dump target (created at install)
-        std::size_t eventCapacity = 512;  ///< ring slots (rounded to pow2)
+        std::string path; ///< dump target (created at install)
     };
+
+    /// The dump holds each thread slot's newest leg events recorded since
+    /// install — at most this many per slot — oldest first, each with its
+    /// slot and its index (`seq`) in the slot's leg lane since install.
+    static constexpr std::size_t kDumpEventsPerSlot = 512;
 
     /// Create/replace the process-wide recorder: pre-opens (and truncates)
     /// the dump file, installs the SIGSEGV/SIGABRT handlers and the contract
@@ -51,7 +57,6 @@ public:
     [[nodiscard]] static FlightRecorder* instance() noexcept;
 
     /// Normal-path feeds (thread-safe, allocation-free, never block).
-    void noteLegEvent(const LegEvent& event) noexcept;
     /// Copies the tick's counters (not its benchmark name) into atomics.
     void noteProgress(const SweepProgress& progress) noexcept;
     void noteJob(std::string_view label, const TraceContext& context) noexcept;
@@ -71,14 +76,13 @@ public:
     /// the start on the next dump).
     void rearm() noexcept;
 
-    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+    /// Leg events recorded into the leg lanes since install.
     [[nodiscard]] std::uint64_t eventsNoted() const noexcept;
 
 private:
     explicit FlightRecorder(const Options& options);
     ~FlightRecorder();
 
-    std::string path_;
     struct Impl;
     Impl* impl_;
 };

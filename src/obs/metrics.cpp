@@ -13,8 +13,9 @@ namespace voltcache::obs {
 namespace {
 
 /// The pool behind threadSlot(). An exiting thread releases its id and the
-/// next new thread takes it, so ids (and the cells keyed by them) are
-/// bounded by the live thread count.
+/// next new thread takes the lowest free one, so ids (and the cells keyed by
+/// them) are bounded by the live thread count, and an id past
+/// kMaxThreadSlots goes only to a thread that starts while that many live.
 class ThreadIds {
 public:
     static ThreadIds& instance() {
@@ -24,8 +25,9 @@ public:
     std::uint32_t acquire() {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (free_.empty()) return next_++;
-        const std::uint32_t id = free_.back();
-        free_.pop_back();
+        const auto lowest = std::min_element(free_.begin(), free_.end());
+        const std::uint32_t id = *lowest;
+        free_.erase(lowest);
         return id;
     }
     void release(std::uint32_t id) {

@@ -15,8 +15,8 @@
 // live thread, not one per thread it ever ran.
 //
 // That recycled index is the process's one per-thread id, threadSlot(): the
-// flight recorder's span stacks and the timeline's tids use it too, and the
-// profiler's aggregates are families of this registry.
+// flight recorder's span stacks and the event rings are indexed by it too,
+// and the profiler's aggregates are families of this registry.
 #pragma once
 
 #include <array>
@@ -53,6 +53,10 @@ inline constexpr std::size_t kHistogramBuckets = 65;
 /// slot is never held by two live threads and slots stay below the peak
 /// number of live threads that asked for one.
 [[nodiscard]] std::uint32_t threadSlot() noexcept;
+
+/// Slots below this bound own a flight-recorder span stack and event rings
+/// (obs/trace.h); threads past it record neither.
+inline constexpr std::uint32_t kMaxThreadSlots = 64;
 
 namespace detail {
 

@@ -48,9 +48,7 @@ Server::Server(const ServeOptions& options)
       listener_(options.port),
       store_({options.storeBudgetBytes, options.storeDirectory}) {
     if (!options_.journalPath.empty()) {
-        journal_.emplace(options_.journalPath, sweepJournalProducers(options_.threads),
-                         /*ringCapacity=*/4096, /*autoDrain=*/true,
-                         options_.journalMaxBytes);
+        journal_.emplace(options_.journalPath, /*autoDrain=*/true, options_.journalMaxBytes);
     }
     if (!options_.flightRecordPath.empty()) {
         obs::FlightRecorder::Options flight;

@@ -262,25 +262,29 @@ std::vector<const JsonValue*> eventsNamed(const JsonValue& doc, std::string_view
 
 TEST(TraceSink, RingOverwritesOldestAndCountsDrops) {
     const std::uint64_t droppedBefore = globalCounterValue("obs.trace_dropped_total");
-    obs::TraceRing ring(4);
+    obs::EventRing ring(4);
     for (std::int64_t i = 0; i < 6; ++i) {
-        obs::TraceEvent& event = ring.claim();
-        event.name = "event";
-        event.category = "test";
+        obs::TraceEvent event;
         event.argCount = 1;
-        event.args[0] = {"i", i};
+        event.point.name = "event";
+        event.point.category = "test";
+        event.point.args[0] = {"i", i};
+        ring.push(event);
     }
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.dropped(), 2u);
+    EXPECT_EQ(ring.recorded(), 6u);
+    EXPECT_EQ(ring.oldest(ring.recorded()), 2u);
     // Drops are mirrored into the process-wide registry so a truncated trace
     // is detectable without the ring in hand.
     EXPECT_EQ(globalCounterValue("obs.trace_dropped_total"), droppedBefore + 2);
-    const auto events = ring.events();
-    ASSERT_EQ(events.size(), 4u);
-    for (std::size_t k = 0; k < events.size(); ++k) {
-        ASSERT_EQ(events[k].argCount, 1u);
-        EXPECT_STREQ(events[k].args[0].key, "i");
-        EXPECT_EQ(events[k].args[0].value, static_cast<std::int64_t>(k + 2))
+    obs::TraceEvent event;
+    EXPECT_FALSE(ring.read(0, event)) << "overwritten";
+    EXPECT_FALSE(ring.read(1, event)) << "overwritten";
+    EXPECT_FALSE(ring.read(6, event)) << "not recorded yet";
+    for (std::uint64_t k = 2; k < 6; ++k) {
+        ASSERT_TRUE(ring.read(k, event));
+        ASSERT_EQ(event.argCount, 1u);
+        EXPECT_STREQ(event.point.args[0].key, "i");
+        EXPECT_EQ(event.point.args[0].value, static_cast<std::int64_t>(k))
             << "oldest-first, first two overwritten";
     }
 }

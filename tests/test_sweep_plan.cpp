@@ -26,7 +26,6 @@
 #include "common/contracts.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "core/sweep_telemetry.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "power/dvfs.h"
@@ -133,11 +132,10 @@ TEST(SweepPlan, WorkerCountRule) {
     config.threads = 0;
     const unsigned workers = detail::planSweep(config).workers;
     EXPECT_GE(workers, 1U);
-    EXPECT_EQ(std::size_t{workers}, sweepJournalProducers(0) - 1);
     EXPECT_EQ(workers, detail::sweepWorkers(0));
     config.threads = 3;
     EXPECT_EQ(detail::planSweep(config).workers, 3U);
-    EXPECT_EQ(sweepJournalProducers(3), 4U);
+    EXPECT_EQ(detail::sweepWorkers(3), 3U);
 }
 
 LegResult okSlot(double value) {

@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_telemetry.h"
+#include "obs/clock.h"
 #include "obs/export/http_server.h"
 #include "obs/export/journal.h"
 #include "obs/export/prometheus.h"
@@ -333,7 +336,7 @@ TEST(Telemetry, EphemeralPortZeroBindsAndServesHealthAndTraceRoutes) {
 TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
     const std::string path = tempPath("journal_order.ndjson");
     {
-        obs::LegJournal journal(path, 2, 64, /*autoDrain=*/false);
+        obs::LegJournal journal(path, /*autoDrain=*/false);
         for (int i = 0; i < 5; ++i) {
             obs::LegEvent event;
             event.phase = obs::LegEvent::Phase::Enqueued;
@@ -341,7 +344,7 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
             event.setBenchmark("crc32");
             event.setScheme("ffw+bbr");
             event.voltageMv = 400;
-            journal.emit(0, event);
+            obs::recordLegEvent(event);
         }
         obs::LegEvent finished;
         finished.phase = obs::LegEvent::Phase::Finished;
@@ -353,7 +356,7 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
         finished.linkFailed = true;
         finished.setFailCause("shape");
         finished.durationNs = 1234;
-        journal.emit(1, finished);
+        obs::recordLegEvent(finished);
         journal.close();
         EXPECT_EQ(journal.written(), 6u);
         EXPECT_EQ(journal.dropped(), 0u);
@@ -366,7 +369,7 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
         const JsonValue doc = parseJson(line); // throws on a malformed line
         ++lines;
         if (doc.stringOr("ev", "") == "enqueued") {
-            // SPSC FIFO + in-order drain: producer-0 sequences ascend.
+            // FIFO ring + in-order drain: the producer's sequences ascend.
             EXPECT_EQ(doc.numberOr("seq", -1.0), static_cast<double>(expectedSeq++));
             EXPECT_EQ(doc.stringOr("benchmark", ""), "crc32");
         } else {
@@ -382,25 +385,27 @@ TEST(LegJournal, WritesParseableLinesInPerProducerOrder) {
 
 TEST(LegJournal, DropsInsteadOfBlockingWhenTheRingSaturates) {
     const std::string path = tempPath("journal_drop.ndjson");
-    obs::LegJournal journal(path, 1, /*ringCapacity=*/4, /*autoDrain=*/false);
+    obs::LegJournal journal(path, /*autoDrain=*/false);
     obs::LegEvent event;
     event.setBenchmark("qsort");
-    for (int i = 0; i < 10; ++i) journal.emit(0, event);
-    // Capacity 4 ring, no drainer: 4 held, 6 dropped — never a stall.
+    for (std::size_t i = 0; i < obs::kLegLaneEvents + 6; ++i) obs::recordLegEvent(event);
+    // A full lane, no drainer: the lane holds its capacity, the 6 oldest
+    // were overwritten — never a stall.
+    EXPECT_EQ(journal.drainOnce(), obs::kLegLaneEvents);
     EXPECT_EQ(journal.dropped(), 6u);
-    EXPECT_EQ(journal.drainOnce(), 4u);
-    // Draining frees the slots; later events flow again.
-    journal.emit(0, event);
+    // Later events flow again.
+    obs::recordLegEvent(event);
+    EXPECT_EQ(journal.drainOnce(), 1u);
     EXPECT_EQ(journal.dropped(), 6u);
     journal.close();
-    EXPECT_EQ(journal.written(), 5u);
-    // An out-of-range producer index is accounted as a drop, not UB.
+    EXPECT_EQ(journal.written(), obs::kLegLaneEvents + 1);
+    EXPECT_EQ(journal.dropped(), 6u);
     std::remove(path.c_str());
 }
 
 TEST(LegJournal, StampsTraceContextAndCachedFlagOnLines) {
     const std::string path = tempPath("journal_trace.ndjson");
-    obs::LegJournal journal(path, 1, 8, /*autoDrain=*/false);
+    obs::LegJournal journal(path, /*autoDrain=*/false);
     obs::TraceContext context;
     ASSERT_TRUE(obs::parseTraceIdHex("0123456789abcdef0123456789abcdef", context));
 
@@ -411,10 +416,10 @@ TEST(LegJournal, StampsTraceContextAndCachedFlagOnLines) {
     traced.traceHi = context.traceHi;
     traced.traceLo = context.traceLo;
     traced.spanId = obs::childSpanId(context, 0);
-    journal.emit(0, traced);
+    obs::recordLegEvent(traced);
     obs::LegEvent untraced;
     untraced.setBenchmark("crc32");
-    journal.emit(0, untraced);
+    obs::recordLegEvent(untraced);
     journal.close();
 
     std::ifstream in(path);
@@ -437,8 +442,7 @@ TEST(LegJournal, StampsTraceContextAndCachedFlagOnLines) {
 TEST(LegJournal, RotatesAtTheByteCapAndKeepsOneGeneration) {
     const std::string path = tempPath("journal_rotate.ndjson");
     // ~150-byte lines against a 400-byte cap: every few writes rotate.
-    obs::LegJournal journal(path, 1, 64, /*autoDrain=*/false,
-                            /*maxBytes=*/400);
+    obs::LegJournal journal(path, /*autoDrain=*/false, /*maxBytes=*/400);
     obs::LegEvent event;
     event.phase = obs::LegEvent::Phase::Finished;
     event.setBenchmark("basicmath");
@@ -447,7 +451,7 @@ TEST(LegJournal, RotatesAtTheByteCapAndKeepsOneGeneration) {
     event.durationNs = 123456;
     for (std::uint32_t i = 0; i < 24; ++i) {
         event.leg = i;
-        journal.emit(0, event);
+        obs::recordLegEvent(event);
         (void)journal.drainOnce();
     }
     journal.close();
@@ -475,14 +479,224 @@ TEST(LegJournal, RotatesAtTheByteCapAndKeepsOneGeneration) {
     std::remove((path + ".1").c_str());
 }
 
+// A thread whose slot is past the ring bound records no event; the journal
+// counts its leg events as dropped, not UB.
 TEST(LegJournal, OutOfRangeProducerCountsAsDrop) {
     const std::string path = tempPath("journal_range.ndjson");
-    obs::LegJournal journal(path, 1, 8, /*autoDrain=*/false);
-    obs::LegEvent event;
-    journal.emit(5, event);
+    obs::LegJournal journal(path, /*autoDrain=*/false);
+    // Park threads on slots until one holds a slot past the bound.
+    std::latch release(1);
+    std::vector<std::thread> parked;
+    std::atomic<std::size_t> holding{0};
+    std::atomic<bool> pastBound{false};
+    while (!pastBound.load() && parked.size() <= obs::kMaxThreadSlots) {
+        parked.emplace_back([&release, &holding, &pastBound] {
+            if (obs::threadSlot() >= obs::kMaxThreadSlots) {
+                obs::recordLegEvent(obs::LegEvent{});
+                pastBound.store(true);
+            }
+            holding.fetch_add(1);
+            release.wait();
+        });
+        while (holding.load() < parked.size()) std::this_thread::yield();
+    }
+    release.count_down();
+    for (std::thread& thread : parked) thread.join();
+    ASSERT_TRUE(pastBound.load());
+    (void)journal.drainOnce();
     EXPECT_EQ(journal.dropped(), 1u);
     journal.close();
     EXPECT_EQ(journal.written(), 0u);
+    std::remove(path.c_str());
+}
+
+// ---- the event rings under concurrent writers and readers ----
+
+/// What a stress event's args carry besides the fields it checks.
+std::int64_t stressChecksum(std::int64_t writer, std::int64_t index, std::int64_t extra) {
+    return (writer * 1'000'003 + index * 7'919 + extra * 31) % 1'000'000'007;
+}
+
+// Writers fill their rings while a reader renders the job's Chrome JSON, a
+// racer reads the slot each writer overwrites next, and a journal drains:
+// every event either reads back whole or counts as lost.
+TEST(EventRing, ConcurrentWritersNeverShowATornEventToAnyReader) {
+    constexpr std::int64_t kWriters = 4;
+    // Each iteration records two timeline events, one leg event and one
+    // instant: the timeline and leg lanes lap.
+    constexpr auto kIterations = static_cast<std::int64_t>(obs::kTimelineLaneEvents);
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    const std::string path = tempPath("journal_stress.ndjson");
+    obs::LegJournal journal(path);
+    const obs::TraceContext trace = obs::makeRootContext("stress");
+    const std::uint32_t job = store.beginJob("stress", trace, /*instants=*/true);
+
+    // A rendered event is whole when its args match their checksum.
+    std::atomic<std::size_t> tornRendered{0};
+    const auto checkRendered = [&tornRendered](const JsonValue& doc) {
+        const JsonValue* events = doc.find("traceEvents");
+        if (events == nullptr) return;
+        for (const JsonValue& event : events->items) {
+            const JsonValue* args = event.find("args");
+            const auto w = static_cast<std::int64_t>(args->numberOr("w", -1.0));
+            const auto i = static_cast<std::int64_t>(args->numberOr("i", -1.0));
+            const std::string name = event.stringOr("name", "");
+            bool whole = true;
+            if (name == "stress.span") {
+                const auto dur = static_cast<std::int64_t>(event.numberOr("dur", -1.0));
+                whole = dur == i % 1000 && args->numberOr("c", -1.0) ==
+                                               static_cast<double>(stressChecksum(w, i, dur));
+            } else if (name == "stress.instant") {
+                whole = args->numberOr("c", -1.0) == static_cast<double>(stressChecksum(w, i, 0));
+            } else {
+                const auto worker = static_cast<std::int64_t>(args->numberOr("worker", -1.0));
+                const auto trial = static_cast<std::int64_t>(args->numberOr("trial", -1.0));
+                whole = args->numberOr("mv", -1.0) ==
+                            static_cast<double>(stressChecksum(worker, trial, 0) % 100'000) &&
+                        name == "leg crc32/fba+@" +
+                                    std::to_string(stressChecksum(worker, trial, 0) % 100'000) +
+                                    "mV#" + std::to_string(trial);
+            }
+            if (!whole) tornRendered.fetch_add(1);
+        }
+    };
+
+    // An event read straight from a ring is whole by the same checksums.
+    const auto whole = [](const obs::TraceEvent& event) {
+        if (event.phase == obs::TracePhase::Leg) {
+            const obs::LegEvent& leg = event.leg;
+            return leg.leg == leg.trial && leg.durationNs == std::uint64_t{leg.trial} * 7 &&
+                   leg.voltageMv == stressChecksum(leg.worker, leg.trial, 0) % 100'000;
+        }
+        const auto& args = event.point.args;
+        const std::int64_t extra = event.phase == obs::TracePhase::Span
+                                       ? static_cast<std::int64_t>(event.point.durationNs / 1000)
+                                       : 0;
+        return event.argCount == 3 && args[2].value == stressChecksum(args[0].value,
+                                                                      args[1].value, extra);
+    };
+
+    std::atomic<bool> writing{true};
+    std::size_t renders = 0;
+    std::thread reader([&] {
+        while (writing.load()) {
+            checkRendered(parseJson(store.toChromeJson("stress")));
+            ++renders;
+        }
+    });
+    // The oldest event a lane holds sits in the slot its writer fills next:
+    // reading it races the overwrite. A recycled slot's lanes may still hold
+    // earlier events, which belong to no stress job.
+    std::vector<std::atomic<std::uint32_t>> slots(kWriters);
+    for (auto& slot : slots) slot.store(obs::kMaxThreadSlots);
+    std::size_t racedReads = 0;
+    std::size_t tornReads = 0;
+    std::thread racer([&] {
+        obs::TraceEvent event;
+        while (writing.load()) {
+            for (const auto& slot : slots) {
+                for (const obs::TraceLane lane : {obs::TraceLane::Timeline, obs::TraceLane::Legs,
+                                                  obs::TraceLane::Instants}) {
+                    const obs::EventRing* ring = obs::eventRing(slot.load(), lane);
+                    if (ring == nullptr) continue;
+                    // Leg-lane events carry no job: the writers' carry its trace id.
+                    if (ring->read(ring->oldest(ring->recorded()), event) &&
+                        (event.job == job || (lane == obs::TraceLane::Legs &&
+                                              event.leg.traceLo == trace.traceLo))) {
+                        ++racedReads;
+                        tornReads += whole(event) ? 0 : 1;
+                    }
+                }
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (std::int64_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([w, job, &trace, &slots] {
+            slots[static_cast<std::size_t>(w)].store(obs::threadSlot());
+            for (std::int64_t i = 0; i < kIterations; ++i) {
+                const std::int64_t dur = i % 1000; // µs, exact in the rendered "dur"
+                obs::traceSpan("stress.span", "stress", obs::steadyNowNs(),
+                               static_cast<std::uint64_t>(dur) * 1000,
+                               {{"w", w}, {"i", i}, {"c", stressChecksum(w, i, dur)}});
+                obs::traceInstant("stress.instant", "stress",
+                                  {{"w", w}, {"i", i}, {"c", stressChecksum(w, i, 0)}});
+                obs::LegEvent leg;
+                leg.phase = obs::LegEvent::Phase::Finished;
+                leg.leg = static_cast<std::uint32_t>(i);
+                leg.worker = static_cast<std::uint32_t>(w);
+                leg.trial = static_cast<std::uint32_t>(i);
+                leg.voltageMv = static_cast<std::int32_t>(stressChecksum(w, i, 0) % 100'000);
+                leg.durationNs = static_cast<std::uint64_t>(i) * 7;
+                leg.setBenchmark("crc32");
+                leg.setScheme("fba+");
+                leg.traceHi = trace.traceHi;
+                leg.traceLo = trace.traceLo;
+                obs::recordLegEvent(leg);
+                obs::recordLegSpan(leg, job);
+            }
+        });
+    }
+    for (std::thread& writer : writers) writer.join();
+    writing.store(false);
+    reader.join();
+    racer.join();
+    EXPECT_GT(racedReads, 0u);
+    EXPECT_EQ(tornReads, 0u);
+    store.endJob(trace);
+    journal.close();
+    const JsonValue final = parseJson(store.toChromeJson("stress"));
+    checkRendered(final);
+    EXPECT_GT(renders, 0u);
+    EXPECT_EQ(tornRendered.load(), 0u);
+
+    // Each writer's lanes: what is held plus what was overwritten is what
+    // was recorded.
+    for (const auto& slot : slots) {
+        for (const obs::TraceLane lane :
+             {obs::TraceLane::Timeline, obs::TraceLane::Legs, obs::TraceLane::Instants}) {
+            const obs::EventRing* ring = obs::eventRing(slot.load(), lane);
+            ASSERT_NE(ring, nullptr);
+            const std::uint64_t recorded = ring->recorded();
+            const std::uint64_t dropped = ring->oldest(recorded);
+            std::uint64_t kept = 0;
+            obs::TraceEvent event;
+            for (std::uint64_t i = dropped; i < recorded; ++i) kept += ring->read(i, event) ? 1 : 0;
+            EXPECT_EQ(kept + dropped, recorded) << "slot " << slot.load();
+        }
+    }
+    EXPECT_EQ(final.numberOr("spanCount", 0.0) + final.numberOr("droppedSpans", 0.0),
+              static_cast<double>(3 * kWriters * kIterations));
+
+    // The journal: every line whole, each producer's (slot's) seq ascending,
+    // and every leg event written or counted as dropped.
+    std::ifstream in(path);
+    std::string line;
+    std::map<double, double> lastSeq; // slot -> seq
+    std::size_t tornLines = 0;
+    while (std::getline(in, line)) {
+        const JsonValue doc = parseJson(line);
+        const auto worker = static_cast<std::int64_t>(doc.numberOr("worker", -1.0));
+        const double slot = doc.numberOr("slot", -1.0);
+        const auto trial = static_cast<std::int64_t>(doc.numberOr("trial", -1.0));
+        if (doc.numberOr("leg", -1.0) != static_cast<double>(trial) ||
+            doc.numberOr("durationNs", -1.0) != static_cast<double>(trial * 7) ||
+            doc.numberOr("mv", -1.0) !=
+                static_cast<double>(stressChecksum(worker, trial, 0) % 100'000)) {
+            ++tornLines;
+        }
+        const double seq = doc.numberOr("seq", -1.0);
+        if (const auto it = lastSeq.find(slot); it != lastSeq.end()) {
+            EXPECT_GT(seq, it->second) << line;
+        }
+        lastSeq[slot] = seq;
+    }
+    EXPECT_EQ(tornLines, 0u);
+    EXPECT_EQ(lastSeq.size(), static_cast<std::size_t>(kWriters));
+    EXPECT_EQ(journal.written() + journal.dropped(),
+              static_cast<std::uint64_t>(kWriters * kIterations));
+    store.clear();
     std::remove(path.c_str());
 }
 
@@ -519,7 +733,7 @@ TEST(Telemetry, LiveScrapeDuringSweepAndByteIdenticalExport) {
     ASSERT_NE(server.port(), 0);
 
     const std::string journalPath = tempPath("journal_live.ndjson");
-    obs::LegJournal journal(journalPath, 1 + 2, 4096);
+    obs::LegJournal journal(journalPath);
 
     // The full PR 10 plane rides along too: end-to-end job tracing and the
     // armed flight recorder, both of which must also leave the export alone.
@@ -676,10 +890,9 @@ std::string legKey(const JsonValue& line, const char* replayedKey) {
 TEST(SweepJobScope, JournalTraceAndFlightRecorderAgreeOnEveryFinishedLeg) {
     const std::string journalPath = tempPath("journal_agree.ndjson");
     const std::string flightPath = tempPath("flight_agree.json");
-    obs::LegJournal journal(journalPath, 1 + 2, 4096);
+    obs::LegJournal journal(journalPath);
     obs::FlightRecorder::Options flightOptions;
     flightOptions.path = flightPath;
-    flightOptions.eventCapacity = 512;
     obs::FlightRecorder& flight = obs::FlightRecorder::install(flightOptions);
     obs::JobTraceStore::global().clear();
     const obs::TraceContext trace = obs::makeRootContext("agree");
@@ -752,6 +965,80 @@ TEST(SweepJobScope, JournalTraceAndFlightRecorderAgreeOnEveryFinishedLeg) {
     obs::JobTraceStore::global().clear();
     std::remove(journalPath.c_str());
     std::remove(flightPath.c_str());
+}
+
+/// A result source that answers every lookup with one leg result, so a
+/// sweep of any size finishes every leg from the store.
+class EveryLegCached : public LegResultSource {
+public:
+    explicit EveryLegCached(const LegResult& result) : result_(result) {}
+    bool lookup(const Digest256&, LegResult& out) override {
+        out = result_;
+        return true;
+    }
+    void store(const Digest256&, const LegResult&) override {}
+
+private:
+    LegResult result_;
+};
+
+/// Captures the first leg result a sweep stores.
+class FirstLegResult : public LegResultSource {
+public:
+    bool lookup(const Digest256&, LegResult&) override { return false; }
+    void store(const Digest256&, const LegResult& value) override {
+        const std::scoped_lock lock(mutex_);
+        if (!result.has_value()) result = value;
+    }
+    std::optional<LegResult> result;
+
+private:
+    std::mutex mutex_;
+};
+
+// A journal's enqueued and started events fill the leg lane, never the
+// timeline lane the job's leg spans live in: at one thread, where one slot
+// records every leg's events, a grid whose two leg events alone would fill
+// a timeline lane still renders one leg span per leg.
+TEST(SweepJobScope, JournalAtOneThreadKeepsOneLegSpanPerLeg) {
+    FirstLegResult first;
+    SweepConfig priming = tinySweep(1);
+    priming.trials = 1;
+    priming.resultSource = &first;
+    (void)runSweep(priming);
+    ASSERT_TRUE(first.result.has_value());
+    EveryLegCached store(*first.result);
+
+    const std::string journalPath = tempPath("journal_one_thread.ndjson");
+    obs::LegJournal journal(journalPath);
+    obs::JobTraceStore::global().clear();
+    SweepConfig config = tinySweep(1);
+    config.trials = static_cast<std::uint32_t>(obs::kTimelineLaneEvents / 8 + 1);
+    config.resultSource = &store;
+    std::size_t legsRun = 0;
+    config.onProgress = [&legsRun](const SweepProgress& tick) { legsRun = tick.legsTotal; };
+    {
+        const SweepJobScope scope(config, "one-thread",
+                                  {nullptr, &journal, nullptr, obs::makeRootContext("one-thread")});
+        (void)runSweep(config);
+    }
+    journal.close();
+    ASSERT_GT(2 * legsRun, obs::kTimelineLaneEvents) << "started + finished overflow a lane";
+    EXPECT_EQ(journal.written() + journal.dropped(), 3 * legsRun);
+
+    const JsonValue doc = parseJson(obs::JobTraceStore::global().toChromeJson("one-thread"));
+    EXPECT_EQ(doc.numberOr("droppedSpans", -1.0), 0.0);
+    const JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::set<std::string> legSpans;
+    for (const JsonValue& event : events->items) {
+        if (event.stringOr("cat", "").rfind("leg", 0) == 0) {
+            EXPECT_TRUE(legSpans.insert(event.find("args")->stringOr("span", "")).second);
+        }
+    }
+    EXPECT_EQ(legSpans.size(), legsRun);
+    obs::JobTraceStore::global().clear();
+    std::remove(journalPath.c_str());
 }
 
 // The scope closes a job's observers on the exception path too: after a

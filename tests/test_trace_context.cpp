@@ -109,7 +109,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     EXPECT_FALSE(obs::JobTraceStore::collecting());
 
     const obs::TraceContext context = obs::makeRootContext("job-1");
-    store.beginJob("job-1", context);
+    const std::uint32_t job = store.beginJob("job-1", context);
     EXPECT_TRUE(obs::JobTraceStore::collecting());
 
     obs::LegEvent executed;
@@ -120,7 +120,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     executed.setBenchmark("crc32");
     executed.setScheme("ffw+bbr");
     executed.voltageMv = 400;
-    store.recordLeg(executed);
+    obs::recordLegSpan(executed, job);
 
     obs::LegEvent cached = executed;
     cached.leg = 1;
@@ -128,7 +128,7 @@ TEST(JobTraceStore, CollectsSpansAndRendersChromeTraceJson) {
     cached.trial = 1;
     cached.cached = true;
     cached.durationNs = 5'000; // store-lookup wall time
-    store.recordLeg(cached);
+    obs::recordLegSpan(cached, job);
 
     store.endJob(context);
     EXPECT_FALSE(obs::JobTraceStore::collecting());
@@ -210,25 +210,32 @@ TEST(JobTraceStore, BoundsJobsAndSpansWithDropAccounting) {
     EXPECT_TRUE(store.toChromeJson("bulk-0").empty());
     EXPECT_FALSE(store.toChromeJson("bulk-1").empty());
 
-    // Per-job ring: overflow overwrites the oldest events, counted per job
-    // and in the registry.
+    // The recording thread's timeline lane: overflow overwrites the oldest
+    // events, counted per job and in the registry. The lane may already hold
+    // earlier tests' events, and each overwrite of one counts too.
     const auto droppedTotal = [] {
         for (const auto& metric : obs::MetricsRegistry::global().snapshot()) {
             if (metric.name == "obs.trace_dropped_total") return metric.count;
         }
         return std::uint64_t{0};
     };
+    const auto overwritten = [] {
+        const obs::EventRing* lane =
+            obs::eventRing(obs::threadSlot(), obs::TraceLane::Timeline);
+        return lane == nullptr ? std::uint64_t{0} : lane->oldest(lane->recorded());
+    };
     const obs::TraceContext context = obs::makeRootContext("fat");
     store.beginJob("fat", context);
     const std::uint64_t droppedBefore = droppedTotal();
-    for (std::size_t i = 0; i < obs::JobTraceStore::kMaxSpansPerJob + 10; ++i) {
+    const std::uint64_t overwrittenBefore = overwritten();
+    for (std::size_t i = 0; i < obs::kTimelineLaneEvents + 10; ++i) {
         obs::traceSpan("filler", "phase", 0, 1, {{"i", static_cast<std::int64_t>(i)}});
     }
     store.endJob(context);
-    EXPECT_EQ(droppedTotal(), droppedBefore + 10);
+    EXPECT_GE(overwritten() - overwrittenBefore, 10u);
+    EXPECT_EQ(droppedTotal(), droppedBefore + (overwritten() - overwrittenBefore));
     const JsonValue doc = parseJson(store.toChromeJson("fat"));
-    EXPECT_EQ(doc.numberOr("spanCount", 0.0),
-              static_cast<double>(obs::JobTraceStore::kMaxSpansPerJob));
+    EXPECT_EQ(doc.numberOr("spanCount", 0.0), static_cast<double>(obs::kTimelineLaneEvents));
     EXPECT_EQ(doc.numberOr("droppedSpans", 0.0), 10.0);
     const JsonValue* fillers = doc.find("traceEvents");
     ASSERT_NE(fillers, nullptr);
@@ -334,6 +341,41 @@ SweepConfig tinyTracedSweep(unsigned threads) {
     return config;
 }
 
+// Instant events fill a lane of their own: a grid whose fault-buffer
+// instants alone overflow a 65536-event ring still keeps one leg span per leg.
+TEST(TracedSweep, InstantFloodKeepsOneLegSpanPerLeg) {
+    obs::JobTraceStore& store = obs::JobTraceStore::global();
+    store.clear();
+    SweepConfig config = tinyTracedSweep(2);
+    config.trials = 16;
+    std::atomic<std::size_t> finishedLegs{0};
+    config.onLegEvent = [&finishedLegs](const obs::LegEvent& event) {
+        if (event.phase == obs::LegEvent::Phase::Finished) ++finishedLegs;
+    };
+    {
+        const SweepJobScope scope(config, "flood",
+                                  {.trace = obs::makeRootContext("flood"), .instants = true});
+        (void)runSweep(config);
+    }
+    const JsonValue doc = parseJson(store.toChromeJson("flood"));
+    EXPECT_GT(doc.numberOr("spanCount", 0.0) + doc.numberOr("droppedSpans", 0.0),
+              static_cast<double>(std::size_t{1} << 16))
+        << "the grid records more events than a 65536-event ring holds";
+    const JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::set<std::string> legSpans;
+    std::size_t legEvents = 0;
+    for (const JsonValue& event : events->items) {
+        if (event.stringOr("cat", "").rfind("leg", 0) != 0) continue;
+        ++legEvents;
+        legSpans.insert(event.find("args")->stringOr("span", ""));
+    }
+    EXPECT_GT(finishedLegs.load(), 0u);
+    EXPECT_EQ(legEvents, finishedLegs.load());
+    EXPECT_EQ(legSpans.size(), finishedLegs.load());
+    store.clear();
+}
+
 // Every event sits on its recording thread's track, so the profiler's phase
 // spans nest on each tid even while four workers run phases at once.
 TEST(TracedSweep, PhaseSpansNestOnEachThreadTrack) {
@@ -427,7 +469,6 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
     const std::string path = tempPath("flight_basic.json");
     obs::FlightRecorder::Options options;
     options.path = path;
-    options.eventCapacity = 8;
     obs::FlightRecorder& recorder = obs::FlightRecorder::install(options);
     EXPECT_TRUE(obs::flightRecorderArmed());
     EXPECT_EQ(obs::FlightRecorder::instance(), &recorder);
@@ -440,7 +481,8 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
     progress.workers = 2;
     recorder.noteProgress(progress);
     recorder.noteMetrics();
-    for (std::uint32_t i = 0; i < 12; ++i) { // > capacity: ring wraps
+    constexpr std::uint32_t kNoted = obs::FlightRecorder::kDumpEventsPerSlot + 4;
+    for (std::uint32_t i = 0; i < kNoted; ++i) { // > the dump's window per slot
         obs::LegEvent event;
         event.phase = obs::LegEvent::Phase::Finished;
         event.leg = i;
@@ -448,9 +490,9 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
         event.setScheme("ffw+bbr");
         event.voltageMv = 400;
         event.durationNs = 1000 + i;
-        recorder.noteLegEvent(event);
+        obs::recordLegEvent(event);
     }
-    EXPECT_EQ(recorder.eventsNoted(), 12u);
+    EXPECT_EQ(recorder.eventsNoted(), kNoted);
 
     ASSERT_TRUE(recorder.dumpNow("test", "unit"));
     EXPECT_FALSE(recorder.dumpNow("test", "second")); // dump-once until rearm
@@ -465,14 +507,14 @@ TEST(FlightRecorder, DumpsParseableJsonOnceAndRearms) {
     ASSERT_NE(dumpedProgress, nullptr);
     EXPECT_EQ(dumpedProgress->numberOr("legsCompleted", 0.0), 3.0);
     EXPECT_EQ(dumpedProgress->numberOr("legsTotal", 0.0), 12.0);
-    // The ring kept the newest 8 of 12 events, oldest-first.
-    EXPECT_EQ(doc.numberOr("eventsNoted", 0.0), 12.0);
+    // The dump kept the newest kDumpEventsPerSlot of them, oldest-first.
+    EXPECT_EQ(doc.numberOr("eventsNoted", 0.0), static_cast<double>(kNoted));
     EXPECT_EQ(doc.numberOr("eventsDropped", 0.0), 4.0);
     const JsonValue* events = doc.find("events");
     ASSERT_NE(events, nullptr);
-    ASSERT_EQ(events->items.size(), 8u);
+    ASSERT_EQ(events->items.size(), obs::FlightRecorder::kDumpEventsPerSlot);
     EXPECT_EQ(events->items.front().numberOr("leg", 0.0), 4.0);
-    EXPECT_EQ(events->items.back().numberOr("leg", 0.0), 11.0);
+    EXPECT_EQ(events->items.back().numberOr("leg", 0.0), static_cast<double>(kNoted - 1));
     EXPECT_EQ(events->items.back().stringOr("outcome", ""), "ok");
 
     // rearm() re-enables the dump; the file is rewritten from the start.

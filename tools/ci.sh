@@ -89,6 +89,18 @@ if ! grep -q 'ffw.recenter' "$sweep_trace" || ! grep -q 'bbr.fetch' "$sweep_trac
     echo "ci: FAIL — trace lacks FFW recenter / BBR fetch events" >&2
     exit 1
 fi
+# Instant events fill a lane of their own, so the --trace document keeps one
+# leg span per leg the sweep ran (the cells' run counts sum to the legs).
+if command -v python3 > /dev/null 2>&1; then
+    python3 - "$sweep_trace" "$sweep_json" << 'EOF'
+import json, sys
+trace = json.load(open(sys.argv[1]))
+sweep = json.load(open(sys.argv[2]))
+spans = [e["args"]["span"] for e in trace["traceEvents"] if e["cat"] == "leg"]
+legs = sum(cell["stats"]["runs"] for cell in sweep["cells"])
+assert len(spans) == len(set(spans)) == legs, (len(spans), len(set(spans)), legs)
+EOF
+fi
 # --trace writes the sweep job's timeline, so the trace renderer reads it.
 if ! "$build_dir/tools/voltcache" trace "$sweep_trace" > /dev/null; then
     echo "ci: FAIL — voltcache trace rejects the sweep --trace file" >&2

@@ -20,8 +20,9 @@
 //       full result (with CI half-widths and the forensics block), --trace
 //       the sweep job's timeline with the scheme / linker instant events
 //       (Chrome trace JSON: open in Perfetto; --trace-job writes the same
-//       timeline without them), --profile a self-profile (per-phase span
-//       self-times + metrics snapshot). --threads sets the worker count
+//       timeline without them; instant events fill a lane of their own,
+//       so they never evict leg or phase spans), --profile a self-profile
+//       (per-phase span self-times + metrics snapshot). --threads sets the worker count
 //       (0 = all cores); the result is bit-identical either way.
 //       --analytic-check gates the MC estimates against the closed-form
 //       FFW/BBR models (nonzero exit on divergence); --corrupt-mapgen
@@ -442,8 +443,7 @@ int cmdSweep(const Args& args) {
     // tick/event stream.
     std::optional<obs::LegJournal> journal;
     if (args.flags.contains("journal")) {
-        journal.emplace(args.get("journal", ""), sweepJournalProducers(config.threads),
-                        /*ringCapacity=*/4096, /*autoDrain=*/true,
+        journal.emplace(args.get("journal", ""), /*autoDrain=*/true,
                         std::stoull(args.get("journal-max-bytes", "0")));
     }
 
@@ -469,16 +469,17 @@ int cmdSweep(const Args& args) {
         for (const char* flag : {"trace", "trace-job"}) {
             if (args.flags.contains(flag)) writeTextFile(args.get(flag, ""), timeline);
         }
-        // A full ring overwrites its oldest events, leg spans included: say
-        // so rather than hand over a timeline that silently lost legs.
-        if (const auto ring = store.ringCounts("sweep"); ring.dropped > 0) {
+        // A full lane overwrites its oldest events: say so rather than hand
+        // over a timeline that silently lost some. The index is small, and
+        // its newest job is this sweep's.
+        const JsonValue index = parseJson(store.indexJson());
+        const JsonValue& job = index.find("jobs")->items.front();
+        if (const double dropped = job.numberOr("droppedSpans", 0.0); dropped > 0) {
             std::fprintf(stderr,
-                         "sweep: the trace kept the newest %llu events and overwrote %llu%s\n",
-                         static_cast<unsigned long long>(ring.kept),
-                         static_cast<unsigned long long>(ring.dropped),
-                         instants ? "; --trace-job without --trace records no instant "
-                                    "events and keeps every leg span"
-                                  : "");
+                         "sweep: the trace kept %.0f events and overwrote %.0f (each thread "
+                         "keeps its newest %zu leg and phase spans and %zu instant events)\n",
+                         job.numberOr("spans", 0.0), dropped, obs::kTimelineLaneEvents,
+                         obs::kInstantLaneEvents);
         }
     }
     if (journal.has_value()) journal->close();
@@ -1288,9 +1289,9 @@ int usage() {
                  "  yield [--bits N] [--target Y]\n"
                  "  sweep [--trials N] [--benchmarks a,b,...] [--scale S] [--threads N]\n"
                  "      [--max-instructions N] [--mv V1,V2,...] [--json FILE]\n"
-                 "      [--trace FILE]  (the job timeline with instant events; its ring\n"
-                 "       keeps the newest 65536 events, so a large grid loses leg spans;\n"
-                 "       --trace-job without --trace keeps every leg span)\n"
+                 "      [--trace FILE]  (the job timeline with instant events; each thread\n"
+                 "       keeps its newest 8192 leg and phase spans and, apart from them,\n"
+                 "       its newest 32768 instant events)\n"
                  "      [--progress]\n"
                  "      [--profile FILE]  (self-profile: per-phase span times + metrics)\n"
                  "      [--no-replay]  (disable the record-once/replay-many fast path;\n"
