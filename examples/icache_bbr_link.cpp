@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
         std::printf("placement violations (defective words occupied): %u — must be 0\n",
                     countPlacementViolations(out.image, map));
 
-        // The static prover (tools/vcverify) decides the same invariant over
+        // The static prover (`voltcache verify`) decides the same invariant over
         // the image CFG — reachable words only, with per-path diagnostics.
         const analysis::PlacementProof proof =
             analysis::provePlacement(out.image, map, &module);

@@ -4,24 +4,6 @@
 
 namespace voltcache::analysis {
 
-VerifyReport verifyImage(const Module& module, const Image& image, const FaultMap& map,
-                         const LintOptions& lintOptions) {
-    VerifyReport report;
-    report.lint = lintModule(module, lintOptions);
-    report.proof = provePlacement(image, map, &module);
-    return report;
-}
-
-VerifyReport verifyImage(const Module& module, const Image& image, const FaultMap& map) {
-    LintOptions lintOptions;
-    lintOptions.maxBlockWords = maxPlaceableBlockWords(map);
-    return verifyImage(module, image, map, lintOptions);
-}
-
-std::string formatReport(const VerifyReport& report) {
-    return formatFindings(report.lint) + formatProof(report.proof);
-}
-
 void attachStaticVerifier(LinkOptions& options, const Module* module) {
     VC_EXPECTS(options.bbrPlacement && options.icacheFaultMap != nullptr);
     const FaultMap* map = options.icacheFaultMap;

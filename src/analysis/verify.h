@@ -1,36 +1,15 @@
-// Top-level static verification entry points: the pieces vcverify, the
-// linker hook, and the Monte Carlo harness share.
+// Static verification inside link(): attachStaticVerifier arms the linker
+// to prove the BBR placement of the image it emits, and linkVerified links
+// with that proof, so the Monte Carlo legs count a disproved placement as a
+// yield loss. `voltcache verify` runs lint, link and provePlacement as
+// separate steps instead, to report each.
 #pragma once
 
-#include <string>
-
-#include "analysis/lint.h"
 #include "analysis/placement_prover.h"
-#include "faults/fault_map.h"
 #include "isa/module.h"
 #include "linker/linker.h"
 
 namespace voltcache::analysis {
-
-struct VerifyReport {
-    std::vector<LintFinding> lint;
-    PlacementProof proof;
-
-    [[nodiscard]] bool ok() const noexcept {
-        return proof.verified && !hasLintErrors(lint);
-    }
-};
-
-/// Lint `module`, then prove the BBR placement of `image` against `map`.
-/// Lint options default to BBR mode with maxBlockWords derived from `map`.
-[[nodiscard]] VerifyReport verifyImage(const Module& module, const Image& image,
-                                       const FaultMap& map,
-                                       const LintOptions& lintOptions);
-[[nodiscard]] VerifyReport verifyImage(const Module& module, const Image& image,
-                                       const FaultMap& map);
-
-/// Full report text: lint findings then proof diagnostics.
-[[nodiscard]] std::string formatReport(const VerifyReport& report);
 
 /// Arm `options` so link() statically proves the placement of the image it
 /// just emitted (against options.icacheFaultMap) and throws LinkError with

@@ -20,7 +20,7 @@ void BbrPolicy::throwPlacementViolation(std::uint32_t addr, std::uint32_t set,
         std::to_string(frameOf(set, way)) + ", word " +
         std::to_string(mapper_.wordOffset(addr)) +
         ") — the image was not placed against this fault map; "
-        "analysis::provePlacement / tools/vcverify catches this statically");
+        "analysis::provePlacement / `voltcache verify` catches this statically");
 }
 
 void BbrPolicy::fill(std::uint32_t addr, std::uint32_t set, std::uint32_t tag,

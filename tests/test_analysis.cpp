@@ -1,5 +1,5 @@
 // Tests for the static-analysis layer: the image CFG builder, the BBR
-// placement prover, and the module lint pass (tools/vcverify's engine).
+// placement prover, and the module lint pass (`voltcache verify`'s engine).
 #include <gtest/gtest.h>
 
 #include "analysis/image_cfg.h"
@@ -467,23 +467,6 @@ TEST(Lint, MaxPlaceableBlockWordsMergesAcrossWraparound) {
     EXPECT_EQ(maxPlaceableBlockWords(map), 21u);
     map.setFaultyFlat(0);
     EXPECT_EQ(maxPlaceableBlockWords(map), 11u);
-}
-
-// ------------------------------------------------------------ VerifyReport
-
-TEST(Verify, ReportCombinesLintAndProof) {
-    Module module = buildBenchmark("qsort", WorkloadScale::Tiny);
-    applyBbrTransforms(module);
-    const FaultMapGenerator generator;
-    Rng rng(3);
-    const FaultMap map = generator.generate(rng, 440_mV, 1024, 8);
-    LinkOptions options;
-    options.bbrPlacement = true;
-    options.icacheFaultMap = &map;
-    const LinkOutput out = link(module, options);
-    const VerifyReport report = verifyImage(module, out.image, map);
-    EXPECT_TRUE(report.ok()) << formatReport(report);
-    EXPECT_TRUE(report.proof.verified);
 }
 
 } // namespace

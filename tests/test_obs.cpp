@@ -307,9 +307,10 @@ TEST(TraceSink, ChromeJsonIsWellFormed) {
 }
 
 TEST(TraceSink, SpanEventsExportAsCompleteDurations) {
-    // Both spans start after the job opened, so neither clamps to t=0.
-    const std::uint64_t start = obs::steadyNowNs() + 1'000'000;
-    const JsonValue doc = tracedJob("spans", [start] {
+    // Both spans start after the job opened (the stamp is taken inside the
+    // job), so neither clamps to t=0.
+    const JsonValue doc = tracedJob("spans", [] {
+        const std::uint64_t start = obs::steadyNowNs() + 1'000'000;
         obs::traceSpan("phase", "prof", start, 5000, {{"leg", 3}});
         obs::traceSpan("later", "prof", start + 2000, 1000);
     });

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # CI entry point: strict build (warnings as errors, ASan+UBSan), full test
-# suite, clang-tidy (when installed), and a vcverify smoke check over the
-# BBR link example's configuration. Usage:
+# suite, clang-tidy (when installed), and a `voltcache verify` smoke check
+# over the BBR link example's configuration. Usage:
 #
 #   tools/ci.sh [build-dir]        # default: build-ci
 #
@@ -31,14 +31,15 @@ echo "== ctest =="
 echo "== clang-tidy =="
 "$repo_root/tools/run_tidy.sh" "$build_dir"
 
-echo "== vcverify smoke: the icache_bbr_link example's tool chain =="
-# The example links basicmath at seed 1 / 400mV; verify the same
+echo "== verify smoke: the icache_bbr_link example's tool chain =="
+# The example links Tiny basicmath at seed 1 / 400mV; verify the same
 # configuration statically, then demand the example agrees at runtime.
-"$build_dir/tools/vcverify" basicmath --mv 400 --seed 1
+"$build_dir/tools/voltcache" verify basicmath --scale tiny --mv 400 --seed 1
 "$build_dir/examples/icache_bbr_link" basicmath 1 400 > /dev/null
 # A mismatched fault map must be rejected with a nonzero exit.
-if "$build_dir/tools/vcverify" basicmath --mv 400 --seed 1 --verify-seed 2 > /dev/null; then
-    echo "ci: FAIL — vcverify accepted a mismatched fault map" >&2
+if "$build_dir/tools/voltcache" verify basicmath --scale tiny --mv 400 --seed 1 \
+    --verify-seed 2 > /dev/null; then
+    echo "ci: FAIL — voltcache verify accepted a mismatched fault map" >&2
     exit 1
 fi
 

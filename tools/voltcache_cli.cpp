@@ -3,9 +3,17 @@
 //   voltcache run <prog.s | benchmark> [--scheme S] [--mv V] [--seed N]
 //       assemble (or build) a program, link it (BBR placement when the
 //       scheme needs it), simulate one chip, print stats
-//   voltcache verify <prog.s | benchmark> [--mv V] [--seed N]
-//       statically verify the BBR link: module lint + placement proof over
-//       the image CFG (see tools/vcverify for the full verifier)
+//   voltcache verify <prog.s | benchmark> [--mv V] [--seed N] [--map FILE]
+//             [--verify-seed N] [--verify-map FILE] [--scale S]
+//             [--no-transform] [--conventional] [--lint-only] [--max-block W]
+//       statically verify the BBR link before any simulation: lint the
+//       module, link it against a generated (--mv/--seed) or saved BIST
+//       (--map) fault map, and prove that every instruction word reachable
+//       from the entry point sits in a fault-free I-cache word. --verify-seed
+//       / --verify-map prove against a different chip (mismatch check);
+//       --conventional links contiguously (the prover still runs). Exit 0
+//       verified, 1 rejected, 2 usage or I/O error, 3 link failure (no
+//       fault-free chunk fits: a Monte Carlo yield loss)
 //   voltcache disasm <prog.s | benchmark> [--bbr]
 //       print the listing, optionally after the BBR transformations
 //   voltcache faultmap [--mv V] [--seed N] [-o FILE]
@@ -60,6 +68,10 @@
 //       span/event table
 //   voltcache list
 //       available benchmarks and schemes
+//
+// Each subcommand accepts only the flags it reads (the command table at
+// the bottom); any other flag is a usage error. Usage and I/O errors exit 2.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -74,8 +86,9 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/lint.h"
+#include "analysis/placement_prover.h"
 #include "analysis/scheme_model.h"
-#include "analysis/verify.h"
 #include "common/json_parse.h"
 #include "common/socket.h"
 #include "core/analytic_gate.h"
@@ -115,19 +128,30 @@ struct Args {
     }
 };
 
-Args parseArgs(int argc, char** argv, int first) {
+/// One subcommand: its handler and the flags it reads, those that take a
+/// value and the boolean ones. Any other flag is a usage error.
+struct Command {
+    std::string_view name;
+    int (*handler)(const Args&);
+    std::vector<std::string_view> valueFlags;
+    std::vector<std::string_view> boolFlags;
+};
+
+Args parseArgs(int argc, char** argv, int first, const Command& command) {
     Args args;
     for (int i = first; i < argc; ++i) {
         const std::string token = argv[i];
         if (token.rfind("--", 0) == 0 || token == "-o") {
             const std::string key = token == "-o" ? "out" : token.substr(2);
-            if (key == "bbr" || key == "progress" || key == "no-replay" ||
-                key == "analytic-check" || key == "once") { // boolean flags
+            if (std::ranges::find(command.boolFlags, key) != command.boolFlags.end()) {
                 args.flags[key] = "1";
                 continue;
             }
-            // A value never starts with "--": that is the next flag, so an
-            // unknown boolean flag cannot silently swallow it.
+            if (std::ranges::find(command.valueFlags, key) == command.valueFlags.end()) {
+                throw std::runtime_error("unknown flag '" + token + "'");
+            }
+            // A value never starts with "--": that is the next flag, which a
+            // flag missing its value must not swallow.
             if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--")) {
                 throw std::runtime_error("flag " + token + " needs a value");
             }
@@ -141,6 +165,22 @@ Args parseArgs(int argc, char** argv, int first) {
     return args;
 }
 
+/// `value` read whole as a number, or a usage error naming the flag
+/// (std::stod alone would take "4x" as 4).
+double parseNumber(const std::string& flag, const std::string& value) {
+    std::size_t used = 0;
+    double parsed = 0;
+    try {
+        parsed = std::stod(value, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used != value.size() || value.empty()) {
+        throw std::runtime_error("--" + flag + ": not a number: '" + value + "'");
+    }
+    return parsed;
+}
+
 bool isBenchmarkName(const std::string& name) {
     for (const auto& info : benchmarkList()) {
         if (info.name == name) return true;
@@ -148,13 +188,26 @@ bool isBenchmarkName(const std::string& name) {
     return false;
 }
 
-Module loadProgram(const std::string& source) {
-    if (isBenchmarkName(source)) return buildBenchmark(source, WorkloadScale::Small);
+Module loadProgram(const std::string& source, WorkloadScale scale) {
+    if (isBenchmarkName(source)) return buildBenchmark(source, scale);
     std::ifstream in(source);
     if (!in) throw std::runtime_error("cannot open '" + source + "'");
     std::ostringstream text;
     text << in.rdbuf();
     return assemble(text.str());
+}
+
+/// A Monte Carlo fault map of the 32KB L1 (1024 lines of 8 words).
+FaultMap generateMap(double millivolts, std::uint64_t seed) {
+    Rng rng(seed);
+    const FaultMapGenerator generator;
+    return generator.generate(rng, Voltage::fromMillivolts(millivolts), 1024, 8);
+}
+
+FaultMap loadMap(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open fault map '" + path + "'");
+    return loadFaultMap(in);
 }
 
 void writeTextFile(const std::string& path, const std::string& content) {
@@ -216,7 +269,7 @@ RunExportMeta legMetaFromArgs(const Args& args, const SystemConfig& config) {
     return meta;
 }
 
-int cmdList() {
+int cmdList(const Args& /*args*/) {
     std::printf("benchmarks:\n");
     for (const auto& info : benchmarkList()) {
         std::printf("  %-14s (models %s)\n", info.name.data(), info.models.data());
@@ -244,7 +297,7 @@ SystemResult simulateLeg(const Args& args, const char* label, const Module& modu
 
 int cmdRun(const Args& args) {
     if (args.positional.empty()) throw std::runtime_error("run: need a program");
-    Module module = loadProgram(args.positional);
+    Module module = loadProgram(args.positional, WorkloadScale::Small);
     Module bbrModule = module;
     applyBbrTransforms(bbrModule);
 
@@ -279,60 +332,81 @@ int cmdRun(const Args& args) {
     return 0;
 }
 
+/// Lint the module, link it, and prove the placement over the image CFG.
+/// Exit 0 verified, 1 rejected, 3 link failure (2, a usage or I/O error,
+/// is thrown to main).
 int cmdVerify(const Args& args) {
-    // Static verification (see tools/vcverify.cpp for the full-featured
-    // verifier): BBR-transform, lint, link against this chip's fault map,
-    // and prove the placement over the image CFG.
     if (args.positional.empty()) throw std::runtime_error("verify: need a program");
-    Module module = loadProgram(args.positional);
-    applyBbrTransforms(module);
+    const auto has = [&args](const char* flag) { return args.flags.contains(flag); };
+    Module module =
+        loadProgram(args.positional, parseWorkloadScale(args.get("scale", "small")));
+    const bool bbr = !has("conventional");
+    if (!has("no-transform")) applyBbrTransforms(module);
 
-    Rng rng(std::stoull(args.get("seed", "1")));
-    const FaultMapGenerator generator;
-    const FaultMap map = generator.generate(
-        rng, Voltage::fromMillivolts(std::stod(args.get("mv", "400"))), 1024, 8);
+    const double mv = parseNumber("mv", args.get("mv", "400"));
+    const FaultMap linkMap =
+        has("map") ? loadMap(args.get("map", ""))
+                   : generateMap(mv, static_cast<std::uint64_t>(
+                                         parseNumber("seed", args.get("seed", "1"))));
 
     analysis::LintOptions lintOptions;
-    lintOptions.maxBlockWords = analysis::maxPlaceableBlockWords(map);
+    lintOptions.bbrMode = bbr;
+    lintOptions.maxBlockWords =
+        has("max-block") ? static_cast<std::uint32_t>(
+                               parseNumber("max-block", args.get("max-block", "0")))
+                         : analysis::maxPlaceableBlockWords(linkMap);
     const auto findings = analysis::lintModule(module, lintOptions);
     std::fputs(analysis::formatFindings(findings).c_str(), stdout);
+    const bool lintFailed = analysis::hasLintErrors(findings);
 
-    LinkOptions options;
-    options.bbrPlacement = true;
-    options.icacheFaultMap = &map;
+    if (has("lint-only")) {
+        std::printf("lint: %zu finding(s), %s\n", findings.size(),
+                    lintFailed ? "REJECTED" : "ok");
+        return lintFailed ? 1 : 0;
+    }
+
+    LinkOptions linkOptions;
+    linkOptions.bbrPlacement = bbr;
+    if (bbr) linkOptions.icacheFaultMap = &linkMap;
     std::optional<LinkOutput> out;
     try {
-        out = link(module, options);
+        out = link(module, linkOptions);
     } catch (const LinkError& e) {
         std::printf("link failure (yield loss): %s\n", e.what());
-        return 1;
+        return 3;
     }
+
+    const FaultMap verifyMap =
+        has("verify-map")    ? loadMap(args.get("verify-map", ""))
+        : has("verify-seed") ? generateMap(mv, static_cast<std::uint64_t>(parseNumber(
+                                                   "verify-seed", args.get("verify-seed", "1"))))
+                             : linkMap;
+
     const analysis::PlacementProof proof =
-        analysis::provePlacement(out->image, map, &module);
+        analysis::provePlacement(out->image, verifyMap, &module);
     std::fputs(analysis::formatProof(proof).c_str(), stdout);
-    const bool ok = proof.verified && !analysis::hasLintErrors(findings);
-    std::printf("%s: %u reachable words over %u blocks, %zu violation(s)\n",
-                ok ? "VERIFIED" : "REJECTED", proof.reachableWords,
-                proof.reachableBlocks, proof.violations.size());
+    const bool ok = proof.verified && !lintFailed;
+    std::printf("%s: %u reachable words over %u blocks (%u dead blocks, %u dead words), "
+                "%zu violation(s), %u faulty cache words\n",
+                ok ? "VERIFIED" : "REJECTED", proof.reachableWords, proof.reachableBlocks,
+                proof.deadBlocks, proof.deadWords, proof.violations.size(),
+                verifyMap.totalFaultyWords());
     return ok ? 0 : 1;
 }
 
 int cmdDisasm(const Args& args) {
     if (args.positional.empty()) throw std::runtime_error("disasm: need a program");
-    Module module = loadProgram(args.positional);
+    Module module = loadProgram(args.positional, WorkloadScale::Small);
     if (args.flags.contains("bbr")) applyBbrTransforms(module);
     std::fputs(disassemble(module).c_str(), stdout);
     return 0;
 }
 
 int cmdFaultmap(const Args& args) {
-    const Voltage v = Voltage::fromMillivolts(std::stod(args.get("mv", "400")));
-    Rng rng(std::stoull(args.get("seed", "1")));
-    const FaultMapGenerator generator;
-    const FaultMap map = generator.generate(rng, v, 1024, 8);
+    const double mv = std::stod(args.get("mv", "400"));
+    const FaultMap map = generateMap(mv, std::stoull(args.get("seed", "1")));
     std::printf("# %u of %u words defective (%.1f%%) at %.0fmV\n", map.totalFaultyWords(),
-                map.totalWords(), 100.0 * map.totalFaultyWords() / map.totalWords(),
-                v.millivolts());
+                map.totalWords(), 100.0 * map.totalFaultyWords() / map.totalWords(), mv);
     const std::string text = faultMapToString(map);
     if (args.flags.contains("out")) {
         std::ofstream out(args.get("out", ""));
@@ -625,7 +699,7 @@ int cmdModel(const Args& args) {
 
 int cmdStats(const Args& args) {
     if (args.positional.empty()) throw std::runtime_error("stats: need a program");
-    Module module = loadProgram(args.positional);
+    Module module = loadProgram(args.positional, WorkloadScale::Small);
     Module bbrModule = module;
     applyBbrTransforms(bbrModule);
 
@@ -1283,7 +1357,10 @@ int usage() {
                  "      [--json FILE] [--trace FILE]\n"
                  "  stats <prog.s|benchmark> [--scheme S] [--mv V] [--seed N]\n"
                  "      [--json FILE] [--trace FILE]\n"
-                 "  verify <prog.s|benchmark> [--mv V] [--seed N]\n"
+                 "  verify <prog.s|benchmark> [--mv V] [--seed N] [--map FILE]\n"
+                 "      [--verify-seed N] [--verify-map FILE] [--scale S] [--no-transform]\n"
+                 "      [--conventional] [--lint-only] [--max-block W]\n"
+                 "      (static BBR proof; exit 0 verified, 1 rejected, 3 link failure)\n"
                  "  disasm <prog.s|benchmark> [--bbr]\n"
                  "  faultmap [--mv V] [--seed N] [-o FILE]\n"
                  "  yield [--bits N] [--target Y]\n"
@@ -1341,34 +1418,51 @@ int usage() {
                  "  model [--mv V1,V2,...] [--need WORDS] [--json FILE]\n"
                  "      (closed-form FFW/BBR curves, no simulation)\n"
                  "  profile <profile.json|sweep.json>  (render span times / forensics)\n"
-                 "  list\n");
+                 "  list\n"
+                 "a flag the command does not read, or an I/O error, exits 2\n");
     return 2;
 }
+
+const std::vector<Command> kCommands = {
+    {"run", cmdRun, {"scheme", "mv", "seed", "max-instructions", "json", "trace"}, {}},
+    {"stats", cmdStats, {"scheme", "mv", "seed", "max-instructions", "json", "trace"}, {}},
+    {"verify", cmdVerify,
+     {"mv", "seed", "map", "verify-seed", "verify-map", "scale", "max-block"},
+     {"no-transform", "conventional", "lint-only"}},
+    {"disasm", cmdDisasm, {}, {"bbr"}},
+    {"faultmap", cmdFaultmap, {"mv", "seed", "out"}, {}},
+    {"yield", cmdYield, {"bits", "target"}, {}},
+    {"sweep", cmdSweep,
+     {"trials", "scale", "max-instructions", "threads", "benchmarks", "mv", "corrupt-mapgen",
+      "batch", "fail-at-leg", "flight-record", "trace", "trace-job", "telemetry-port",
+      "telemetry-linger", "journal", "journal-max-bytes", "profile", "check-z", "json"},
+     {"progress", "no-replay", "analytic-check"}},
+    {"top", cmdTop, {"interval", "iterations", "progress-out", "metrics-out"}, {"once"}},
+    {"serve", cmdServe,
+     {"port", "store", "store-budget", "threads", "journal", "journal-max-bytes",
+      "flight-record", "idle-timeout", "telemetry-port"},
+     {}},
+    {"submit", cmdSubmit,
+     {"op", "id", "benchmarks", "schemes", "scale", "mv", "trials", "threads", "seed",
+      "max-instructions", "trace-id", "timeout", "json"},
+     {"progress"}},
+    {"model", cmdModel, {"mv", "need", "json"}, {}},
+    {"profile", cmdProfile, {}, {}},
+    {"trace", cmdTrace, {"job", "limit"}, {}},
+    {"list", cmdList, {}, {}},
+};
 
 } // namespace
 
 int main(int argc, char** argv) {
     if (argc < 2) return usage();
-    const std::string command = argv[1];
+    const std::string name = argv[1];
+    const auto command = std::ranges::find(kCommands, name, &Command::name);
+    if (command == kCommands.end()) return usage();
     try {
-        const Args args = parseArgs(argc, argv, 2);
-        if (command == "run") return cmdRun(args);
-        if (command == "stats") return cmdStats(args);
-        if (command == "verify") return cmdVerify(args);
-        if (command == "disasm") return cmdDisasm(args);
-        if (command == "faultmap") return cmdFaultmap(args);
-        if (command == "yield") return cmdYield(args);
-        if (command == "sweep") return cmdSweep(args);
-        if (command == "top") return cmdTop(args);
-        if (command == "serve") return cmdServe(args);
-        if (command == "submit") return cmdSubmit(args);
-        if (command == "model") return cmdModel(args);
-        if (command == "profile") return cmdProfile(args);
-        if (command == "trace") return cmdTrace(args);
-        if (command == "list") return cmdList();
-        return usage();
+        return command->handler(parseArgs(argc, argv, 2, *command));
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "voltcache %s: %s\n", command.c_str(), e.what());
-        return 1;
+        std::fprintf(stderr, "voltcache %s: %s\n", name.c_str(), e.what());
+        return 2;
     }
 }
