@@ -4,10 +4,14 @@
 //   VOLTCACHE_TRIALS  fault maps per DVFS point   (default 3; paper: 1000)
 //   VOLTCACHE_SCALE   tiny | small | reference    (default small)
 //   VOLTCACHE_BENCHMARKS  comma-separated subset  (default: all ten)
+// A trial count or scale that does not parse whole throws rather than runs
+// another experiment.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,20 +22,18 @@
 namespace voltcache::bench {
 
 inline std::uint32_t envTrials(std::uint32_t fallback = 3) {
-    if (const char* value = std::getenv("VOLTCACHE_TRIALS")) {
-        return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 0));
+    const char* value = std::getenv("VOLTCACHE_TRIALS");
+    if (value == nullptr) return fallback;
+    const std::optional<std::uint64_t> trials = parseUnsigned(value, UINT32_MAX);
+    if (!trials) {
+        throw std::runtime_error(std::string("VOLTCACHE_TRIALS: not a number: '") + value + "'");
     }
-    return fallback;
+    return static_cast<std::uint32_t>(*trials);
 }
 
 inline WorkloadScale envScale(WorkloadScale fallback = WorkloadScale::Small) {
-    if (const char* value = std::getenv("VOLTCACHE_SCALE")) {
-        const std::string scale = value;
-        if (scale == "tiny") return WorkloadScale::Tiny;
-        if (scale == "small") return WorkloadScale::Small;
-        if (scale == "reference") return WorkloadScale::Reference;
-    }
-    return fallback;
+    const char* value = std::getenv("VOLTCACHE_SCALE");
+    return value != nullptr ? parseWorkloadScale(value) : fallback;
 }
 
 inline std::vector<std::string> envBenchmarks() {

@@ -1,6 +1,8 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "common/contracts.h"
@@ -109,6 +111,22 @@ std::vector<std::string> splitCsv(std::string_view text) {
         pos = end + 1;
     }
     return parts;
+}
+
+std::optional<std::uint64_t> parseUnsigned(std::string_view text, std::uint64_t max) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || value > max) return std::nullopt;
+    return value;
+}
+
+std::optional<double> parseReal(std::string_view text) {
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || !std::isfinite(value)) return std::nullopt;
+    return value;
 }
 
 } // namespace voltcache

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,5 +47,15 @@ private:
 
 /// Split "a,b,,c" into {"a", "b", "c"}: no quoting, empty fields dropped.
 [[nodiscard]] std::vector<std::string> splitCsv(std::string_view text);
+
+/// The whole of `text` as a decimal integer no larger than `max`; nullopt for
+/// anything else ("4x", "1e3", "-1", "", a value past `max`), so a mistyped
+/// input never reads as its prefix.
+[[nodiscard]] std::optional<std::uint64_t> parseUnsigned(std::string_view text,
+                                                         std::uint64_t max = UINT64_MAX);
+
+/// The whole of `text` as a finite number; nullopt for anything else ("400x",
+/// "", "inf", "nan").
+[[nodiscard]] std::optional<double> parseReal(std::string_view text);
 
 } // namespace voltcache

@@ -996,9 +996,10 @@ std::vector<std::size_t> chunkSizes(std::size_t lanes, std::size_t cap) {
 }
 
 unsigned sweepWorkers(unsigned threads) {
-    if (threads != 0) return threads;
     const unsigned host = std::thread::hardware_concurrency();
-    return host != 0 ? host : 4;
+    const unsigned wanted = threads != 0 ? threads : host != 0 ? host : 4;
+    // Past kMaxThreadSlots a worker records into no event ring and owns no span stack.
+    return std::min(wanted, obs::kMaxThreadSlots);
 }
 
 SweepPlan planSweep(const SweepConfig& config) {

@@ -106,7 +106,8 @@ struct SweepConfig {
     std::uint32_t trials = 5;               ///< fault maps per operating point
     std::uint64_t baseSeed = 0xC0FFEE;
     std::uint64_t maxInstructions = 0;
-    /// Workers; 0 = hardware concurrency (4 when unknown). The shared pool
+    /// Workers; 0 = hardware concurrency (4 when unknown); at most
+    /// obs::kMaxThreadSlots (64) either way. The shared pool
     /// lends up to this many threads while the job has tasks ready, growing
     /// the first time a job asks for more; 1 runs the job on the calling
     /// thread alone. Never more than the job's widest step (two contexts

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -45,7 +46,9 @@ const OperatingPoint& DvfsTable::at(Voltage v) {
 std::vector<OperatingPoint> DvfsTable::parseMillivoltList(std::string_view csv) {
     std::vector<OperatingPoint> points;
     for (const std::string& mv : splitCsv(csv)) {
-        points.push_back(at(Voltage::fromMillivolts(std::stod(mv))));
+        const std::optional<double> millivolts = parseReal(mv);
+        if (!millivolts) throw std::runtime_error("not a millivolt value: '" + mv + "'");
+        points.push_back(at(Voltage::fromMillivolts(*millivolts)));
     }
     return points;
 }

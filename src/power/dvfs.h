@@ -39,6 +39,8 @@ public:
     [[nodiscard]] static const OperatingPoint& at(Voltage v);
 
     /// Operating points for a comma-separated millivolt list ("560,400").
+    /// Throws std::runtime_error for a value that does not parse whole as a
+    /// number ("400x"), std::out_of_range for one that is not a Table II point.
     [[nodiscard]] static std::vector<OperatingPoint> parseMillivoltList(std::string_view csv);
 };
 

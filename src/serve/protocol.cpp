@@ -1,11 +1,13 @@
 #include "serve/protocol.h"
 
-#include <charconv>
-#include <climits>
 #include <cstdint>
+#include <optional>
 
 #include "common/json.h"
 #include "common/json_parse.h"
+#include "common/table.h"
+#include "obs/metrics.h"
+#include "workload/workload.h"
 
 namespace voltcache::serve {
 
@@ -19,15 +21,14 @@ std::uint64_t integerMember(const JsonValue& doc, std::string_view key,
                             std::uint64_t fallback, std::uint64_t max) {
     const JsonValue* value = doc.find(key);
     if (value == nullptr) return fallback;
-    const std::string& token = value->string;
-    std::uint64_t out = 0;
-    const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), out);
-    if (value->kind != JsonValue::Kind::Number || error != std::errc{} ||
-        end != token.data() + token.size() || out > max) {
+    const std::optional<std::uint64_t> out =
+        value->kind == JsonValue::Kind::Number ? parseUnsigned(value->string, max)
+                                               : std::nullopt;
+    if (!out) {
         throw JsonParseError("'" + std::string(key) + "' must be an integer in [0, " +
                              std::to_string(max) + "]");
     }
-    return out;
+    return *out;
 }
 
 } // namespace
@@ -69,7 +70,8 @@ Request parseRequest(std::string_view line) {
         job.mv = doc.stringOr("mv", "");
         job.trials = static_cast<std::uint32_t>(
             integerMember(doc, "trials", job.trials, UINT32_MAX));
-        job.threads = static_cast<unsigned>(integerMember(doc, "threads", 0, UINT_MAX));
+        job.threads =
+            static_cast<unsigned>(integerMember(doc, "threads", 0, obs::kMaxThreadSlots));
         job.seed = integerMember(doc, "seed", job.seed, UINT64_MAX);
         job.maxInstructions = integerMember(doc, "maxInstructions", 0, UINT64_MAX);
         if (const JsonValue* progress = doc.find("progress")) {
@@ -81,6 +83,21 @@ Request parseRequest(std::string_view line) {
         request.error = e.what();
     }
     return request;
+}
+
+SweepConfig configFromJob(const JobRequest& job) {
+    SweepConfig config;
+    config.trials = job.trials;
+    config.scale = parseWorkloadScale(job.scale);
+    config.maxInstructions = job.maxInstructions;
+    config.threads = job.threads;
+    config.baseSeed = job.seed;
+    config.benchmarks = splitCsv(job.benchmarks);
+    for (const std::string& name : splitCsv(job.schemes)) {
+        config.schemes.push_back(parseSchemeKind(name));
+    }
+    config.points = DvfsTable::parseMillivoltList(job.mv);
+    return config;
 }
 
 std::string jobToJson(const JobRequest& job) {

@@ -8,8 +8,9 @@
 //    "benchmarks":"csv", "schemes":"csv", "scale":"small", "mv":"csv",
 //    "threads":N, "seed":N, "maxInstructions":N, "progress":true}
 // Every N is a plain non-negative integer, read exactly up to its field's
-// range (a 64-bit seed keeps every digit); any other value is rejected
-// with an error event carrying the job's id.
+// range (a 64-bit seed keeps every digit; "threads" at most
+// obs::kMaxThreadSlots, 64); any other value is rejected with an error
+// event carrying the job's id.
 //
 // `run` is a degenerate sweep (defaults trials=1) for one-off legs; `verify`
 // runs the sweep under the analytic cross-check gate and reports pass/fail.
@@ -91,6 +92,11 @@ struct Request {
 /// Serialize a job as one request line (no trailing newline) — the
 /// `voltcache submit` side of parseRequest.
 [[nodiscard]] std::string jobToJson(const JobRequest& job);
+
+/// The SweepConfig a job runs: the one job-to-sweep mapping, shared by
+/// `voltcache sweep` and the daemon so a direct and a served sweep are
+/// byte-identical. Throws on an unknown scale or scheme or a bad mv list.
+[[nodiscard]] SweepConfig configFromJob(const JobRequest& job);
 
 /// What the result event reports alongside the framed document.
 struct ResultSummary {

@@ -6,14 +6,12 @@
 #include <utility>
 
 #include "common/json.h"
-#include "common/table.h"
 #include "core/analytic_gate.h"
 #include "core/report.h"
 #include "core/sweep_telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
-#include "workload/workload.h"
 
 namespace voltcache::serve {
 
@@ -23,23 +21,6 @@ namespace {
 /// session's receive timeout: every blocking loop re-checks the stop flag at
 /// least this often, which is what makes requestStop() prompt.
 constexpr std::chrono::milliseconds kPollInterval{200};
-
-/// Build the SweepConfig exactly the way cmdSweep does from its flags, so a
-/// served job and a direct `voltcache sweep` produce byte-identical JSON.
-SweepConfig configFromJob(const JobRequest& request) {
-    SweepConfig config;
-    config.trials = request.trials;
-    config.scale = parseWorkloadScale(request.scale);
-    config.maxInstructions = request.maxInstructions;
-    config.threads = request.threads;
-    config.baseSeed = request.seed;
-    config.benchmarks = splitCsv(request.benchmarks);
-    for (const std::string& name : splitCsv(request.schemes)) {
-        config.schemes.push_back(parseSchemeKind(name));
-    }
-    config.points = DvfsTable::parseMillivoltList(request.mv);
-    return config;
-}
 
 } // namespace
 

@@ -709,7 +709,8 @@ TEST(Protocol, IntegerFieldsAreExactOrRejected) {
           R"({"op":"sweep","id":"b","seed":1e30})",
           R"({"op":"sweep","id":"b","seed":18446744073709551616})",
           R"({"op":"sweep","id":"b","trials":4294967296})",
-          R"({"op":"sweep","id":"b","threads":"2"})"}) {
+          R"({"op":"sweep","id":"b","threads":"2"})",
+          R"({"op":"sweep","id":"b","threads":65})"}) {
         const serve::Request request = serve::parseRequest(bad);
         EXPECT_EQ(request.kind, serve::Request::Kind::Invalid) << bad;
         EXPECT_EQ(request.job.id, "b") << bad;
@@ -730,10 +731,22 @@ TEST(SweepRequest, SharedParsersRoundTripAndRejectUnknownNames) {
     }
     EXPECT_THROW((void)parseWorkloadScale("enormous"), std::runtime_error);
     EXPECT_EQ(splitCsv("crc32,,qsort,"), (std::vector<std::string>{"crc32", "qsort"}));
+    // Every number is read whole: a prefix of a mistyped token is not a value.
+    EXPECT_EQ(parseUnsigned("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseUnsigned("64", 64), 64u);
+    for (const char* bad : {"65", "4x", "1e3", "-1", "+1", " 1", "1.0", ""}) {
+        EXPECT_EQ(parseUnsigned(bad, 64), std::nullopt) << bad;
+    }
+    EXPECT_EQ(parseReal("0.999"), 0.999);
+    EXPECT_EQ(parseReal("-2.5e1"), -25.0);
+    for (const char* bad : {"400x", "4x0", "inf", "nan", "1e999", " 4", ""}) {
+        EXPECT_EQ(parseReal(bad), std::nullopt) << bad;
+    }
     const std::vector<OperatingPoint> points = DvfsTable::parseMillivoltList("560,400");
     ASSERT_EQ(points.size(), 2u);
     EXPECT_EQ(points[1].voltage.millivolts(), 400.0);
     EXPECT_TRUE(DvfsTable::parseMillivoltList("").empty());
+    EXPECT_THROW((void)DvfsTable::parseMillivoltList("400x"), std::runtime_error);
 
     SweepConfig config;
     config.scale = WorkloadScale::Tiny;
@@ -968,6 +981,13 @@ TEST(Server, RejectsNonIntegerFieldsThenServesTheExactSeed) {
         EXPECT_EQ(log.events.front().stringOr("ev", ""), "error") << value;
         EXPECT_EQ(log.events.front().stringOr("id", ""), "bad") << value;
     }
+    // A millivolt list is read whole too: "400x" is an error, not 400 mV.
+    const EventLog badMv = submitJob(
+        server.port(), R"({"op":"sweep","id":"mv","benchmarks":"crc32","scale":"tiny",)"
+                       R"("mv":"400x","trials":1})");
+    ASSERT_FALSE(badMv.events.empty());
+    EXPECT_EQ(badMv.events.back().stringOr("ev", ""), "error");
+    EXPECT_EQ(badMv.events.back().stringOr("id", ""), "mv");
     const EventLog served = submitJob(
         server.port(), R"({"op":"sweep","id":"ok","benchmarks":"crc32","scale":"tiny",)"
                        R"("mv":"400","trials":2,"seed":9007199254740993})");
@@ -989,6 +1009,7 @@ TEST(Server, RejectsNonIntegerFieldsThenServesTheExactSeed) {
     ASSERT_NE(lastResult(served), nullptr);
     EXPECT_EQ(served.document, sweepResultToJson(runSweep(direct), meta));
     EXPECT_EQ(server.totals().jobsCompleted, 1u);
+    EXPECT_EQ(server.totals().jobErrors, 1u);
 }
 
 // Pings and stats pipelined around jobs on one connection are answered by

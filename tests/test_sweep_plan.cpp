@@ -136,6 +136,7 @@ TEST(SweepPlan, WorkerCountRule) {
     config.threads = 3;
     EXPECT_EQ(detail::planSweep(config).workers, 3U);
     EXPECT_EQ(detail::sweepWorkers(3), 3U);
+    EXPECT_EQ(detail::sweepWorkers(65), 64U); // obs::kMaxThreadSlots
 }
 
 LegResult okSlot(double value) {

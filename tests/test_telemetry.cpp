@@ -611,10 +611,14 @@ TEST(EventRing, ConcurrentWritersNeverShowATornEventToAnyReader) {
             }
         }
     });
+    // An exiting thread returns its slot for the next to take: every writer
+    // holds its own until all have one, so the four write four slots.
+    std::latch slotted(kWriters);
     std::vector<std::thread> writers;
     for (std::int64_t w = 0; w < kWriters; ++w) {
-        writers.emplace_back([w, job, &trace, &slots] {
+        writers.emplace_back([w, job, &trace, &slots, &slotted] {
             slots[static_cast<std::size_t>(w)].store(obs::threadSlot());
+            slotted.arrive_and_wait();
             for (std::int64_t i = 0; i < kIterations; ++i) {
                 const std::int64_t dur = i % 1000; // µs, exact in the rendered "dur"
                 obs::traceSpan("stress.span", "stress", obs::steadyNowNs(),

@@ -28,17 +28,18 @@
 // The --speedup ratio must parse whole as a finite positive number.
 //
 // Exit 0 = no regressions, 1 = at least one, 2 = usage/parse error.
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json_parse.h"
+#include "common/table.h"
 
 using voltcache::JsonParseError;
 using voltcache::JsonValue;
@@ -92,21 +93,15 @@ std::map<std::string, Metric> loadMetrics(const std::string& path, std::string* 
 constexpr double kRelThreshold = 0.10;
 constexpr double kCiMult = 3.0;
 
-/// Reads `text` into `out` when the whole of it is a finite number > 0.
-/// Otherwise says so and returns false: "1.10x", "abc", "", "0" and "inf"
-/// are rejected rather than read as a prefix or as 0.
-bool readRatio(const std::string& text, double& out) {
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    const bool whole = !text.empty() &&
-                       std::isspace(static_cast<unsigned char>(text[0])) == 0 && *end == '\0';
-    if (!whole || !std::isfinite(value) || value <= 0.0) {
-        std::fprintf(stderr, "bench_check: --speedup wants a finite positive ratio, not '%s'\n",
-                     text.c_str());
-        return false;
-    }
-    out = value;
-    return true;
+/// The whole of `text` as a finite ratio > 0, or nullopt after saying so:
+/// "1.10x", "abc", "", "0" and "inf" are rejected rather than read as a
+/// prefix or as 0.
+std::optional<double> readRatio(const std::string& text) {
+    const std::optional<double> value = voltcache::parseReal(text);
+    if (value && *value > 0.0) return value;
+    std::fprintf(stderr, "bench_check: --speedup wants a finite positive ratio, not '%s'\n",
+                 text.c_str());
+    return std::nullopt;
 }
 
 } // namespace
@@ -155,7 +150,9 @@ int main(int argc, char** argv) {
             SpeedupGate gate;
             gate.refMetric = spec.substr(0, c1);
             gate.freshMetric = spec.substr(c1 + 1, c2 - c1 - 1);
-            if (!readRatio(spec.substr(c2 + 1), gate.minRatio)) return usage();
+            const std::optional<double> ratio = readRatio(spec.substr(c2 + 1));
+            if (!ratio) return usage();
+            gate.minRatio = *ratio;
             speedups.push_back(gate);
         } else {
             return usage();

@@ -16,6 +16,19 @@ build_dir=${1:-"$repo_root/build-ci"}
 case "$build_dir" in /*) ;; *) build_dir="$PWD/$build_dir" ;; esac
 sanitize=${VOLTCACHE_CI_SANITIZE:-"address;undefined"}
 
+# announced_port LOG NAME: wait up to 10 s for "NAME: listening on
+# 127.0.0.1:PORT" in LOG and print PORT (nothing if it never appears).
+announced_port() {
+    n=0
+    while [ "$n" -lt 100 ]; do
+        port=$(sed -n "s/^$2: listening on 127\.0\.0\.1:\([0-9][0-9]*\)\$/\1/p" \
+            "$1" 2> /dev/null | head -n 1)
+        [ -n "$port" ] && echo "$port" && return 0
+        sleep 0.1
+        n=$((n + 1))
+    done
+}
+
 echo "== configure (WERROR=ON, SANITIZE=$sanitize) =="
 cmake -B "$build_dir" -S "$repo_root" \
       -DVOLTCACHE_WERROR=ON \
@@ -215,15 +228,7 @@ rm -f "$tele_trace" "$tele_flight"
     --trace-job "$tele_trace" --flight-record "$tele_flight" \
     --json "$tele_json" > /dev/null 2> "$tele_log" &
 tele_pid=$!
-tele_port=""
-i=0
-while [ "$i" -lt 100 ]; do
-    tele_port=$(sed -n 's/^telemetry: listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
-        "$tele_log" 2> /dev/null | head -n 1)
-    [ -n "$tele_port" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
+tele_port=$(announced_port "$tele_log" telemetry)
 if [ -z "$tele_port" ]; then
     echo "ci: FAIL — sweep never announced its telemetry port" >&2
     kill "$tele_pid" 2> /dev/null || true
@@ -340,11 +345,13 @@ fi
 echo "== serve smoke: daemon round trip, warm hits, byte-identical JSON, graceful stop, store reload =="
 # Launch the sweep service on an ephemeral port with an on-disk store, submit
 # the same small sweep twice, and require: (1) both served documents are
-# byte-identical to the direct CLI export, (2) the second submission is served
-# (almost) entirely from the content-addressed store, (3) SIGTERM drains and
-# exits 0, (4) a daemon restarted on the same store directory serves a third
-# submission entirely from the reloaded segment. Runs under whatever
-# sanitizers this leg configured.
+# byte-identical to the direct CLI export (`sweep` and `submit` read the
+# job through one path, so the voltages and worker count travel too),
+# (2) the second submission is served (almost) entirely from the
+# content-addressed store, (3) SIGTERM drains and exits 0, (4) a daemon
+# restarted on the same store directory serves a third submission entirely
+# from the reloaded segment. Runs under whatever sanitizers this leg
+# configured.
 serve_dir="$build_dir/ci_serve_store"
 serve_log="$build_dir/ci_serve.log"
 serve_direct="$build_dir/ci_serve_direct.json"
@@ -355,27 +362,19 @@ rm -rf "$serve_dir"
 "$build_dir/tools/voltcache" serve --port 0 --store "$serve_dir" \
     --telemetry-port 0 > /dev/null 2> "$serve_log" &
 serve_pid=$!
-serve_port=""
-i=0
-while [ "$i" -lt 100 ]; do
-    serve_port=$(sed -n 's/^serve: listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
-        "$serve_log" 2> /dev/null | head -n 1)
-    [ -n "$serve_port" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
+serve_port=$(announced_port "$serve_log" serve)
 if [ -z "$serve_port" ]; then
     echo "ci: FAIL — serve never announced its port" >&2
     kill "$serve_pid" 2> /dev/null || true
     exit 1
 fi
 "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
-    --scale tiny --json "$serve_direct" > /dev/null
+    --scale tiny --mv 560,400 --threads 2 --json "$serve_direct" > /dev/null
 "$build_dir/tools/voltcache" submit "127.0.0.1:$serve_port" --op sweep \
-    --trials 2 --benchmarks crc32,basicmath --scale tiny \
+    --trials 2 --benchmarks crc32,basicmath --scale tiny --mv 560,400 --threads 2 \
     --json "$serve_first" > /dev/null
 "$build_dir/tools/voltcache" submit "127.0.0.1:$serve_port" --op sweep \
-    --trials 2 --benchmarks crc32,basicmath --scale tiny \
+    --trials 2 --benchmarks crc32,basicmath --scale tiny --mv 560,400 --threads 2 \
     --json "$serve_second" > "$serve_summary"
 for served in "$serve_first" "$serve_second"; do
     if ! cmp -s "$serve_direct" "$served"; then
@@ -434,22 +433,14 @@ serve_third="$build_dir/ci_serve_third.json"
 "$build_dir/tools/voltcache" serve --port 0 --store "$serve_dir" \
     > /dev/null 2> "$serve_log" &
 serve_pid=$!
-serve_port=""
-i=0
-while [ "$i" -lt 100 ]; do
-    serve_port=$(sed -n 's/^serve: listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' \
-        "$serve_log" 2> /dev/null | head -n 1)
-    [ -n "$serve_port" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
+serve_port=$(announced_port "$serve_log" serve)
 if [ -z "$serve_port" ]; then
     echo "ci: FAIL — restarted serve never announced its port" >&2
     kill "$serve_pid" 2> /dev/null || true
     exit 1
 fi
 "$build_dir/tools/voltcache" submit "127.0.0.1:$serve_port" --op sweep \
-    --trials 2 --benchmarks crc32,basicmath --scale tiny \
+    --trials 2 --benchmarks crc32,basicmath --scale tiny --mv 560,400 --threads 2 \
     --json "$serve_third" > "$serve_summary"
 if ! cmp -s "$serve_direct" "$serve_third"; then
     echo "ci: FAIL — sweep JSON served from the reloaded store differs" >&2

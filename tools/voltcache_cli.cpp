@@ -1,6 +1,7 @@
 // voltcache — command-line front end to the library.
 //
 //   voltcache run <prog.s | benchmark> [--scheme S] [--mv V] [--seed N]
+//             [--max-instructions N] [--json FILE] [--trace FILE]
 //       assemble (or build) a program, link it (BBR placement when the
 //       scheme needs it), simulate one chip, print stats
 //   voltcache verify <prog.s | benchmark> [--mv V] [--seed N] [--map FILE]
@@ -31,7 +32,7 @@
 //       timeline without them; instant events fill a lane of their own,
 //       so they never evict leg or phase spans), --profile a self-profile
 //       (per-phase span self-times + metrics snapshot). --threads sets the worker count
-//       (0 = all cores); the result is bit-identical either way.
+//       (0 = all cores, at most 64); the result is bit-identical either way.
 //       --analytic-check gates the MC estimates against the closed-form
 //       FFW/BBR models (nonzero exit on divergence); --corrupt-mapgen
 //       deliberately scales the sampled fault rate so the gate's negative
@@ -43,7 +44,7 @@
 //       human-readable rendering of a --profile artifact (span table) or a
 //       sweep export's forensics block
 //   voltcache stats <prog.s | benchmark> [--scheme S] [--mv V] [--seed N]
-//             [--json FILE] [--trace FILE]
+//             [--max-instructions N] [--json FILE] [--trace FILE]
 //       one instrumented leg: run + L1 + link + locality stats and the full
 //       metrics-registry snapshot; --trace writes the leg's timeline with
 //       its instant events (`run --trace` too)
@@ -70,13 +71,13 @@
 //       available benchmarks and schemes
 //
 // Each subcommand accepts only the flags it reads (the command table at
-// the bottom); any other flag is a usage error. Usage and I/O errors exit 2.
+// the bottom); any other flag is a usage error. A number is read whole
+// ("4x" and "1e3" are not counts). Usage and I/O errors exit 2.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -126,6 +127,23 @@ struct Args {
         const auto it = flags.find(key);
         return it != flags.end() ? it->second : fallback;
     }
+
+    /// Flag `key` read whole (`fallback` when absent): a count no larger
+    /// than `max`, or a finite real. "4x" or "1e3" is a usage error naming
+    /// the flag, never its prefix.
+    [[nodiscard]] std::uint64_t count(const std::string& key, std::uint64_t fallback,
+                                      std::uint64_t max = UINT64_MAX) const {
+        return read(key, fallback, parseUnsigned(get(key, ""), max));
+    }
+    [[nodiscard]] double real(const std::string& key, double fallback) const {
+        return read(key, fallback, parseReal(get(key, "")));
+    }
+    template <typename T>
+    [[nodiscard]] T read(const std::string& key, T fallback, std::optional<T> value) const {
+        if (!flags.contains(key)) return fallback;
+        if (!value) throw std::runtime_error("--" + key + ": not a number: '" + get(key, "") + "'");
+        return *value;
+    }
 };
 
 /// One subcommand: its handler and the flags it reads, those that take a
@@ -165,22 +183,6 @@ Args parseArgs(int argc, char** argv, int first, const Command& command) {
     return args;
 }
 
-/// `value` read whole as a number, or a usage error naming the flag
-/// (std::stod alone would take "4x" as 4).
-double parseNumber(const std::string& flag, const std::string& value) {
-    std::size_t used = 0;
-    double parsed = 0;
-    try {
-        parsed = std::stod(value, &used);
-    } catch (const std::exception&) {
-        used = 0;
-    }
-    if (used != value.size() || value.empty()) {
-        throw std::runtime_error("--" + flag + ": not a number: '" + value + "'");
-    }
-    return parsed;
-}
-
 bool isBenchmarkName(const std::string& name) {
     for (const auto& info : benchmarkList()) {
         if (info.name == name) return true;
@@ -189,6 +191,7 @@ bool isBenchmarkName(const std::string& name) {
 }
 
 Module loadProgram(const std::string& source, WorkloadScale scale) {
+    if (source.empty()) throw std::runtime_error("need a program");
     if (isBenchmarkName(source)) return buildBenchmark(source, scale);
     std::ifstream in(source);
     if (!in) throw std::runtime_error("cannot open '" + source + "'");
@@ -216,22 +219,15 @@ void writeTextFile(const std::string& path, const std::string& content) {
     out << content << "\n";
 }
 
-/// A TCP port, rejected unless it is a whole number in 0..65535 (a cast
-/// would wrap 65545 to 9).
-std::uint16_t parsePort(const std::string& text) {
-    std::size_t used = 0;
-    const unsigned long port = std::stoul(text, &used);
-    if (used != text.size() || port > 65535) {
-        throw std::runtime_error("port '" + text + "' is not in 0..65535");
-    }
-    return static_cast<std::uint16_t>(port);
-}
-
-/// Split a `host:port` target; nullopt when it has no port part.
+/// Split a `host:port` target; nullopt when it has no port part. The port
+/// must be a whole number in 0..65535 (a cast would wrap 65545 to 9).
 std::optional<std::pair<std::string, std::uint16_t>> parseEndpoint(const std::string& target) {
     const std::size_t colon = target.rfind(':');
     if (colon == std::string::npos || colon + 1 >= target.size()) return std::nullopt;
-    return std::pair{target.substr(0, colon), parsePort(target.substr(colon + 1))};
+    const std::string port = target.substr(colon + 1);
+    const std::optional<std::uint64_t> parsed = parseUnsigned(port, 65535);
+    if (!parsed) throw std::runtime_error("port '" + port + "' is not in 0..65535");
+    return std::pair{target.substr(0, colon), static_cast<std::uint16_t>(*parsed)};
 }
 
 /// The per-span self-time table of a profile document or a /progress board
@@ -253,9 +249,9 @@ void printSpanTable(const JsonValue* spans) {
 SystemConfig legConfigFromArgs(const Args& args) {
     SystemConfig config;
     config.scheme = parseSchemeKind(args.get("scheme", "ffw+bbr"));
-    config.op = DvfsTable::at(Voltage::fromMillivolts(std::stod(args.get("mv", "400"))));
-    config.faultMapSeed = std::stoull(args.get("seed", "1"));
-    config.maxInstructions = std::stoull(args.get("max-instructions", "0"));
+    config.op = DvfsTable::at(Voltage::fromMillivolts(args.real("mv", 400)));
+    config.faultMapSeed = args.count("seed", 1);
+    config.maxInstructions = args.count("max-instructions", 0);
     return config;
 }
 
@@ -280,11 +276,13 @@ int cmdList(const Args& /*args*/) {
     return 0;
 }
 
-/// One leg for `run` / `stats`. With --trace FILE the leg runs as a job
-/// labelled `label` whose timeline takes the scheme, linker and simulator
-/// instant events, and that timeline is written to FILE.
-SystemResult simulateLeg(const Args& args, const char* label, const Module& module,
-                         const Module& bbrModule, const SystemConfig& config) {
+/// One leg of the positional program for `run` / `stats`. With --trace FILE
+/// the leg runs as a job labelled `label` whose timeline takes the scheme,
+/// linker and simulator instant events, and that timeline is written to FILE.
+SystemResult simulateLeg(const Args& args, const char* label, const SystemConfig& config) {
+    const Module module = loadProgram(args.positional, WorkloadScale::Small);
+    Module bbrModule = module;
+    applyBbrTransforms(bbrModule);
     if (!args.flags.contains("trace")) return simulateSystem(module, &bbrModule, config);
     obs::JobTraceStore& store = obs::JobTraceStore::global();
     const obs::TraceContext trace = obs::makeRootContext(label);
@@ -296,13 +294,8 @@ SystemResult simulateLeg(const Args& args, const char* label, const Module& modu
 }
 
 int cmdRun(const Args& args) {
-    if (args.positional.empty()) throw std::runtime_error("run: need a program");
-    Module module = loadProgram(args.positional, WorkloadScale::Small);
-    Module bbrModule = module;
-    applyBbrTransforms(bbrModule);
-
     const SystemConfig config = legConfigFromArgs(args);
-    const SystemResult result = simulateLeg(args, "run", module, bbrModule, config);
+    const SystemResult result = simulateLeg(args, "run", config);
     if (args.flags.contains("json")) {
         writeTextFile(args.get("json", ""),
                       systemResultToJson(result, legMetaFromArgs(args, config)));
@@ -336,25 +329,20 @@ int cmdRun(const Args& args) {
 /// Exit 0 verified, 1 rejected, 3 link failure (2, a usage or I/O error,
 /// is thrown to main).
 int cmdVerify(const Args& args) {
-    if (args.positional.empty()) throw std::runtime_error("verify: need a program");
     const auto has = [&args](const char* flag) { return args.flags.contains(flag); };
     Module module =
         loadProgram(args.positional, parseWorkloadScale(args.get("scale", "small")));
     const bool bbr = !has("conventional");
     if (!has("no-transform")) applyBbrTransforms(module);
 
-    const double mv = parseNumber("mv", args.get("mv", "400"));
+    const double mv = args.real("mv", 400);
     const FaultMap linkMap =
-        has("map") ? loadMap(args.get("map", ""))
-                   : generateMap(mv, static_cast<std::uint64_t>(
-                                         parseNumber("seed", args.get("seed", "1"))));
+        has("map") ? loadMap(args.get("map", "")) : generateMap(mv, args.count("seed", 1));
 
     analysis::LintOptions lintOptions;
     lintOptions.bbrMode = bbr;
-    lintOptions.maxBlockWords =
-        has("max-block") ? static_cast<std::uint32_t>(
-                               parseNumber("max-block", args.get("max-block", "0")))
-                         : analysis::maxPlaceableBlockWords(linkMap);
+    lintOptions.maxBlockWords = static_cast<std::uint32_t>(
+        args.count("max-block", analysis::maxPlaceableBlockWords(linkMap), UINT32_MAX));
     const auto findings = analysis::lintModule(module, lintOptions);
     std::fputs(analysis::formatFindings(findings).c_str(), stdout);
     const bool lintFailed = analysis::hasLintErrors(findings);
@@ -378,8 +366,7 @@ int cmdVerify(const Args& args) {
 
     const FaultMap verifyMap =
         has("verify-map")    ? loadMap(args.get("verify-map", ""))
-        : has("verify-seed") ? generateMap(mv, static_cast<std::uint64_t>(parseNumber(
-                                                   "verify-seed", args.get("verify-seed", "1"))))
+        : has("verify-seed") ? generateMap(mv, args.count("verify-seed", 1))
                              : linkMap;
 
     const analysis::PlacementProof proof =
@@ -395,7 +382,6 @@ int cmdVerify(const Args& args) {
 }
 
 int cmdDisasm(const Args& args) {
-    if (args.positional.empty()) throw std::runtime_error("disasm: need a program");
     Module module = loadProgram(args.positional, WorkloadScale::Small);
     if (args.flags.contains("bbr")) applyBbrTransforms(module);
     std::fputs(disassemble(module).c_str(), stdout);
@@ -403,8 +389,8 @@ int cmdDisasm(const Args& args) {
 }
 
 int cmdFaultmap(const Args& args) {
-    const double mv = std::stod(args.get("mv", "400"));
-    const FaultMap map = generateMap(mv, std::stoull(args.get("seed", "1")));
+    const double mv = args.real("mv", 400);
+    const FaultMap map = generateMap(mv, args.count("seed", 1));
     std::printf("# %u of %u words defective (%.1f%%) at %.0fmV\n", map.totalFaultyWords(),
                 map.totalWords(), 100.0 * map.totalFaultyWords() / map.totalWords(), mv);
     const std::string text = faultMapToString(map);
@@ -419,8 +405,8 @@ int cmdFaultmap(const Args& args) {
 }
 
 int cmdYield(const Args& args) {
-    const std::uint64_t bits = std::stoull(args.get("bits", "262144"));
-    const double target = std::stod(args.get("target", "0.999"));
+    const std::uint64_t bits = args.count("bits", 262144);
+    const double target = args.real("target", 0.999);
     const YieldAnalyzer analyzer;
     const Voltage vccmin = analyzer.vccmin(bits, target);
     std::printf("structure of %llu bits at %.3f yield target: Vccmin = %.0f mV\n",
@@ -432,24 +418,37 @@ int cmdYield(const Args& args) {
     return 0;
 }
 
+/// The job that `sweep` runs and `submit` sends, from the flags the two
+/// share (each command's table still decides which flags it accepts).
+serve::JobRequest jobFromArgs(const Args& args) {
+    serve::JobRequest job;
+    job.op = args.get("op", "sweep");
+    job.id = args.get("id", "");
+    job.benchmarks = args.get("benchmarks", "");
+    job.schemes = args.get("schemes", "");
+    job.scale = args.get("scale", job.scale);
+    job.mv = args.get("mv", "");
+    job.trials = static_cast<std::uint32_t>(
+        args.count("trials", job.op == "run" ? 1 : job.trials, UINT32_MAX));
+    job.threads = static_cast<unsigned>(args.count("threads", 0, obs::kMaxThreadSlots));
+    job.seed = args.count("seed", job.seed);
+    job.maxInstructions = args.count("max-instructions", 0);
+    job.progress = args.flags.contains("progress");
+    return job;
+}
+
 int cmdSweep(const Args& args) {
-    SweepConfig config;
-    config.trials = static_cast<std::uint32_t>(std::stoul(args.get("trials", "3")));
-    config.scale = parseWorkloadScale(args.get("scale", "small"));
-    config.maxInstructions = std::stoull(args.get("max-instructions", "0"));
-    config.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-    config.benchmarks = splitCsv(args.get("benchmarks", ""));
-    config.points = DvfsTable::parseMillivoltList(args.get("mv", ""));
+    // The same job-to-config path a served sweep takes, so the two agree.
+    SweepConfig config = serve::configFromJob(jobFromArgs(args));
     // --corrupt-mapgen scales the sampled fault rate while the analytic
     // check keeps predicting from the physical model: the gate's negative
     // control (any value != 1 must make --analytic-check fail).
-    config.systemTemplate.faultRateScale = std::stod(args.get("corrupt-mapgen", "1"));
+    config.systemTemplate.faultRateScale = args.real("corrupt-mapgen", 1);
     config.useReplay = !args.flags.contains("no-replay");
-    config.batchLanes = static_cast<std::uint32_t>(std::stoul(args.get("batch", "0")));
+    config.batchLanes = static_cast<std::uint32_t>(args.count("batch", 0, UINT32_MAX));
     // --fail-at-leg: deliberately fail a VC_CHECK inside the Nth leg (1-based)
     // — the flight recorder's negative control (ci.sh asserts the dump).
-    config.failAtLeg =
-        static_cast<std::uint32_t>(std::stoul(args.get("fail-at-leg", "0")));
+    config.failAtLeg = static_cast<std::uint32_t>(args.count("fail-at-leg", 0, UINT32_MAX));
 
     // --flight-record: arm the async-signal-safe black box. Installed before
     // any worker starts so a crash anywhere in the sweep lands in the dump.
@@ -479,7 +478,7 @@ int cmdSweep(const Args& args) {
         board.emplace();
     }
     if (args.flags.contains("telemetry-port")) {
-        telemetry.emplace(parsePort(args.get("telemetry-port", "0")), *board);
+        telemetry.emplace(args.count("telemetry-port", 0, 65535), *board);
         std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
                      static_cast<unsigned>(telemetry->port()));
     }
@@ -518,7 +517,7 @@ int cmdSweep(const Args& args) {
     std::optional<obs::LegJournal> journal;
     if (args.flags.contains("journal")) {
         journal.emplace(args.get("journal", ""), /*autoDrain=*/true,
-                        std::stoull(args.get("journal-max-bytes", "0")));
+                        args.count("journal-max-bytes", 0));
     }
 
     const bool profiling = args.flags.contains("profile");
@@ -575,8 +574,7 @@ int cmdSweep(const Args& args) {
 
     std::optional<analysis::CrosscheckReport> analytic;
     if (args.flags.contains("analytic-check")) {
-        const double zThreshold = std::stod(args.get("check-z", "6"));
-        analytic = analyticCrosscheck(result, config, zThreshold);
+        analytic = analyticCrosscheck(result, config, args.real("check-z", 6));
         std::fputs(analysis::formatReport(*analytic).c_str(), stdout);
     }
 
@@ -606,8 +604,7 @@ int cmdSweep(const Args& args) {
     // external scraper that raced the run can still collect the final state
     // (ci.sh scrapes, then kills the process).
     if (telemetry.has_value() && args.flags.contains("telemetry-linger")) {
-        std::this_thread::sleep_for(
-            std::chrono::seconds(std::stoi(args.get("telemetry-linger", "0"))));
+        std::this_thread::sleep_for(std::chrono::seconds(args.count("telemetry-linger", 0)));
     }
     if (analytic.has_value() && !analytic->passed()) {
         std::fprintf(stderr,
@@ -626,8 +623,7 @@ int cmdModel(const Args& args) {
     const SystemConfig system; // default Table I geometry
     const std::uint32_t lines = system.l1Org.lines();
     const std::uint32_t wordsPerLine = system.l1Org.wordsPerBlock();
-    const auto need =
-        static_cast<std::uint32_t>(std::stoul(args.get("need", "12")));
+    const auto need = static_cast<std::uint32_t>(args.count("need", 12, UINT32_MAX));
     const FailureModel model;
 
     std::vector<OperatingPoint> points;
@@ -698,11 +694,6 @@ int cmdModel(const Args& args) {
 }
 
 int cmdStats(const Args& args) {
-    if (args.positional.empty()) throw std::runtime_error("stats: need a program");
-    Module module = loadProgram(args.positional, WorkloadScale::Small);
-    Module bbrModule = module;
-    applyBbrTransforms(bbrModule);
-
     SystemConfig config = legConfigFromArgs(args);
 
     // Observer multiplexing: the locality profiler and (with --trace) the
@@ -712,7 +703,7 @@ int cmdStats(const Args& args) {
     TimelineObserver timelineObserver;
     if (args.flags.contains("trace")) config.observers.push_back(&timelineObserver);
 
-    const SystemResult result = simulateLeg(args, "stats", module, bbrModule, config);
+    const SystemResult result = simulateLeg(args, "stats", config);
     profiler.finalize();
 
     std::printf("program: %s   scheme: %s   %.0fmV / %.0fMHz   chip seed %llu\n",
@@ -790,7 +781,7 @@ int cmdStats(const Args& args) {
 /// Human-readable rendering of a profile or sweep JSON artifact: per-span
 /// self-times for `kind:"profile"`, the forensics block for `kind:"sweep"`.
 int cmdProfile(const Args& args) {
-    if (args.positional.empty()) throw std::runtime_error("profile: need a JSON file");
+    if (args.positional.empty()) throw std::runtime_error("need a JSON file");
     std::ifstream in(args.positional);
     if (!in) throw std::runtime_error("cannot open '" + args.positional + "'");
     std::ostringstream text;
@@ -865,7 +856,7 @@ int cmdProfile(const Args& args) {
 int cmdTrace(const Args& args) {
     if (args.positional.empty()) {
         throw std::runtime_error(
-            "trace: need <host:port>, a trace JSON file, or a flight dump");
+            "need <host:port>, a trace JSON file, or a flight dump");
     }
     std::string body;
     if (std::ifstream in(args.positional); in) {
@@ -875,7 +866,7 @@ int cmdTrace(const Args& args) {
     } else {
         const auto target = parseEndpoint(args.positional);
         if (!target.has_value()) {
-            throw std::runtime_error("trace: '" + args.positional +
+            throw std::runtime_error("'" + args.positional +
                                      "' is neither a readable file nor host:port");
         }
         const std::string path = args.flags.contains("job")
@@ -947,8 +938,7 @@ int cmdTrace(const Args& args) {
                     static_cast<unsigned long long>(replayed),
                     static_cast<unsigned long long>(cached),
                     events->items.size());
-        const auto limit =
-            static_cast<std::size_t>(std::stoul(args.get("limit", "40")));
+        const std::uint64_t limit = args.count("limit", 40);
         TextTable table({"event", "tid", "start ms", "dur ms", "notes"});
         std::size_t shown = 0;
         for (const JsonValue& event : events->items) {
@@ -1078,16 +1068,12 @@ int cmdTrace(const Args& args) {
 /// throughput / ETA / span attribution / counter rates, repeat until the
 /// sweep reports done or --iterations runs out.
 int cmdTop(const Args& args) {
-    if (args.positional.empty()) {
-        throw std::runtime_error("top: need host:port (e.g. 127.0.0.1:9090)");
-    }
     const auto target = parseEndpoint(args.positional);
-    if (!target.has_value()) throw std::runtime_error("top: target must be host:port");
+    if (!target.has_value()) throw std::runtime_error("need host:port (e.g. 127.0.0.1:9090)");
     const auto& [host, port] = *target;
-    const auto interval =
-        std::chrono::milliseconds(std::stoul(args.get("interval", "1000")));
-    std::uint64_t iterations = std::stoull(args.get("iterations", "0"));
-    if (args.flags.contains("once")) iterations = 1;
+    const auto interval = std::chrono::milliseconds(args.count("interval", 1000));
+    const std::uint64_t iterations =
+        args.flags.contains("once") ? 1 : args.count("iterations", 0);
     const bool live = iterations != 1;
 
     for (std::uint64_t i = 0; iterations == 0 || i < iterations; ++i) {
@@ -1173,18 +1159,16 @@ void handleStopSignal(int /*signum*/) {
 
 int cmdServe(const Args& args) {
     serve::ServeOptions options;
-    options.port = parsePort(args.get("port", "0"));
+    options.port = static_cast<std::uint16_t>(args.count("port", 0, 65535));
     options.storeDirectory = args.get("store", "");
-    options.storeBudgetBytes =
-        std::stoull(args.get("store-budget", "256")) << 20; // MB → bytes
-    options.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
+    options.storeBudgetBytes = args.count("store-budget", 256, UINT64_MAX >> 20)
+                               << 20; // MB → bytes
+    options.threads = static_cast<unsigned>(args.count("threads", 0, obs::kMaxThreadSlots));
     options.journalPath = args.get("journal", "");
-    options.journalMaxBytes = std::stoull(args.get("journal-max-bytes", "0"));
+    options.journalMaxBytes = args.count("journal-max-bytes", 0);
     options.flightRecordPath = args.get("flight-record", "");
-    if (args.flags.contains("idle-timeout")) {
-        options.idleTimeout =
-            std::chrono::milliseconds(std::stoul(args.get("idle-timeout", "600000")));
-    }
+    options.idleTimeout =
+        std::chrono::milliseconds(args.count("idle-timeout", options.idleTimeout.count()));
 
     // --telemetry-port: same exporter as `sweep`, but long-lived — the board
     // is re-labelled per job (beginJob) so /progress always describes the
@@ -1193,7 +1177,7 @@ int cmdServe(const Args& args) {
     std::optional<obs::TelemetryServer> telemetry;
     if (args.flags.contains("telemetry-port")) {
         board.emplace();
-        telemetry.emplace(parsePort(args.get("telemetry-port", "0")), *board);
+        telemetry.emplace(args.count("telemetry-port", 0, 65535), *board);
         options.board = &*board;
         obs::Profiler::reset();
         obs::Profiler::setEnabled(true);
@@ -1233,26 +1217,11 @@ int cmdServe(const Args& args) {
 }
 
 int cmdSubmit(const Args& args) {
-    if (args.positional.empty()) {
-        throw std::runtime_error("submit: need host:port (e.g. 127.0.0.1:7420)");
-    }
     const auto target = parseEndpoint(args.positional);
-    if (!target.has_value()) throw std::runtime_error("submit: target must be host:port");
+    if (!target.has_value()) throw std::runtime_error("need host:port (e.g. 127.0.0.1:7420)");
     const auto& [host, port] = *target;
 
-    serve::JobRequest job;
-    job.op = args.get("op", "sweep");
-    job.id = args.get("id", "");
-    job.benchmarks = args.get("benchmarks", "");
-    job.schemes = args.get("schemes", "");
-    job.scale = args.get("scale", "small");
-    job.mv = args.get("mv", "");
-    job.trials = static_cast<std::uint32_t>(
-        std::stoul(args.get("trials", job.op == "run" ? "1" : "3")));
-    job.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-    if (args.flags.contains("seed")) job.seed = std::stoull(args.get("seed", "0"));
-    job.maxInstructions = std::stoull(args.get("max-instructions", "0"));
-    job.progress = args.flags.contains("progress");
+    serve::JobRequest job = jobFromArgs(args);
     // End-to-end tracing: the client mints the job's 128-bit trace id (or
     // forwards --trace-id) so the whole path — queue, executor, every leg —
     // is queryable afterwards at /trace/<id> or via `voltcache trace`.
@@ -1261,18 +1230,17 @@ int cmdSubmit(const Args& args) {
         job.trace = obs::traceIdHex(
             obs::makeRootContext(job.id.empty() ? "submit" : job.id));
     } else if (obs::TraceContext probe; !obs::parseTraceIdHex(job.trace, probe)) {
-        throw std::runtime_error("submit: --trace-id must be 32 hex chars");
+        throw std::runtime_error("--trace-id must be 32 hex chars");
     }
 
     // The receive timeout must cover the whole job, not one read.
-    const auto timeout =
-        std::chrono::milliseconds(std::stoul(args.get("timeout", "600000")));
+    const auto timeout = std::chrono::milliseconds(args.count("timeout", 600000));
     net::Socket socket = net::tcpConnect(host, port, timeout);
     // wall = send to the document's last byte; against the server's
     // elapsed it exposes any transport stall.
     const auto sent = std::chrono::steady_clock::now();
     if (!socket.sendAll(serve::jobToJson(job) + "\n")) {
-        throw std::runtime_error("submit: send failed");
+        throw std::runtime_error("send failed");
     }
 
     serve::LineReader reader(socket, serve::kMaxResponseLineBytes);
@@ -1280,10 +1248,10 @@ int cmdSubmit(const Args& args) {
     while (true) {
         const serve::LineReader::Status status = reader.next(line);
         if (status == serve::LineReader::Status::Timeout) {
-            throw std::runtime_error("submit: timed out waiting for the server");
+            throw std::runtime_error("timed out waiting for the server");
         }
         if (status != serve::LineReader::Status::Line) {
-            throw std::runtime_error("submit: connection closed before the result");
+            throw std::runtime_error("connection closed before the result");
         }
         const JsonValue event = parseJson(line);
         const std::string kind = event.stringOr("ev", "");
@@ -1316,12 +1284,12 @@ int cmdSubmit(const Args& args) {
             static_cast<std::size_t>(event.numberOr("bytes", 0.0));
         std::string document;
         if (reader.next(document) != serve::LineReader::Status::Line) {
-            throw std::runtime_error("submit: document line missing");
+            throw std::runtime_error("document line missing");
         }
         const double wallSeconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - sent).count();
         if (document.size() != documentBytes) {
-            throw std::runtime_error("submit: document framing mismatch (" +
+            throw std::runtime_error("document framing mismatch (" +
                                      std::to_string(document.size()) + " vs " +
                                      std::to_string(documentBytes) + " bytes)");
         }
@@ -1354,9 +1322,9 @@ int usage() {
     std::fprintf(stderr,
                  "usage: voltcache <command> [options]\n"
                  "  run <prog.s|benchmark> [--scheme S] [--mv V] [--seed N]\n"
-                 "      [--json FILE] [--trace FILE]\n"
+                 "      [--max-instructions N] [--json FILE] [--trace FILE]\n"
                  "  stats <prog.s|benchmark> [--scheme S] [--mv V] [--seed N]\n"
-                 "      [--json FILE] [--trace FILE]\n"
+                 "      [--max-instructions N] [--json FILE] [--trace FILE]\n"
                  "  verify <prog.s|benchmark> [--mv V] [--seed N] [--map FILE]\n"
                  "      [--verify-seed N] [--verify-map FILE] [--scale S] [--no-transform]\n"
                  "      [--conventional] [--lint-only] [--max-block W]\n"
@@ -1364,7 +1332,7 @@ int usage() {
                  "  disasm <prog.s|benchmark> [--bbr]\n"
                  "  faultmap [--mv V] [--seed N] [-o FILE]\n"
                  "  yield [--bits N] [--target Y]\n"
-                 "  sweep [--trials N] [--benchmarks a,b,...] [--scale S] [--threads N]\n"
+                 "  sweep [--trials N] [--benchmarks a,b,...] [--scale S] [--threads N<=64]\n"
                  "      [--max-instructions N] [--mv V1,V2,...] [--json FILE]\n"
                  "      [--trace FILE]  (the job timeline with instant events; each thread\n"
                  "       keeps its newest 8192 leg and phase spans and, apart from them,\n"
@@ -1419,7 +1387,8 @@ int usage() {
                  "      (closed-form FFW/BBR curves, no simulation)\n"
                  "  profile <profile.json|sweep.json>  (render span times / forensics)\n"
                  "  list\n"
-                 "a flag the command does not read, or an I/O error, exits 2\n");
+                 "a flag the command does not read, a number that does not parse whole,\n"
+                 "or an I/O error exits 2\n");
     return 2;
 }
 
